@@ -25,7 +25,7 @@ DEFAULT_QT_MAX_N = 8
 DEFAULT_SYM_MAX_N = 12
 ROUTE_MAX_N = 20
 
-# total number of registered checks behind `verify --all`
+# total number of registered checks behind `verify --all`, pinned by the tests
 REGISTRY_SIZE = 31
 
 
@@ -42,24 +42,32 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_first_terms_small_c() -> CheckResult:
-    name = "first_terms/c"
-    stored = fixtures.FIRST_TERMS_SMALL_C
+def _check_first_terms(alias: str, stored: tuple[str, ...]) -> CheckResult:
+    name = f"first_terms/{alias}"
+    build = narayana.FAMILIES[_POLY_FAMILIES[alias]]
     for n, want in enumerate(stored):
-        got = str(narayana.c_poly(n))
+        got = str(build(n))
         if got != want:
             return CheckResult(name, False, f"n={n}: computed {got}, stored {want}")
     return CheckResult(name, True, f"n<={len(stored) - 1}")
 
 
-def _check_first_terms_narayana() -> CheckResult:
-    name = "first_terms/C"
-    stored = fixtures.FIRST_TERMS_NARAYANA
-    for n, want in enumerate(stored):
-        got = str(narayana.narayana_poly(n))
-        if got != want:
-            return CheckResult(name, False, f"n={n}: computed {got}, stored {want}")
-    return CheckResult(name, True, f"n<={len(stored) - 1}")
+def _q_row_mismatch(n: int, row: tuple[Polynomial, ...]) -> str:
+    """Where row n of the q-Narayana family breaks its invariants; empty when it keeps them.
+
+    The invariants: constant term 1, no negative coefficient, and the row
+    sums to the q-Catalan quotient.
+    """
+    if row[0] != Polynomial.one(qcomb.QVAR):
+        return f"n={n}: q-row starts with {row[0]}, expected 1"
+    for k, entry in enumerate(row):
+        if any(c < 0 for c in entry.coeffs):
+            return f"n={n}, k={k}: negative coefficient in q-row entry {entry}"
+    total = sum(row, Polynomial.zero(qcomb.QVAR))
+    catalan = qcomb.q_catalan(n)
+    if total != catalan:
+        return f"n={n}: q-row sums to {total}, q-Catalan quotient {catalan}"
+    return ""
 
 
 def _check_routes() -> CheckResult:
@@ -69,53 +77,42 @@ def _check_routes() -> CheckResult:
         recursive = narayana.c_poly_recursive(n)
         if recursive != closed:
             return CheckResult(name, False, f"n={n}: recursion gives {recursive}, closed form {closed}")
+        row = qcomb.q_narayana_row(n).entries
+        mismatch = _q_row_mismatch(n, row)
+        if mismatch:
+            return CheckResult(name, False, mismatch)
         if n >= 1:
-            row = qcomb.specialize_row(n, -1)
-            if closed.coeffs != row:
-                return CheckResult(name, False, f"n={n}: q-specialization gives {row}")
+            specialized = tuple(p(-1) for p in row)
+            if closed.coeffs != specialized:
+                return CheckResult(name, False, f"n={n}: q-specialization gives {specialized}")
     return CheckResult(name, True, f"n<={ROUTE_MAX_N}")
 
 
 def _check_odd_closed() -> CheckResult:
     name = "routes/odd_closed_form"
     for m in range(11):
-        if narayana.c_odd_closed(m) != narayana.c_poly(2 * m + 1):
-            return CheckResult(name, False, f"index {2 * m + 1}")
+        odd, closed = narayana.c_odd_closed(m), narayana.c_poly(2 * m + 1)
+        if odd != closed:
+            return CheckResult(name, False, f"n={2 * m + 1}: odd closed form gives {odd}, closed form {closed}")
     return CheckResult(name, True, "odd indices <= 21")
 
 
-def _check_at_one() -> CheckResult:
-    name = "eval/at_one"
-    for n in range(ROUTE_MAX_N + 1):
-        want = narayana.binomial(n, n // 2)
-        got = narayana.c_poly(n)(1)
+def _check_eval(name: str, point: int, indices: range, covered: str) -> CheckResult:
+    """c_n(point) against the closed-form value from narayana.special_values (point 1 or -1)."""
+    for n in indices:
+        want = narayana.special_values(n)[0 if point == 1 else 1]
+        got = narayana.c_poly(n)(point)
         if got != want:
             return CheckResult(name, False, f"n={n}: value {got}, expected {want}")
-    return CheckResult(name, True, f"n<={ROUTE_MAX_N}")
-
-
-def _check_at_minus_one() -> CheckResult:
-    name = "eval/at_minus_one"
-    for m in range(1, 11):
-        got = narayana.c_poly(2 * m)(-1)
-        if got != 0:
-            return CheckResult(name, False, f"even index {2 * m}: value {got}, expected 0")
-    for m in range(11):
-        want = narayana.catalan_number(m)
-        got = narayana.c_poly(2 * m + 1)(-1)
-        if got != want:
-            return CheckResult(name, False, f"odd index {2 * m + 1}: value {got}, expected {want}")
-    return CheckResult(name, True, "indices <= 21")
+    return CheckResult(name, True, covered)
 
 
 def _check_q_catalan_sum() -> CheckResult:
     name = "eval/q_catalan_sum"
     for n in range(11):
-        total = Polynomial.zero(qcomb.QVAR)
-        for entry in qcomb.q_narayana_row(n).entries:
-            total = total + entry
-        if total != qcomb.q_catalan(n):
-            return CheckResult(name, False, f"n={n}")
+        mismatch = _q_row_mismatch(n, qcomb.q_narayana_row(n).entries)
+        if mismatch:
+            return CheckResult(name, False, mismatch)
     return CheckResult(name, True, "n<=10")
 
 
@@ -135,30 +132,43 @@ def _check_hankel(family: str, shift: int, max_n: int) -> CheckResult:
     return CheckResult(name, True, f"n<={max_n}")
 
 
+def _extract(tag: str, depth: int):
+    """The series of tag at the order depth needs, and its J-fraction to that depth."""
+    series = hankel.ratfun_series(tag, 2 * depth + 2)
+    return series, hankel.jfraction_extract(series, depth)
+
+
+def _cfrac_levels(tag: str, depth: int):
+    """The J-fraction of tag, and each of its coefficients beside the stored closed form.
+
+    A level is (kind, k, extracted, expected, match) with kind "s" or "t".
+    """
+    _, jf = _extract(tag, depth)
+    levels = []
+    for kind, coeffs, stored in (("s", jf.s, fixtures.expected_jfraction_s),
+                                 ("t", jf.t_coeffs, fixtures.expected_jfraction_t)):
+        for k, got in enumerate(coeffs):
+            want = RationalFunction(stored(tag, k))
+            levels.append((kind, k, got, want, got == want))
+    return jf, levels
+
+
 def _check_cfrac_closed(tag: str, depth: int) -> CheckResult:
     name = f"cfrac/{tag}/closed_forms"
-    series = hankel.ratfun_series(tag, 2 * depth + 2)
-    jf = hankel.jfraction_extract(series, depth)
+    jf, levels = _cfrac_levels(tag, depth)
     if jf.depth != depth:
         return CheckResult(name, False, f"extraction stopped at depth {jf.depth}")
-    for k, got in enumerate(jf.s):
-        want = RationalFunction(fixtures.expected_jfraction_s(tag, k))
-        if got != want:
-            return CheckResult(name, False, f"s_{k}: extracted {got}, stored {want}")
-    for k, got in enumerate(jf.t_coeffs):
-        want = RationalFunction(fixtures.expected_jfraction_t(tag, k))
-        if got != want:
-            return CheckResult(name, False, f"t_{k}: extracted {got}, stored {want}")
+    for kind, k, got, want, match in levels:
+        if not match:
+            return CheckResult(name, False, f"{kind}_{k}: extracted {got}, stored {want}")
     return CheckResult(name, True, f"levels<={depth}")
 
 
 def _check_cfrac_product(tag: str, max_n: int) -> CheckResult:
     name = f"cfrac/{tag}/product_formula"
-    depth = max_n - 1
-    series = hankel.ratfun_series(tag, 2 * depth + 2)
-    jf = hankel.jfraction_extract(series, depth)
-    shift = 1 if tag == "smallg" else 0
-    seq = narayana.poly_sequence("small_c", 2 * max_n - 1 + shift)
+    _, jf = _extract(tag, max_n - 1)
+    family, shift = gfun.TAG_FAMILIES[tag]
+    seq = narayana.poly_sequence(family, 2 * max_n - 1 + shift)
     for n in range(1, max_n + 1):
         det = hankel.det_bareiss(hankel.hankel_matrix(seq, n, shift))
         product = hankel.hankel_product_formula(jf.t_coeffs, n)
@@ -170,8 +180,7 @@ def _check_cfrac_product(tag: str, max_n: int) -> CheckResult:
 def _check_cfrac_roundtrip(depth: int) -> CheckResult:
     name = "cfrac/roundtrip"
     for tag in ("smallc", "smallg"):
-        series = hankel.ratfun_series(tag, 2 * depth + 2)
-        jf = hankel.jfraction_extract(series, depth)
+        series, jf = _extract(tag, depth)
         rebuilt = hankel.jfraction_to_series(jf, 2 * depth + 1)
         if rebuilt != series.truncate(2 * depth + 1):
             return CheckResult(name, False, f"{tag} does not round-trip at depth {depth}")
@@ -218,12 +227,12 @@ def _check_oracle_counts() -> CheckResult:
 def build_registry(order: int = DEFAULT_ORDER):
     """Every registered check behind `verify --all`, in report order."""
     checks = [
-        ("first_terms/c", _check_first_terms_small_c),
-        ("first_terms/C", _check_first_terms_narayana),
+        ("first_terms/c", partial(_check_first_terms, "c", fixtures.FIRST_TERMS_SMALL_C)),
+        ("first_terms/C", partial(_check_first_terms, "C", fixtures.FIRST_TERMS_NARAYANA)),
         ("routes/c_three_ways", _check_routes),
         ("routes/odd_closed_form", _check_odd_closed),
-        ("eval/at_one", _check_at_one),
-        ("eval/at_minus_one", _check_at_minus_one),
+        ("eval/at_one", partial(_check_eval, "eval/at_one", 1, range(ROUTE_MAX_N + 1), f"n<={ROUTE_MAX_N}")),
+        ("eval/at_minus_one", partial(_check_eval, "eval/at_minus_one", -1, range(22), "indices <= 21")),
         ("eval/q_catalan_sum", _check_q_catalan_sum),
     ]
     for identity in gfun.ALL_IDENTITIES:
@@ -240,7 +249,6 @@ def build_registry(order: int = DEFAULT_ORDER):
     checks.append(("oracle/valley_major", partial(_check_oracle_qt, DEFAULT_QT_MAX_N)))
     checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, DEFAULT_SYM_MAX_N)))
     checks.append(("oracle/counts", _check_oracle_counts))
-    assert len(checks) == REGISTRY_SIZE, "registry size drifted; update REGISTRY_SIZE and the tests"
     return tuple(checks)
 
 
@@ -272,20 +280,17 @@ def _run_checks(named_checks, as_json: bool) -> int:
     return 0 if all_passed else 1
 
 
-_POLY_FAMILIES = {
-    "c": narayana.c_poly,
-    "C": narayana.narayana_poly,
-    "B": narayana.narayana_b_poly,
-    "catalan": lambda n: Polynomial.constant(narayana.TVAR, narayana.catalan_number(n)),
-}
+# CLI short name -> name in narayana.FAMILIES
+_POLY_FAMILIES = {"c": "small_c", "C": "narayana_poly", "B": "narayana_B", "catalan": "catalan_C"}
 
-_HANKEL_FAMILIES = {"c": "small_c", "C": "narayana_poly"}
+# the short names hankel.expected_hankel has predictions for
+_HANKEL_FAMILIES = ("c", "C")
 
 _CFRAC_FAMILIES = {"c": "smallc", "g": "smallg"}
 
 
 def _run_poly(opts) -> int:
-    poly = _POLY_FAMILIES[opts["family"]](opts["n"])
+    poly = narayana.FAMILIES[_POLY_FAMILIES[opts["family"]]](opts["n"])
     if opts["json"]:
         print(json.dumps(poly.to_json()))
     else:
@@ -294,7 +299,7 @@ def _run_poly(opts) -> int:
 
 
 def _run_hankel(opts) -> int:
-    family = _HANKEL_FAMILIES[opts["family"]]
+    family = _POLY_FAMILIES[opts["family"]]
     shift = opts["shift"]
     rows = hankel.hankel_table(family, shift, opts["max_n"])
     if opts["json"]:
@@ -318,18 +323,8 @@ def _run_hankel(opts) -> int:
 
 def _run_cfrac(opts) -> int:
     tag = _CFRAC_FAMILIES[opts["family"]]
-    depth = opts["depth"]
-    series = hankel.ratfun_series(tag, 2 * depth + 2)
-    jf = hankel.jfraction_extract(series, depth)
-    levels = []
-    ok = jf.depth == depth
-    for k, got in enumerate(jf.s):
-        want = RationalFunction(fixtures.expected_jfraction_s(tag, k))
-        levels.append(("s", k, got, want, got == want))
-    for k, got in enumerate(jf.t_coeffs):
-        want = RationalFunction(fixtures.expected_jfraction_t(tag, k))
-        levels.append(("t", k, got, want, got == want))
-    ok = ok and all(match for *_, match in levels)
+    jf, levels = _cfrac_levels(tag, opts["depth"])
+    ok = jf.depth == opts["depth"] and all(match for *_, match in levels)
     if opts["json"]:
         payload = {
             "family": tag,

@@ -76,7 +76,7 @@ class Polynomial:
             raise TypeError("variable must be a non-empty string")
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # bool is an int subclass, and to_json would write "True"
                 raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()

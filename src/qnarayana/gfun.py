@@ -23,15 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import Polynomial, TruncatedSeries, ring_to_json
-from .narayana import TVAR, binomial, c_poly, catalan_number, narayana_poly
+from .narayana import FAMILIES, TVAR, binomial, catalan_number
 
-TAGS = ("bigC", "bigG", "smallc", "smallg")
-
-_TAG_COEFF = {
-    "bigC": narayana_poly,
-    "bigG": lambda n: narayana_poly(n + 1),
-    "smallc": c_poly,
-    "smallg": lambda n: c_poly(n + 1),
+# series tag -> (family in narayana.FAMILIES, shift): coefficient n is member n + shift
+TAG_FAMILIES = {
+    "bigC": ("narayana_poly", 0),
+    "bigG": ("narayana_poly", 1),
+    "smallc": ("small_c", 0),
+    "smallg": ("small_c", 1),
 }
 
 _T = Polynomial.gen(TVAR)
@@ -49,12 +48,13 @@ class SeriesFamily:
 
 def build_series(tag: str, order: int) -> SeriesFamily:
     """Prefix of one of the four families at the given truncation order."""
-    if tag not in _TAG_COEFF:
-        raise ValueError(f"unknown series tag {tag!r} (expected one of {TAGS})")
+    if tag not in TAG_FAMILIES:
+        raise ValueError(f"unknown series tag {tag!r} (expected one of {tuple(TAG_FAMILIES)})")
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeff = _TAG_COEFF[tag]
-    return SeriesFamily(tag, order, TruncatedSeries([coeff(n) for n in range(order + 1)], order))
+    family, shift = TAG_FAMILIES[tag]
+    build = FAMILIES[family]
+    return SeriesFamily(tag, order, TruncatedSeries([build(n + shift) for n in range(order + 1)], order))
 
 
 def _series(tag, order):
@@ -163,14 +163,14 @@ def _sides_eq28(order):
 
 def _sides_g_at_1(order):
     # coefficient n of g at t=1 is the central binomial binom(n+1, floor((n+1)/2))
-    lhs = [c_poly(n + 1)(1) for n in range(order + 1)]
+    lhs = [p(1) for p in _series("smallg", order).coeffs]
     rhs = [binomial(n + 1, (n + 1) // 2) for n in range(order + 1)]
     return lhs, rhs
 
 
 def _sides_g_at_m1(order):
     # g at t=-1 equals the Catalan generating function in z^2
-    lhs = [c_poly(n + 1)(-1) for n in range(order + 1)]
+    lhs = [p(-1) for p in _series("smallg", order).coeffs]
     rhs = [catalan_number(n // 2) if n % 2 == 0 else 0 for n in range(order + 1)]
     return lhs, rhs
 

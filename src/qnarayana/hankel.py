@@ -26,7 +26,8 @@ from .exactalg import (
     poly_exact_div,
     ring_one_like,
 )
-from .narayana import TVAR, PolySequence, binomial, c_poly, poly_sequence
+from .gfun import build_series
+from .narayana import TVAR, PolySequence, binomial, poly_sequence
 
 
 @dataclass(frozen=True)
@@ -159,20 +160,9 @@ def hankel_table_csv(family: str, shift: int, rows: list[HankelRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RATFUN_TAGS = {
-    "smallc": c_poly,
-    "smallg": lambda n: c_poly(n + 1),
-}
-
-
 def ratfun_series(tag: str, order: int) -> TruncatedSeries:
-    """smallc/smallg prefix lifted to rational-function coefficients."""
-    if tag not in _RATFUN_TAGS:
-        raise ValueError(f"unknown series tag {tag!r} (expected one of {tuple(_RATFUN_TAGS)})")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    coeff = _RATFUN_TAGS[tag]
-    return TruncatedSeries([RationalFunction(coeff(n)) for n in range(order + 1)], order)
+    """A series family prefix of :func:`gfun.build_series` lifted to rational-function coefficients."""
+    return build_series(tag, order).series.map_coeffs(RationalFunction)
 
 
 @dataclass(frozen=True)

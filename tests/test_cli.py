@@ -1,9 +1,16 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qnarayana import cli, fixtures
+import qnarayana
+from qnarayana import cli, dyckoracle, fixtures, narayana, qcomb
 from qnarayana.cli import REGISTRY_SIZE, Command, build_registry, main, parse_args
+from qnarayana.exactalg import Polynomial
 
 
 class TestParseArgs:
@@ -185,3 +192,84 @@ class TestFaultInjection:
         monkeypatch.setattr(cli, "_check_routes", boom)
         assert main(["verify"]) == 1
         assert "FAIL routes/c_three_ways (error: injected)" in capsys.readouterr().out
+
+
+def _plus_at(at, extra):
+    """Perturb a builder: its value at the arguments `at` gets `extra` added."""
+    def perturb(build):
+        return lambda *args: build(*args) + extra if args == at else build(*args)
+    return perturb
+
+
+def _maj_plus_one_on_udud(path_stats):
+    def perturbed(word):
+        stats = path_stats(word)
+        return dyckoracle.PathStats(stats.valleys, stats.maj + 1) if word == "UDUD" else stats
+    return perturbed
+
+
+def _first_path_twice_at_4(enumerate_symmetric):
+    def perturbed(n):
+        paths = list(enumerate_symmetric(n))
+        return iter(paths + paths[:1] if n == 4 else paths)
+    return perturbed
+
+
+T = Polynomial.gen("t")
+Q = Polynomial.gen("q")
+
+
+class TestCheckReportsItsOwnDiff:
+    """Each property the library once asserted is caught by its named check, with the check's diff."""
+
+    @pytest.mark.parametrize("argv, module, attr, perturb, line", [
+        (["verify"], narayana, "narayana_poly", _plus_at((2,), T),
+         "FAIL routes/c_three_ways (n=5: recursion gives 1+2t+4t^2+t^3+t^4, closed form 1+2t+4t^2+2t^3+t^4)"),
+        (["verify"], qcomb, "q_narayana_coeff", _plus_at((2, 0), Q),
+         "FAIL routes/c_three_ways (n=2: q-row starts with 1+q, expected 1)"),
+        (["verify"], qcomb, "q_narayana_coeff", _plus_at((3, 1), -Q ** 5),
+         "FAIL routes/c_three_ways (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)"),
+        (["verify"], qcomb, "q_narayana_coeff", _plus_at((4, 1), Polynomial.one("q")),
+         "FAIL routes/c_three_ways (n=4: q-row sums to "),
+        (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T),
+         "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
+        (["oracle"], dyckoracle, "path_stats", _maj_plus_one_on_udud,
+         "FAIL oracle/valley_major (n=2, k=1: enumerated q^3, algebraic q^2)"),
+        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at_4,
+         "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)"),
+    ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "odd-closed-form",
+            "valley-major", "symmetric-valleys"])
+    def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
+        monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
+        assert main(argv) == 1
+        name = line.split(" (")[0]
+        reported = [out for out in capsys.readouterr().out.splitlines() if out.startswith(name + " (")]
+        assert len(reported) == 1
+        assert reported[0].startswith(line)
+        assert "error:" not in reported[0]
+
+    def test_verdict_does_not_depend_on_python_O(self):
+        script = (
+            "import sys\n"
+            "from qnarayana import cli, narayana\n"
+            "from qnarayana.exactalg import Polynomial\n"
+            "build = narayana.narayana_poly\n"
+            "narayana.narayana_poly = lambda n: build(n) + Polynomial.gen('t') if n == 2 else build(n)\n"
+            "sys.exit(cli.main(['verify', '--order', '4']))\n"
+        )
+        src = str(Path(qnarayana.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=120)
+                for flags in ([], ["-O"])]
+        assert [run.returncode for run in runs] == [1, 1]
+        assert runs[0].stdout == runs[1].stdout
+        assert "FAIL routes/c_three_ways (n=5: recursion gives" in runs[0].stdout
+
+    def test_no_assert_in_the_package(self):
+        package = Path(qnarayana.__file__).parent
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+        assert found == []

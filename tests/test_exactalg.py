@@ -87,6 +87,12 @@ class TestPolynomial:
         assert json.loads(blob) == {"var": "t", "coeffs": ["1", "-2", "0", "7"]}
         assert Polynomial.from_json(json.loads(blob)) == p
 
+    def test_bool_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="got bool"):
+            P(True)
+        with pytest.raises(TypeError, match="got bool"):
+            P(1, False, 2)
+
 
 class TestExactDivision:
     def test_spec_quotient(self):

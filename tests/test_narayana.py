@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from qnarayana import narayana
 from qnarayana.exactalg import Polynomial
 from qnarayana.narayana import (
     TVAR,
@@ -37,6 +40,14 @@ class TestBasics:
         assert narayana_number(4, 0) == 1
         assert narayana_number(4, 5) == 0
         assert narayana_number(4, -1) == 0
+
+    def test_divisibility_guards_raise(self, monkeypatch):
+        monkeypatch.setattr(narayana, "math", SimpleNamespace(comb=lambda n, k: 7))
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            catalan_number(2)
+        monkeypatch.setattr(narayana, "binomial", lambda n, k: 1)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            narayana_number(3, 1)
 
     def test_narayana_polys(self):
         for n, expected in enumerate(FIRST_NARAYANA):

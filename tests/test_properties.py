@@ -1,7 +1,9 @@
 """Randomized algebra-law checks for the exact arithmetic layer."""
 
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +112,13 @@ def test_square_substitution_spreads_coefficients(a):
     q = p.subs_square()
     assert all(q.coefficient(2 * i + 1) == 0 for i in range(len(a)))
     assert all(q.coefficient(2 * i) == p.coefficient(i) for i in range(len(a)))
+
+
+@given(st.lists(st.one_of(st.integers(), st.booleans()), max_size=9))
+def test_every_accepted_polynomial_round_trips_through_json(coeffs):
+    if any(type(c) is bool for c in coeffs):
+        with pytest.raises(TypeError):
+            Polynomial("t", coeffs)
+        return
+    p = Polynomial("t", coeffs)
+    assert Polynomial.from_json(json.loads(json.dumps(p.to_json()))) == p
