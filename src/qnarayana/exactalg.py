@@ -16,11 +16,18 @@ Three immutable value types built on Python's arbitrary-precision integers:
 
 There is no floating point anywhere and no tolerance anywhere: all
 arithmetic is exact, all equality is structural.
+
+Coefficients are validated once, at the public ``Polynomial(var, coeffs)``
+constructor: each must be a plain ``int`` (``bool`` is refused).  Results
+the module computes itself from already-validated coefficients (sums,
+products, quotients, substitutions) go through ``Polynomial._trusted``,
+which only strips trailing zeros.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 
 class NotDivisibleError(ArithmeticError):
@@ -84,6 +91,19 @@ class Polynomial:
         self.coeffs = tuple(coeffs)
 
     @classmethod
+    def _trusted(cls, var, coeffs):
+        """Internal constructor for a fresh list of ints computed here.
+
+        No validation; trailing zeros are popped off the list in place.
+        """
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        p = object.__new__(cls)
+        p.var = var
+        p.coeffs = tuple(coeffs)
+        return p
+
+    @classmethod
     def zero(cls, var):
         return cls(var)
 
@@ -130,7 +150,7 @@ class Polynomial:
         if not self.coeffs:
             return self
         c = self.content()
-        return Polynomial(self.var, (a // c for a in self.coeffs))
+        return Polynomial._trusted(self.var, [a // c for a in self.coeffs])
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -145,8 +165,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.var, (self.coefficient(i) + other.coefficient(i) for i in range(n)))
+        return Polynomial._trusted(self.var, [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -154,8 +173,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self.var, (self.coefficient(i) - other.coefficient(i) for i in range(n)))
+        return Polynomial._trusted(self.var, [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -164,21 +182,21 @@ class Polynomial:
         return other - self
 
     def __neg__(self):
-        return Polynomial(self.var, (-c for c in self.coeffs))
+        return Polynomial._trusted(self.var, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return Polynomial(self.var)
+            return Polynomial._trusted(self.var, [])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Polynomial(self.var, out)
+        return Polynomial._trusted(self.var, out)
 
     __rmul__ = __mul__
 
@@ -203,7 +221,7 @@ class Polynomial:
 
     def subs_neg(self):
         """Substitute var -> -var (negate odd-power coefficients)."""
-        return Polynomial(self.var, (-c if i % 2 else c for i, c in enumerate(self.coeffs)))
+        return Polynomial._trusted(self.var, [-c if i % 2 else c for i, c in enumerate(self.coeffs)])
 
     def subs_square(self):
         """Substitute var -> var**2 (spread coefficients to even powers)."""
@@ -212,11 +230,11 @@ class Polynomial:
         out = [0] * (2 * len(self.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
-        return Polynomial(self.var, out)
+        return Polynomial._trusted(self.var, out)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Polynomial(self.var, (other,))
+        if isinstance(other, int):  # bool included: equality never raises
+            return self.coeffs == ((other,) if other else ())
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.var == other.var and self.coeffs == other.coeffs
@@ -268,7 +286,7 @@ def poly_exact_div(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
-        return Polynomial(a.var)
+        return Polynomial._trusted(a.var, [])
     da, db = len(a.coeffs) - 1, len(b.coeffs) - 1
     if da < db:
         raise NotDivisibleError(a, b)
@@ -287,7 +305,7 @@ def poly_exact_div(a, b):
             rem[i + j] -= q * bc
     if any(rem):
         raise NotDivisibleError(a, b)
-    return Polynomial(a.var, quot)
+    return Polynomial._trusted(a.var, quot)
 
 
 def poly_substitute(p, rule):
@@ -315,13 +333,24 @@ def _pseudo_rem(a, b):
     return r
 
 
+def _valuation(p):
+    # lowest power with a nonzero coefficient of a nonzero polynomial
+    return next(i for i, c in enumerate(p.coeffs) if c)
+
+
 def poly_gcd(a, b):
     """Gcd in Z[var], normalized to a positive leading coefficient.
 
-    Content is split off first; the primitive parts go through a
-    denominator-cleared Euclidean remainder sequence (pseudo-remainders,
-    re-primitivized each step).  Inputs here are tiny, so no subresultant
-    tricks are needed.
+    A zero operand gives the other one.  When either operand is a monomial
+    c*var^k (a constant is k = 0), every common divisor is d*var^j with d
+    dividing both contents and j at most both valuations, so the gcd is
+    gcd(content(a), content(b)) * var^min(val(a), val(b)), with val the
+    lowest power carrying a nonzero coefficient.  Constant and monomial
+    denominators are nearly every call the rational-function field makes.
+
+    The general path splits off the content; the primitive parts go through
+    a denominator-cleared Euclidean remainder sequence (pseudo-remainders,
+    re-primitivized each step).
     """
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
@@ -329,6 +358,9 @@ def poly_gcd(a, b):
         g = b
     elif not b:
         g = a
+    elif not any(a.coeffs[:-1]) or not any(b.coeffs[:-1]):  # a monomial operand
+        power = min(_valuation(a), _valuation(b))
+        g = Polynomial._trusted(a.var, [0] * power + [math.gcd(a.content(), b.content())])
     else:
         shared = math.gcd(a.content(), b.content())
         p, q = a.primitive_part(), b.primitive_part()
@@ -453,7 +485,9 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (Polynomial, int)):
+        if isinstance(other, int):  # bool included: equality never raises
+            return self.den.coeffs == (1,) and self.num == other
+        if isinstance(other, Polynomial):
             other = self._coerce(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented

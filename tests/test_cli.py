@@ -170,6 +170,31 @@ class TestRegistry:
         assert first == second
 
 
+GOLDEN = {
+    "verify_all.out": ["verify", "--all"],
+    "verify_all_json.out": ["verify", "--all", "--json"],
+    "cfrac_c_depth12.out": ["cfrac", "--family", "c", "--depth", "12"],
+    "cfrac_g_json.out": ["cfrac", "--family", "g", "--json"],
+    "oracle.out": ["oracle"],
+    "hankel_c_shift1_json.out": ["hankel", "--family", "c", "--shift", "1", "--json"],
+    "verify_eq25_order80_json.out": ["verify", "--identity", "eq25", "--order", "80", "--json"],
+}
+
+
+class TestGoldenStdout:
+    """Stdout of each invocation equals the committed `tests/data/` file, byte for byte.
+
+    The files hold the output of the code as first recorded; an intended
+    change of output replaces them in the same commit.
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_unchanged(self, name, capsys):
+        assert main(GOLDEN[name]) == 0
+        expected = (Path(__file__).parent / "data" / name).read_bytes()
+        assert capsys.readouterr().out.encode() == expected
+
+
 class TestFaultInjection:
     def test_mutated_first_terms_fixture_flips_exit_code(self, capsys, monkeypatch):
         broken = list(fixtures.FIRST_TERMS_SMALL_C)

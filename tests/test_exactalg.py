@@ -93,6 +93,23 @@ class TestPolynomial:
         with pytest.raises(TypeError, match="got bool"):
             P(1, False, 2)
 
+    def test_equality_with_bool_does_not_raise(self):
+        one, p = Polynomial.one("t"), P(1, 2)
+        assert one == True  # noqa: E712 -- the comparison under test
+        assert Polynomial.zero("t") == False  # noqa: E712
+        assert p != False  # noqa: E712
+        assert p != True  # noqa: E712
+        assert True in [one]
+        assert RationalFunction(one) == True  # noqa: E712
+        assert RationalFunction(p) != True  # noqa: E712
+        assert RationalFunction(one, P(0, 1)) != True  # noqa: E712
+
+    def test_bool_operand_rejected(self):
+        p = P(1, 2)
+        for op in (lambda: p + True, lambda: True + p, lambda: p - True, lambda: p * True, lambda: False * p):
+            with pytest.raises(TypeError, match="got bool"):
+                op()
+
 
 class TestExactDivision:
     def test_spec_quotient(self):

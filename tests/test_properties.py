@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qnarayana.exactalg import (
     Polynomial,
+    RationalFunction,
     TruncatedSeries,
     poly_exact_div,
     poly_gcd,
@@ -63,6 +64,71 @@ def test_gcd_divides_both_operands():
             poly_exact_div(a, g)
         if b:
             poly_exact_div(b, g)
+
+
+def rand_gcd_operand(rng, kind):
+    if kind == "zero":
+        return Polynomial.zero("t")
+    if kind == "monomial":  # +-c*t^k, k = 0 included
+        return Polynomial.monomial("t", rng.randint(0, 4), rng.choice((1, -1)) * rng.randint(1, 12))
+    return rand_poly(rng, max_degree=5)
+
+
+def test_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def sympy_gcd(a, b):
+        g = sympy.gcd(sympy.Poly(a.coeffs[::-1] or [0], t), sympy.Poly(b.coeffs[::-1] or [0], t))
+        g = Polynomial("t", [int(c) for c in reversed(g.all_coeffs())])
+        return -g if g.leading_coefficient() < 0 else g
+
+    rng = random.Random(8086)
+    kinds = ("zero", "monomial", "general")
+    for _ in range(60):
+        for ka in kinds:
+            for kb in kinds:
+                a, b = rand_gcd_operand(rng, ka), rand_gcd_operand(rng, kb)
+                if rng.random() < 0.5:  # shared content
+                    d = rng.randint(2, 6)
+                    a, b = a * d, b * d
+                if rng.random() < 0.3:  # shared power of t
+                    shift = Polynomial.monomial("t", rng.randint(1, 3))
+                    a, b = a * shift, b * shift
+                if ka == kb == "general" and rng.random() < 0.5:  # shared factor
+                    k = rand_poly(rng, max_degree=3)
+                    a, b = a * k, b * k
+                assert poly_gcd(a, b) == sympy_gcd(a, b), (a, b)
+
+
+@given(coeff_lists, coeff_lists)
+def test_internal_results_are_canonical(a, b):
+    pa, pb = Polynomial("t", a), Polynomial("t", b)
+    results = [pa + pb, pa - pb, pa * pb, -pa, pa.primitive_part(), pa.subs_neg(), pa.subs_square()]
+    if pb:
+        results.append(poly_exact_div(pa * pb, pb))
+    for p in results:
+        assert all(type(c) is int for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+        assert p == Polynomial(p.var, p.coeffs)
+
+
+def test_rational_function_canonical_form():
+    rng = random.Random(1729)
+    checked = 0
+    while checked < 400:
+        num, den = rand_poly(rng, max_degree=4), rand_poly(rng, max_degree=4)
+        if checked % 2:
+            k = rand_gcd_operand(rng, "monomial")
+        else:
+            k = rand_poly(rng, max_degree=3)
+        if not den or not k:
+            continue
+        r = RationalFunction(num * k, den * k)
+        assert r == RationalFunction(num, den)
+        assert r.den.leading_coefficient() > 0
+        assert poly_gcd(r.num, r.den) == 1
+        checked += 1
 
 
 def test_series_ring_axioms_bulk():
