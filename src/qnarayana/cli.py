@@ -25,6 +25,12 @@ DEFAULT_QT_MAX_N = 8
 DEFAULT_SYM_MAX_N = 12
 ROUTE_MAX_N = 20
 
+# Upper caps on the size options; a run at a cap takes seconds, not hours.
+MAX_POLY_N = 5000
+MAX_HANKEL_N = 30
+MAX_CFRAC_DEPTH = 50
+MAX_ORDER = 120
+
 # total number of registered checks behind `verify --all`, pinned by the tests
 REGISTRY_SIZE = 31
 
@@ -138,35 +144,56 @@ def _extract(tag: str, depth: int):
     return series, hankel.jfraction_extract(series, depth)
 
 
-def _cfrac_levels(tag: str, depth: int):
-    """The J-fraction of tag, and each of its coefficients beside the stored closed form.
+def _extract_once():
+    """An _extract for one registry: each tag is extracted at the deepest depth
+    asked so far, and a shallower request is cut from that extraction.
+
+    The cut equals a fresh _extract at the shallower depth: level k depends
+    only on the series through z^(2k+2), and a fresh extraction stops at its
+    depth before it could meet a later zero subdiagonal coefficient.
+    """
+    deepest = {}
+
+    def extract(tag: str, depth: int):
+        if tag not in deepest or deepest[tag][0] < depth:
+            deepest[tag] = (depth, *_extract(tag, depth))
+        top, series, jf = deepest[tag]
+        if depth == top:
+            return series, jf
+        return series.truncate(2 * depth + 2), hankel.JFraction(
+            jf.s[:depth + 1], jf.t_coeffs[:depth], jf.terminated and depth > jf.depth)
+
+    return extract
+
+
+def _cfrac_levels(tag: str, jf):
+    """Each coefficient of the J-fraction jf of tag beside the stored closed form.
 
     A level is (kind, k, extracted, expected, match) with kind "s" or "t".
     """
-    _, jf = _extract(tag, depth)
     levels = []
     for kind, coeffs, stored in (("s", jf.s, fixtures.expected_jfraction_s),
                                  ("t", jf.t_coeffs, fixtures.expected_jfraction_t)):
         for k, got in enumerate(coeffs):
             want = RationalFunction(stored(tag, k))
             levels.append((kind, k, got, want, got == want))
-    return jf, levels
+    return levels
 
 
-def _check_cfrac_closed(tag: str, depth: int) -> CheckResult:
+def _check_cfrac_closed(extract, tag: str, depth: int) -> CheckResult:
     name = f"cfrac/{tag}/closed_forms"
-    jf, levels = _cfrac_levels(tag, depth)
+    _, jf = extract(tag, depth)
     if jf.depth != depth:
         return CheckResult(name, False, f"extraction stopped at depth {jf.depth}")
-    for kind, k, got, want, match in levels:
+    for kind, k, got, want, match in _cfrac_levels(tag, jf):
         if not match:
             return CheckResult(name, False, f"{kind}_{k}: extracted {got}, stored {want}")
     return CheckResult(name, True, f"levels<={depth}")
 
 
-def _check_cfrac_product(tag: str, max_n: int) -> CheckResult:
+def _check_cfrac_product(extract, tag: str, max_n: int) -> CheckResult:
     name = f"cfrac/{tag}/product_formula"
-    _, jf = _extract(tag, max_n - 1)
+    _, jf = extract(tag, max_n - 1)
     family, shift = gfun.TAG_FAMILIES[tag]
     seq = narayana.poly_sequence(family, 2 * max_n - 1 + shift)
     for n in range(1, max_n + 1):
@@ -177,10 +204,10 @@ def _check_cfrac_product(tag: str, max_n: int) -> CheckResult:
     return CheckResult(name, True, f"n<={max_n}")
 
 
-def _check_cfrac_roundtrip(depth: int) -> CheckResult:
+def _check_cfrac_roundtrip(extract, depth: int) -> CheckResult:
     name = "cfrac/roundtrip"
     for tag in ("smallc", "smallg"):
-        series, jf = _extract(tag, depth)
+        series, jf = extract(tag, depth)
         rebuilt = hankel.jfraction_to_series(jf, 2 * depth + 1)
         if rebuilt != series.truncate(2 * depth + 1):
             return CheckResult(name, False, f"{tag} does not round-trip at depth {depth}")
@@ -241,11 +268,13 @@ def build_registry(order: int = DEFAULT_ORDER):
         for shift in (0, 1):
             checks.append((f"hankel/{family}/shift{shift}",
                            partial(_check_hankel, family, shift, DEFAULT_HANKEL_MAX_N)))
+    extract = _extract_once()  # the cfrac checks share one extraction per tag
     for tag in ("smallg", "smallc"):
-        checks.append((f"cfrac/{tag}/closed_forms", partial(_check_cfrac_closed, tag, DEFAULT_CFRAC_DEPTH)))
+        checks.append((f"cfrac/{tag}/closed_forms",
+                       partial(_check_cfrac_closed, extract, tag, DEFAULT_CFRAC_DEPTH)))
     for tag in ("smallg", "smallc"):
-        checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, tag, 6)))
-    checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, 8)))
+        checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, tag, 6)))
+    checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
     checks.append(("oracle/valley_major", partial(_check_oracle_qt, DEFAULT_QT_MAX_N)))
     checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, DEFAULT_SYM_MAX_N)))
     checks.append(("oracle/counts", _check_oracle_counts))
@@ -323,7 +352,8 @@ def _run_hankel(opts) -> int:
 
 def _run_cfrac(opts) -> int:
     tag = _CFRAC_FAMILIES[opts["family"]]
-    jf, levels = _cfrac_levels(tag, opts["depth"])
+    _, jf = _extract(tag, opts["depth"])
+    levels = _cfrac_levels(tag, jf)
     ok = jf.depth == opts["depth"] and all(match for *_, match in levels)
     if opts["json"]:
         payload = {
@@ -392,27 +422,30 @@ def parse_args(argv) -> Command:
     p_poly = sub.add_parser("poly", help="print one member of a polynomial family")
     p_poly.add_argument("--family", required=True, choices=sorted(_POLY_FAMILIES),
                         help="c (signed specialization), C (Narayana), B (type B), catalan")
-    p_poly.add_argument("--n", required=True, type=int, help="index within the family")
+    p_poly.add_argument("--n", required=True, type=int, help=f"index within the family, 0..{MAX_POLY_N}")
     p_poly.add_argument("--json", action="store_true")
 
     p_hankel = sub.add_parser("hankel", help="Hankel determinant table against predictions")
     p_hankel.add_argument("--family", required=True, choices=sorted(_HANKEL_FAMILIES))
     p_hankel.add_argument("--shift", type=int, choices=(0, 1), default=0)
-    p_hankel.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_HANKEL_MAX_N)
+    p_hankel.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_HANKEL_MAX_N,
+                          help=f"largest dimension, 1..{MAX_HANKEL_N}")
     fmt = p_hankel.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
 
     p_cfrac = sub.add_parser("cfrac", help="extracted continued-fraction coefficients beside their closed forms")
     p_cfrac.add_argument("--family", required=True, choices=sorted(_CFRAC_FAMILIES))
-    p_cfrac.add_argument("--depth", type=int, default=DEFAULT_CFRAC_DEPTH)
+    p_cfrac.add_argument("--depth", type=int, default=DEFAULT_CFRAC_DEPTH,
+                         help=f"number of subdiagonal levels, 0..{MAX_CFRAC_DEPTH}")
     p_cfrac.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run identity checks (--all for the full registry)")
     p_verify.add_argument("--all", action="store_true", help="run every registered check")
     p_verify.add_argument("--identity", action="append", choices=gfun.ALL_IDENTITIES,
                           help="check one identity (repeatable)")
-    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                          help=f"series order of the identity checks, 2..{MAX_ORDER}")
     p_verify.add_argument("--json", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="brute-force path enumerations against the formulas")
@@ -422,15 +455,15 @@ def parse_args(argv) -> Command:
 
     ns = parser.parse_args(argv)
 
-    if ns.verb == "poly" and ns.n < 0:
-        p_poly.error("--n must be >= 0")
-    if ns.verb == "hankel" and ns.max_n < 1:
-        p_hankel.error("--max-n must be >= 1")
-    if ns.verb == "cfrac" and ns.depth < 0:
-        p_cfrac.error("--depth must be >= 0")
+    if ns.verb == "poly" and not 0 <= ns.n <= MAX_POLY_N:
+        p_poly.error(f"--n must be between 0 and {MAX_POLY_N}")
+    if ns.verb == "hankel" and not 1 <= ns.max_n <= MAX_HANKEL_N:
+        p_hankel.error(f"--max-n must be between 1 and {MAX_HANKEL_N}")
+    if ns.verb == "cfrac" and not 0 <= ns.depth <= MAX_CFRAC_DEPTH:
+        p_cfrac.error(f"--depth must be between 0 and {MAX_CFRAC_DEPTH}")
     if ns.verb == "verify":
-        if ns.order < 2:
-            p_verify.error("--order must be >= 2")
+        if not 2 <= ns.order <= MAX_ORDER:
+            p_verify.error(f"--order must be between 2 and {MAX_ORDER}")
         if ns.all and ns.identity:
             p_verify.error("--all and --identity are mutually exclusive")
     if ns.verb == "oracle":

@@ -11,10 +11,12 @@ Paths are plain strings over 'U'/'D'.  Frozen conventions:
   right to left with U and D swapped), i.e. mirror symmetry about the
   vertical axis.
 
-Enumeration is recursive with prefix pruning (a prefix never has more D
-than U) and streams paths in ascending ASCII order, so goldens are
-deterministic.  The guards on n keep worst-case runtime at desk scale;
-this module exists to validate small cases, not to scale.
+Enumeration is one depth-first generator per path family: it extends a
+prefix that never has more D than U, keeps the U branches still to try on
+an explicit stack, and streams paths in ascending ASCII order, so goldens
+are deterministic.  Memory is O(n); no list of paths is built.  The guards
+on n keep worst-case runtime at desk scale; this module exists to validate
+small cases, not to scale.
 """
 
 from __future__ import annotations
@@ -37,22 +39,27 @@ def enumerate_dyck(n: int) -> Iterator[str]:
     if n > MAX_ENUM:
         raise ValueError(f"semi-length {n} exceeds the enumeration guard {MAX_ENUM}")
 
-    buf: list[str] = []
-
-    def rec(ups: int, downs: int) -> Iterator[str]:
-        if len(buf) == 2 * n:
-            yield "".join(buf)
+    # Depth first, D before U.  Each D taken where a U also fits leaves that
+    # U branch on the stack as (prefix length, ups, downs) before the step.
+    path: list[str] = []
+    pending: list[tuple[int, int, int]] = []
+    ups = downs = 0
+    while True:
+        while ups < n:
+            if downs < ups:
+                pending.append((len(path), ups, downs))
+                path.append("D")
+                downs += 1
+            else:
+                path.append("U")
+                ups += 1
+        yield "".join(path) + "D" * (ups - downs)
+        if not pending:
             return
-        if downs < ups:
-            buf.append("D")
-            yield from rec(ups, downs + 1)
-            buf.pop()
-        if ups < n:
-            buf.append("U")
-            yield from rec(ups + 1, downs)
-            buf.pop()
-
-    yield from rec(0, 0)
+        length, ups, downs = pending.pop()
+        del path[length:]
+        path.append("U")
+        ups += 1
 
 
 def is_dyck_path(word: str) -> bool:
@@ -134,22 +141,27 @@ def enumerate_symmetric(n: int) -> Iterator[str]:
     if n > MAX_SYMMETRIC:
         raise ValueError(f"semi-length {n} exceeds the symmetric guard {MAX_SYMMETRIC}")
 
-    buf: list[str] = []
-
-    def rec(ups: int, downs: int) -> Iterator[str]:
-        if len(buf) == n:
-            half = "".join(buf)
-            yield half + reverse_complement(half)
+    # The same depth-first walk as enumerate_dyck over the first n steps.
+    half: list[str] = []
+    pending: list[tuple[int, int, int]] = []
+    ups = downs = 0
+    while True:
+        while len(half) < n:
+            if downs < ups:
+                pending.append((len(half), ups, downs))
+                half.append("D")
+                downs += 1
+            else:
+                half.append("U")
+                ups += 1
+        word = "".join(half)
+        yield word + reverse_complement(word)
+        if not pending:
             return
-        if downs < ups:
-            buf.append("D")
-            yield from rec(ups, downs + 1)
-            buf.pop()
-        buf.append("U")
-        yield from rec(ups + 1, downs)
-        buf.pop()
-
-    yield from rec(0, 0)
+        length, ups, downs = pending.pop()
+        del half[length:]
+        half.append("U")
+        ups += 1
 
 
 def symmetric_valley_distribution(n: int) -> dict[int, int]:

@@ -9,7 +9,8 @@ Three immutable value types built on Python's arbitrary-precision integers:
   ``NEG_INF`` sentinel rather than a number.
 * ``RationalFunction``: fully reduced quotient of two polynomials with a
   positive leading coefficient in the denominator, so equality is plain
-  structural comparison.
+  structural comparison.  Operations whose operands and result have the
+  denominator 1 skip the reduction: such a quotient is already reduced.
 * ``TruncatedSeries``: power series in z cut at a fixed order, with
   coefficients in any of the rings above (or plain ints).  Every operation
   truncates eagerly; two series are only comparable at equal order.
@@ -345,8 +346,7 @@ def poly_gcd(a, b):
     c*var^k (a constant is k = 0), every common divisor is d*var^j with d
     dividing both contents and j at most both valuations, so the gcd is
     gcd(content(a), content(b)) * var^min(val(a), val(b)), with val the
-    lowest power carrying a nonzero coefficient.  Constant and monomial
-    denominators are nearly every call the rational-function field makes.
+    lowest power carrying a nonzero coefficient.
 
     The general path splits off the content; the primitive parts go through
     a denominator-cleared Euclidean remainder sequence (pseudo-remainders,
@@ -377,7 +377,10 @@ class RationalFunction:
     """Reduced quotient of integer polynomials in one shared variable.
 
     Canonical form: gcd(num, den) = 1 and den has a positive leading
-    coefficient, so == is structural.
+    coefficient, so == is structural.  Over the denominator 1 every
+    numerator is already canonical, so construction skips the gcd there,
+    and +, - and * of two denominator-1 operands combine the numerators
+    directly, without cross products.
     """
 
     __slots__ = ("num", "den")
@@ -395,14 +398,23 @@ class RationalFunction:
             raise ValueError(f"variable mismatch: {num.var!r} vs {den.var!r}")
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if g.coeffs != (1,):
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
-        if den.leading_coefficient() < 0:
-            num, den = -num, -den
+        if den.coeffs != (1,):  # over the denominator 1 every numerator is reduced
+            g = poly_gcd(num, den)
+            if g.coeffs != (1,):
+                num = poly_exact_div(num, g)
+                den = poly_exact_div(den, g)
+            if den.leading_coefficient() < 0:
+                num, den = -num, -den
         self.num = num
         self.den = den
+
+    @classmethod
+    def _trusted(cls, num, den):
+        """Internal constructor for a pair already in canonical form; no gcd, no sign fix."""
+        r = object.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
 
     @classmethod
     def zero(cls, var):
@@ -438,6 +450,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
+            return RationalFunction._trusted(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -446,6 +460,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
+            return RationalFunction._trusted(self.num - other.num, self.den)
         return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
@@ -461,6 +477,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den.coeffs == (1,) and other.den.coeffs == (1,):
+            return RationalFunction._trusted(self.num * other.num, self.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import qnarayana
-from qnarayana import cli, dyckoracle, fixtures, narayana, qcomb
+from qnarayana import cli, dyckoracle, fixtures, gfun, hankel, narayana, qcomb
 from qnarayana.cli import REGISTRY_SIZE, Command, build_registry, main, parse_args
-from qnarayana.exactalg import Polynomial
+from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 
 
 class TestParseArgs:
@@ -49,6 +49,21 @@ class TestParseArgs:
 
     def test_oracle_guard(self):
         assert main(["oracle", "--q-max-n", "11"]) == 2
+
+    # parsed only, never run: a run at a cap takes seconds
+    @pytest.mark.parametrize("argv, option, cap", [
+        (["poly", "--family", "C", "--n"], "n", cli.MAX_POLY_N),
+        (["hankel", "--family", "C", "--max-n"], "max_n", cli.MAX_HANKEL_N),
+        (["cfrac", "--family", "c", "--depth"], "depth", cli.MAX_CFRAC_DEPTH),
+        (["verify", "--order"], "order", cli.MAX_ORDER),
+        (["verify", "--all", "--order"], "order", cli.MAX_ORDER),
+    ])
+    def test_size_caps(self, capsys, argv, option, cap):
+        assert parse_args(argv + [str(cap)]).options[option] == cap
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv + [str(cap + 1)])
+        assert err.value.code == 2
+        assert "must be between" in capsys.readouterr().err
 
 
 class TestPolyVerb:
@@ -176,6 +191,7 @@ GOLDEN = {
     "cfrac_c_depth12.out": ["cfrac", "--family", "c", "--depth", "12"],
     "cfrac_g_json.out": ["cfrac", "--family", "g", "--json"],
     "oracle.out": ["oracle"],
+    "oracle_q10_sym14.out": ["oracle", "--q-max-n", "10", "--sym-max-n", "14"],
     "hankel_c_shift1_json.out": ["hankel", "--family", "c", "--shift", "1", "--json"],
     "verify_eq25_order80_json.out": ["verify", "--identity", "eq25", "--order", "80", "--json"],
 }
@@ -240,6 +256,17 @@ def _first_path_twice_at_4(enumerate_symmetric):
     return perturbed
 
 
+def _det_plus_t_at_dim_4(det_bareiss):
+    return lambda m: det_bareiss(m) + T if m.dim == 4 else det_bareiss(m)
+
+
+def _top_coefficient_plus_one(jfraction_to_series):
+    def perturbed(jf, order):
+        f = jfraction_to_series(jf, order)
+        return TruncatedSeries(f.coeffs[:-1] + (f.coeffs[-1] + 1,), order)
+    return perturbed
+
+
 T = Polynomial.gen("t")
 Q = Polynomial.gen("q")
 
@@ -262,8 +289,15 @@ class TestCheckReportsItsOwnDiff:
          "FAIL oracle/valley_major (n=2, k=1: enumerated q^3, algebraic q^2)"),
         (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at_4,
          "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)"),
+        (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
+         "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant t+t^6)"),
+        (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
+         "FAIL cfrac/smallc/product_formula (n=4: product t^6, determinant t+t^6)"),
+        (["verify", "--all"], hankel, "jfraction_to_series", _top_coefficient_plus_one,
+         "FAIL cfrac/roundtrip (smallc does not round-trip at depth 8)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "odd-closed-form",
-            "valley-major", "symmetric-valleys"])
+            "valley-major", "symmetric-valleys", "product-formula-smallg", "product-formula-smallc",
+            "roundtrip"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
         assert main(argv) == 1
@@ -272,6 +306,22 @@ class TestCheckReportsItsOwnDiff:
         assert len(reported) == 1
         assert reported[0].startswith(line)
         assert "error:" not in reported[0]
+
+    def test_each_run_extracts_afresh(self, capsys, monkeypatch):
+        assert main(["verify", "--all"]) == 0
+        capsys.readouterr()
+        extract = hankel.jfraction_extract
+
+        def doubled_t0(series, depth):
+            jf = extract(series, depth)
+            return hankel.JFraction(jf.s, (jf.t_coeffs[0] * 2,) + jf.t_coeffs[1:], jf.terminated)
+
+        monkeypatch.setattr(hankel, "jfraction_extract", doubled_t0)
+        assert main(["verify", "--all"]) == 1
+        failed = [line.split(" (")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL cfrac/smallg/closed_forms", "FAIL cfrac/smallc/closed_forms",
+                          "FAIL cfrac/smallg/product_formula", "FAIL cfrac/smallc/product_formula",
+                          "FAIL cfrac/roundtrip"]
 
     def test_verdict_does_not_depend_on_python_O(self):
         script = (
@@ -298,3 +348,24 @@ class TestCheckReportsItsOwnDiff:
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+
+class TestSharedExtraction:
+    """A request cut from a deeper shared extraction equals a fresh extraction at its depth."""
+
+    @pytest.mark.parametrize("tag", sorted(gfun.TAG_FAMILIES))
+    def test_cut_equals_fresh_extraction(self, tag):
+        extract = cli._extract_once()
+        for depth in (6, 2, 0, 6, 4, 8, 3):
+            assert extract(tag, depth) == cli._extract(tag, depth)
+
+    def test_terminated_fraction_cut_equals_fresh_extraction(self, monkeypatch):
+        # 1/(1 - z - z^2/(1 - 2z)): the second subdiagonal coefficient is 0
+        one = RationalFunction.one("t")
+        finite = hankel.JFraction((one, one + one), (one,))
+        monkeypatch.setattr(hankel, "ratfun_series", lambda tag, order: hankel.jfraction_to_series(finite, order))
+        assert cli._extract("finite", 4)[1] == hankel.JFraction(finite.s, finite.t_coeffs, terminated=True)
+        assert not cli._extract("finite", 1)[1].terminated
+        extract = cli._extract_once()
+        for depth in (4, 0, 1, 2, 3, 5):
+            assert extract("finite", depth) == cli._extract("finite", depth)

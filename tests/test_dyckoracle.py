@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qnarayana.dyckoracle import (
@@ -109,6 +111,14 @@ class TestSymmetric:
     def test_counts(self):
         for n in range(13):
             assert sum(1 for _ in enumerate_symmetric(n)) == binomial(n, n // 2)
+
+    def test_both_enumerators_match_filtering_every_word(self):
+        # itertools.product walks the words over "DU" in ascending ASCII order
+        for n in range(8):
+            words = ["".join(w) for w in product("DU", repeat=2 * n)]
+            dyck = [w for w in words if is_dyck_path(w)]
+            assert list(enumerate_dyck(n)) == dyck
+            assert list(enumerate_symmetric(n)) == [w for w in dyck if is_symmetric(w)]
 
     def test_distribution_examples(self):
         assert symmetric_valley_distribution(3) == {0: 1, 1: 1, 2: 1}

@@ -131,6 +131,27 @@ def test_rational_function_canonical_form():
         checked += 1
 
 
+def rand_ratfun(rng, unit_den):
+    """A random rational function whose reduced denominator is 1 exactly when unit_den."""
+    while True:
+        num = rand_poly(rng, max_degree=4)
+        den = Polynomial.one("t") if unit_den else rand_poly(rng, max_degree=3)
+        if den and (RationalFunction(num, den).den == 1) == unit_den:
+            return RationalFunction(num, den)
+
+
+def test_unit_denominator_arithmetic_matches_general_path():
+    rng = random.Random(4242)
+    for unit_a, unit_b in [(True, True), (True, False), (False, True), (False, False)] * 100:
+        a, b = rand_ratfun(rng, unit_a), rand_ratfun(rng, unit_b)
+        for got, num, den in ((a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+                              (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+                              (a * b, a.num * b.num, a.den * b.den)):
+            assert got == RationalFunction(num, den), (a, b)
+            assert got.den.leading_coefficient() > 0
+            assert poly_gcd(got.num, got.den) == 1
+
+
 def test_series_ring_axioms_bulk():
     rng = random.Random(31337)
     for _ in range(1000):
