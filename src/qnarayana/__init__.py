@@ -17,14 +17,8 @@ from .exactalg import (
     TruncatedSeries,
     poly_exact_div,
     poly_gcd,
-    poly_mul,
-    poly_substitute,
-    ratfun_normalize,
-    series_invert,
-    series_mul,
-    series_substitute,
 )
-from .gfun import ALL_IDENTITIES, IdentityReport, SeriesFamily, build_series, verify_identity
+from .gfun import ALL_IDENTITIES, IdentityReport, build_series, verify_identity
 from .hankel import (
     JFraction,
     PolyMatrix,
@@ -37,7 +31,6 @@ from .hankel import (
     jfraction_to_series,
 )
 from .narayana import (
-    PolySequence,
     c_odd_closed,
     c_poly,
     c_poly_recursive,
@@ -49,7 +42,7 @@ from .narayana import (
     special_values,
     v_coeff,
 )
-from .qcomb import QNarayanaRow, q_binomial, q_catalan, q_int, q_narayana_coeff, q_narayana_row, specialize_row
+from .qcomb import q_binomial, q_catalan, q_int, q_narayana_coeff, q_narayana_row, specialize_row
 
 __version__ = "0.1.0"
 
@@ -62,15 +55,8 @@ __all__ = [
     "TruncatedSeries",
     "poly_exact_div",
     "poly_gcd",
-    "poly_mul",
-    "poly_substitute",
-    "ratfun_normalize",
-    "series_invert",
-    "series_mul",
-    "series_substitute",
     "ALL_IDENTITIES",
     "IdentityReport",
-    "SeriesFamily",
     "build_series",
     "verify_identity",
     "JFraction",
@@ -82,7 +68,6 @@ __all__ = [
     "hankel_table",
     "jfraction_extract",
     "jfraction_to_series",
-    "PolySequence",
     "c_odd_closed",
     "c_poly",
     "c_poly_recursive",
@@ -93,7 +78,6 @@ __all__ = [
     "poly_sequence",
     "special_values",
     "v_coeff",
-    "QNarayanaRow",
     "q_binomial",
     "q_catalan",
     "q_int",

@@ -48,14 +48,13 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_first_terms(alias: str, stored: tuple[str, ...]) -> CheckResult:
-    name = f"first_terms/{alias}"
+def _check_first_terms(alias: str, stored: tuple[str, ...]) -> tuple[bool, str]:
     build = narayana.FAMILIES[_POLY_FAMILIES[alias]]
     for n, want in enumerate(stored):
         got = str(build(n))
         if got != want:
-            return CheckResult(name, False, f"n={n}: computed {got}, stored {want}")
-    return CheckResult(name, True, f"n<={len(stored) - 1}")
+            return False, f"n={n}: computed {got}, stored {want}"
+    return True, f"n<={len(stored) - 1}"
 
 
 def _q_row_mismatch(n: int, row: tuple[Polynomial, ...]) -> str:
@@ -76,66 +75,61 @@ def _q_row_mismatch(n: int, row: tuple[Polynomial, ...]) -> str:
     return ""
 
 
-def _check_routes() -> CheckResult:
-    name = "routes/c_three_ways"
+def _check_routes() -> tuple[bool, str]:
     for n in range(ROUTE_MAX_N + 1):
         closed = narayana.c_poly(n)
         recursive = narayana.c_poly_recursive(n)
         if recursive != closed:
-            return CheckResult(name, False, f"n={n}: recursion gives {recursive}, closed form {closed}")
-        row = qcomb.q_narayana_row(n).entries
+            return False, f"n={n}: recursion gives {recursive}, closed form {closed}"
+        row = qcomb.q_narayana_row(n)
         mismatch = _q_row_mismatch(n, row)
         if mismatch:
-            return CheckResult(name, False, mismatch)
+            return False, mismatch
         if n >= 1:
             specialized = tuple(p(-1) for p in row)
             if closed.coeffs != specialized:
-                return CheckResult(name, False, f"n={n}: q-specialization gives {specialized}")
-    return CheckResult(name, True, f"n<={ROUTE_MAX_N}")
+                return False, f"n={n}: q-specialization gives {specialized}"
+    return True, f"n<={ROUTE_MAX_N}"
 
 
-def _check_odd_closed() -> CheckResult:
-    name = "routes/odd_closed_form"
+def _check_odd_closed() -> tuple[bool, str]:
     for m in range(11):
         odd, closed = narayana.c_odd_closed(m), narayana.c_poly(2 * m + 1)
         if odd != closed:
-            return CheckResult(name, False, f"n={2 * m + 1}: odd closed form gives {odd}, closed form {closed}")
-    return CheckResult(name, True, "odd indices <= 21")
+            return False, f"n={2 * m + 1}: odd closed form gives {odd}, closed form {closed}"
+    return True, "odd indices <= 21"
 
 
-def _check_eval(name: str, point: int, indices: range, covered: str) -> CheckResult:
+def _check_eval(point: int, indices: range, covered: str) -> tuple[bool, str]:
     """c_n(point) against the closed-form value from narayana.special_values (point 1 or -1)."""
     for n in indices:
         want = narayana.special_values(n)[0 if point == 1 else 1]
         got = narayana.c_poly(n)(point)
         if got != want:
-            return CheckResult(name, False, f"n={n}: value {got}, expected {want}")
-    return CheckResult(name, True, covered)
+            return False, f"n={n}: value {got}, expected {want}"
+    return True, covered
 
 
-def _check_q_catalan_sum() -> CheckResult:
-    name = "eval/q_catalan_sum"
+def _check_q_catalan_sum() -> tuple[bool, str]:
     for n in range(11):
-        mismatch = _q_row_mismatch(n, qcomb.q_narayana_row(n).entries)
+        mismatch = _q_row_mismatch(n, qcomb.q_narayana_row(n))
         if mismatch:
-            return CheckResult(name, False, mismatch)
-    return CheckResult(name, True, "n<=10")
+            return False, mismatch
+    return True, "n<=10"
 
 
-def _check_identity(identity: str, order: int) -> CheckResult:
-    name = f"identity/{identity}"
+def _check_identity(identity: str, order: int) -> tuple[bool, str]:
     report = gfun.verify_identity(identity, order)
     if report.passed:
-        return CheckResult(name, True, f"order={order}")
-    return CheckResult(name, False, f"power={report.power}: {report.lhs} vs {report.rhs}")
+        return True, f"order={order}"
+    return False, f"power={report.power}: {report.lhs} vs {report.rhs}"
 
 
-def _check_hankel(family: str, shift: int, max_n: int) -> CheckResult:
-    name = f"hankel/{family}/shift{shift}"
+def _check_hankel(family: str, shift: int, max_n: int) -> tuple[bool, str]:
     for row in hankel.hankel_table(family, shift, max_n):
         if not row.match:
-            return CheckResult(name, False, f"n={row.n}: det {row.determinant}, expected {row.expected}")
-    return CheckResult(name, True, f"n<={max_n}")
+            return False, f"n={row.n}: det {row.determinant}, expected {row.expected}"
+    return True, f"n<={max_n}"
 
 
 def _extract(tag: str, depth: int):
@@ -180,19 +174,17 @@ def _cfrac_levels(tag: str, jf):
     return levels
 
 
-def _check_cfrac_closed(extract, tag: str, depth: int) -> CheckResult:
-    name = f"cfrac/{tag}/closed_forms"
+def _check_cfrac_closed(extract, tag: str, depth: int) -> tuple[bool, str]:
     _, jf = extract(tag, depth)
     if jf.depth != depth:
-        return CheckResult(name, False, f"extraction stopped at depth {jf.depth}")
+        return False, f"extraction stopped at depth {jf.depth}"
     for kind, k, got, want, match in _cfrac_levels(tag, jf):
         if not match:
-            return CheckResult(name, False, f"{kind}_{k}: extracted {got}, stored {want}")
-    return CheckResult(name, True, f"levels<={depth}")
+            return False, f"{kind}_{k}: extracted {got}, stored {want}"
+    return True, f"levels<={depth}"
 
 
-def _check_cfrac_product(extract, tag: str, max_n: int) -> CheckResult:
-    name = f"cfrac/{tag}/product_formula"
+def _check_cfrac_product(extract, tag: str, max_n: int) -> tuple[bool, str]:
     _, jf = extract(tag, max_n - 1)
     family, shift = gfun.TAG_FAMILIES[tag]
     seq = narayana.poly_sequence(family, 2 * max_n - 1 + shift)
@@ -200,66 +192,67 @@ def _check_cfrac_product(extract, tag: str, max_n: int) -> CheckResult:
         det = hankel.det_bareiss(hankel.hankel_matrix(seq, n, shift))
         product = hankel.hankel_product_formula(jf.t_coeffs, n)
         if product != RationalFunction(det):
-            return CheckResult(name, False, f"n={n}: product {product}, determinant {det}")
-    return CheckResult(name, True, f"n<={max_n}")
+            return False, f"n={n}: product {product}, determinant {det}"
+    return True, f"n<={max_n}"
 
 
-def _check_cfrac_roundtrip(extract, depth: int) -> CheckResult:
-    name = "cfrac/roundtrip"
+def _check_cfrac_roundtrip(extract, depth: int) -> tuple[bool, str]:
     for tag in ("smallc", "smallg"):
         series, jf = extract(tag, depth)
         rebuilt = hankel.jfraction_to_series(jf, 2 * depth + 1)
         if rebuilt != series.truncate(2 * depth + 1):
-            return CheckResult(name, False, f"{tag} does not round-trip at depth {depth}")
-    return CheckResult(name, True, f"depth={depth}")
+            return False, f"{tag} does not round-trip at depth {depth}"
+    return True, f"depth={depth}"
 
 
-def _check_oracle_qt(max_n: int) -> CheckResult:
-    name = "oracle/valley_major"
+def _check_oracle_qt(max_n: int) -> tuple[bool, str]:
     for n in range(max_n + 1):
         table = dyckoracle.qt_distribution(n)
-        row = qcomb.q_narayana_row(n).entries
+        row = qcomb.q_narayana_row(n)
         if len(table) != len(row):
-            return CheckResult(name, False, f"n={n}: {len(table)} valley classes, expected {len(row)}")
+            return False, f"n={n}: {len(table)} valley classes, expected {len(row)}"
         for k, poly in table.items():
             if poly != row[k]:
-                return CheckResult(name, False, f"n={n}, k={k}: enumerated {poly}, algebraic {row[k]}")
-    return CheckResult(name, True, f"n<={max_n}")
+                return False, f"n={n}, k={k}: enumerated {poly}, algebraic {row[k]}"
+    return True, f"n<={max_n}"
 
 
-def _check_oracle_symmetric(max_n: int) -> CheckResult:
-    name = "oracle/symmetric_valleys"
+def _check_oracle_symmetric(max_n: int) -> tuple[bool, str]:
     for n in range(max_n + 1):
         table = dyckoracle.symmetric_valley_distribution(n)
         for k, count in table.items():
             want = 1 if n == 0 else narayana.v_coeff(n, k)
             if count != want:
-                return CheckResult(name, False, f"n={n}, k={k}: enumerated {count}, closed form {want}")
-    return CheckResult(name, True, f"n<={max_n}")
+                return False, f"n={n}, k={k}: enumerated {count}, closed form {want}"
+    return True, f"n<={max_n}"
 
 
-def _check_oracle_counts() -> CheckResult:
-    name = "oracle/counts"
+def _check_oracle_counts() -> tuple[bool, str]:
     for n in range(11):
         count = sum(1 for _ in dyckoracle.enumerate_dyck(n))
         if count != narayana.catalan_number(n):
-            return CheckResult(name, False, f"n={n}: {count} paths, expected Catalan")
+            return False, f"n={n}: {count} paths, expected Catalan"
     for n in range(13):
         count = sum(1 for _ in dyckoracle.enumerate_symmetric(n))
         if count != narayana.binomial(n, n // 2):
-            return CheckResult(name, False, f"n={n}: {count} symmetric paths, expected central binomial")
-    return CheckResult(name, True, "path<=10, symmetric<=12")
+            return False, f"n={n}: {count} symmetric paths, expected central binomial"
+    return True, "path<=10, symmetric<=12"
 
 
-def build_registry(order: int = DEFAULT_ORDER):
-    """Every registered check behind `verify --all`, in report order."""
+def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
+                   sym_max_n: int = DEFAULT_SYM_MAX_N):
+    """Every registered check behind `verify --all`, in report order.
+
+    Each entry is (name, check); a check returns (passed, detail).  The
+    name is spelled here only.
+    """
     checks = [
         ("first_terms/c", partial(_check_first_terms, "c", fixtures.FIRST_TERMS_SMALL_C)),
         ("first_terms/C", partial(_check_first_terms, "C", fixtures.FIRST_TERMS_NARAYANA)),
         ("routes/c_three_ways", _check_routes),
         ("routes/odd_closed_form", _check_odd_closed),
-        ("eval/at_one", partial(_check_eval, "eval/at_one", 1, range(ROUTE_MAX_N + 1), f"n<={ROUTE_MAX_N}")),
-        ("eval/at_minus_one", partial(_check_eval, "eval/at_minus_one", -1, range(22), "indices <= 21")),
+        ("eval/at_one", partial(_check_eval, 1, range(ROUTE_MAX_N + 1), f"n<={ROUTE_MAX_N}")),
+        ("eval/at_minus_one", partial(_check_eval, -1, range(22), "indices <= 21")),
         ("eval/q_catalan_sum", _check_q_catalan_sum),
     ]
     for identity in gfun.ALL_IDENTITIES:
@@ -275,8 +268,8 @@ def build_registry(order: int = DEFAULT_ORDER):
     for tag in ("smallg", "smallc"):
         checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, tag, 6)))
     checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
-    checks.append(("oracle/valley_major", partial(_check_oracle_qt, DEFAULT_QT_MAX_N)))
-    checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, DEFAULT_SYM_MAX_N)))
+    checks.append(("oracle/valley_major", partial(_check_oracle_qt, q_max_n)))
+    checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, sym_max_n)))
     checks.append(("oracle/counts", _check_oracle_counts))
     return tuple(checks)
 
@@ -285,9 +278,10 @@ def _run_checks(named_checks, as_json: bool) -> int:
     results = []
     for name, fn in named_checks:
         try:
-            results.append(fn())
+            passed, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name, False, f"error: {exc}"))
+            passed, detail = False, f"error: {exc}"
+        results.append(CheckResult(name, passed, detail))
     all_passed = all(r.passed for r in results)
     if as_json:
         payload = {
@@ -385,21 +379,18 @@ def _run_verify(opts) -> int:
             status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
             print(json.dumps({"status": status, "reports": reports}))
             return 0 if status == "pass" else 1
-        selected = tuple((f"identity/{i}", partial(_check_identity, i, order)) for i in opts["identity"])
+        by_identity = {entry[0].split("/")[1]: entry for entry in build_registry(order)
+                       if entry[0].startswith("identity/")}
+        selected = tuple(by_identity[i] for i in opts["identity"])
     else:
-        registry = build_registry(order)
-        selected = tuple(entry for entry in registry
+        selected = tuple(entry for entry in build_registry(order)
                          if entry[0].split("/")[0] in ("first_terms", "routes", "eval", "identity"))
     return _run_checks(selected, opts["json"])
 
 
 def _run_oracle(opts) -> int:
-    checks = (
-        ("oracle/valley_major", partial(_check_oracle_qt, opts["q_max_n"])),
-        ("oracle/symmetric_valleys", partial(_check_oracle_symmetric, opts["sym_max_n"])),
-        ("oracle/counts", _check_oracle_counts),
-    )
-    return _run_checks(checks, opts["json"])
+    registry = build_registry(q_max_n=opts["q_max_n"], sym_max_n=opts["sym_max_n"])
+    return _run_checks(tuple(entry for entry in registry if entry[0].startswith("oracle/")), opts["json"])
 
 
 _EXECUTORS = {

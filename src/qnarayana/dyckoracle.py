@@ -11,12 +11,14 @@ Paths are plain strings over 'U'/'D'.  Frozen conventions:
   right to left with U and D swapped), i.e. mirror symmetry about the
   vertical axis.
 
-Enumeration is one depth-first generator per path family: it extends a
-prefix that never has more D than U, keeps the U branches still to try on
-an explicit stack, and streams paths in ascending ASCII order, so goldens
-are deterministic.  Memory is O(n); no list of paths is built.  The guards
-on n keep worst-case runtime at desk scale; this module exists to validate
-small cases, not to scale.
+Both path families come from one depth-first walker, ``_ballot_words``: it
+extends a prefix that never has more D than U, keeps the U branches still
+to try on an explicit stack, and streams words in ascending ASCII order, so
+goldens are deterministic.  A Dyck path of semi-length n is such a word of
+length 2n with n U; a symmetric one is such a word of length n followed by
+its reverse-complement.  The stack holds at most n prefixes; no list of
+paths is built.  The guards on n keep worst-case runtime at desk scale;
+this module exists to validate small cases, not to scale.
 """
 
 from __future__ import annotations
@@ -32,34 +34,40 @@ MAX_QT = 10
 MAX_SYMMETRIC = 14
 
 
+def _ballot_words(length: int, max_ups: int) -> Iterator[str]:
+    """Every word of the given length whose prefixes never have more D than U
+    and that has at most max_ups U, in ASCII order.
+
+    Depth first, D before U.  Once max_ups U steps are placed the word is
+    closed with D.
+    """
+    # Each D taken where a U also fits leaves that U branch on the stack as
+    # (prefix ending in the U, ups, downs).
+    path = ""
+    pending: list[tuple[str, int, int]] = []
+    ups = downs = 0
+    while True:
+        while ups < max_ups and ups + downs < length:
+            if downs < ups:
+                pending.append((path + "U", ups + 1, downs))
+                path += "D"
+                downs += 1
+            else:
+                path += "U"
+                ups += 1
+        yield path + "D" * (length - ups - downs)
+        if not pending:
+            return
+        path, ups, downs = pending.pop()
+
+
 def enumerate_dyck(n: int) -> Iterator[str]:
     """All Dyck paths of semi-length n, each exactly once, in ASCII order."""
     if n < 0:
         raise ValueError("semi-length must be >= 0")
     if n > MAX_ENUM:
         raise ValueError(f"semi-length {n} exceeds the enumeration guard {MAX_ENUM}")
-
-    # Depth first, D before U.  Each D taken where a U also fits leaves that
-    # U branch on the stack as (prefix length, ups, downs) before the step.
-    path: list[str] = []
-    pending: list[tuple[int, int, int]] = []
-    ups = downs = 0
-    while True:
-        while ups < n:
-            if downs < ups:
-                pending.append((len(path), ups, downs))
-                path.append("D")
-                downs += 1
-            else:
-                path.append("U")
-                ups += 1
-        yield "".join(path) + "D" * (ups - downs)
-        if not pending:
-            return
-        length, ups, downs = pending.pop()
-        del path[length:]
-        path.append("U")
-        ups += 1
+    return _ballot_words(2 * n, n)
 
 
 def is_dyck_path(word: str) -> bool:
@@ -140,28 +148,7 @@ def enumerate_symmetric(n: int) -> Iterator[str]:
         raise ValueError("semi-length must be >= 0")
     if n > MAX_SYMMETRIC:
         raise ValueError(f"semi-length {n} exceeds the symmetric guard {MAX_SYMMETRIC}")
-
-    # The same depth-first walk as enumerate_dyck over the first n steps.
-    half: list[str] = []
-    pending: list[tuple[int, int, int]] = []
-    ups = downs = 0
-    while True:
-        while len(half) < n:
-            if downs < ups:
-                pending.append((len(half), ups, downs))
-                half.append("D")
-                downs += 1
-            else:
-                half.append("U")
-                ups += 1
-        word = "".join(half)
-        yield word + reverse_complement(word)
-        if not pending:
-            return
-        length, ups, downs = pending.pop()
-        del half[length:]
-        half.append("U")
-        ups += 1
+    return (half + reverse_complement(half) for half in _ballot_words(n, n))
 
 
 def symmetric_valley_distribution(n: int) -> dict[int, int]:

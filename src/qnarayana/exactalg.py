@@ -273,13 +273,6 @@ class Polynomial:
         return cls(obj["var"], (int(c) for c in obj["coeffs"]))
 
 
-def poly_mul(a, b):
-    """Exact product; raises ValueError on variable mismatch."""
-    if not isinstance(a, Polynomial) or not isinstance(b, Polynomial):
-        raise TypeError("poly_mul takes two polynomials")
-    return a * b
-
-
 def poly_exact_div(a, b):
     """Quotient q with a = q*b exactly in Z[var]; NotDivisibleError otherwise."""
     if a.var != b.var:
@@ -307,20 +300,6 @@ def poly_exact_div(a, b):
     if any(rem):
         raise NotDivisibleError(a, b)
     return Polynomial._trusted(a.var, quot)
-
-
-def poly_substitute(p, rule):
-    """Apply a substitution rule: "neg" (var -> -var), "square" (var -> var**2),
-    or an integer (evaluate at that point, returning an int)."""
-    if isinstance(rule, str):
-        if rule == "neg":
-            return p.subs_neg()
-        if rule == "square":
-            return p.subs_square()
-        raise ValueError(f"unknown substitution rule {rule!r}")
-    if isinstance(rule, int):
-        return p(rule)
-    raise ValueError(f"unknown substitution rule {rule!r}")
 
 
 def _pseudo_rem(a, b):
@@ -387,7 +366,7 @@ class RationalFunction:
 
     def __init__(self, num, den=None):
         if isinstance(num, int):
-            if den is None:
+            if not isinstance(den, Polynomial):
                 raise TypeError("an integer numerator needs a polynomial denominator for the variable")
             num = Polynomial(den.var, (num,))
         if den is None:
@@ -503,10 +482,9 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def __eq__(self, other):
-        if isinstance(other, int):  # bool included: equality never raises
+        # bool included, and a polynomial in another variable is unequal: equality never raises
+        if isinstance(other, (int, Polynomial)):
             return self.den.coeffs == (1,) and self.num == other
-        if isinstance(other, Polynomial):
-            other = self._coerce(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -528,11 +506,6 @@ class RationalFunction:
     @classmethod
     def from_json(cls, obj):
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
-
-
-def ratfun_normalize(num, den):
-    """Canonical reduced form of num/den; ZeroDivisionError when den = 0."""
-    return RationalFunction(num, den)
 
 
 def ring_zero_like(c):
@@ -735,24 +708,3 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, obj):
         return cls([ring_from_json(c) for c in obj["coeffs"]], obj["order"])
-
-
-def series_mul(f, g):
-    """Cauchy product truncated at the common order; orders must agree."""
-    if not isinstance(f, TruncatedSeries) or not isinstance(g, TruncatedSeries):
-        raise TypeError("series_mul takes two truncated series")
-    return f * g
-
-
-def series_invert(f):
-    """Reciprocal series; NotInvertibleError when the constant term is no unit."""
-    return f.invert()
-
-
-def series_substitute(f, rule):
-    """Apply "neg" (z -> -z) or "square" (z -> z**2) under truncation."""
-    if rule == "neg":
-        return f.subs_neg_z()
-    if rule == "square":
-        return f.subs_z_squared()
-    raise ValueError(f"unknown substitution rule {rule!r}")

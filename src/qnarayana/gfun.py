@@ -39,14 +39,7 @@ _ONE_PLUS_T = Polynomial(TVAR, (1, 1))
 _T_MINUS_1 = Polynomial(TVAR, (-1, 1))
 
 
-@dataclass(frozen=True)
-class SeriesFamily:
-    tag: str
-    order: int
-    series: TruncatedSeries
-
-
-def build_series(tag: str, order: int) -> SeriesFamily:
+def build_series(tag: str, order: int) -> TruncatedSeries:
     """Prefix of one of the four families at the given truncation order."""
     if tag not in TAG_FAMILIES:
         raise ValueError(f"unknown series tag {tag!r} (expected one of {tuple(TAG_FAMILIES)})")
@@ -54,11 +47,7 @@ def build_series(tag: str, order: int) -> SeriesFamily:
         raise ValueError("order must be >= 0")
     family, shift = TAG_FAMILIES[tag]
     build = FAMILIES[family]
-    return SeriesFamily(tag, order, TruncatedSeries([build(n + shift) for n in range(order + 1)], order))
-
-
-def _series(tag, order):
-    return build_series(tag, order).series
+    return TruncatedSeries([build(n + shift) for n in range(order + 1)], order)
 
 
 def _one(order):
@@ -80,23 +69,23 @@ def _sub_t_neg(series):
 
 def _C_of_t2_z2(order):
     # the bigC family with t -> t^2 and z -> z^2, still at the same order
-    return _sub_t_square(_series("bigC", order)).subs_z_squared()
+    return _sub_t_square(build_series("bigC", order)).subs_z_squared()
 
 
 def _G_of_t2_z2(order):
-    return _sub_t_square(_series("bigG", order)).subs_z_squared()
+    return _sub_t_square(build_series("bigG", order)).subs_z_squared()
 
 
 def _sides_eq15(order):
     # C = 1 - z(t-1)C + tzC^2
-    C = _series("bigC", order)
+    C = build_series("bigC", order)
     rhs = _one(order) - C.shift_up(1).scale(_T_MINUS_1) + (C * C).shift_up(1).scale(_T)
     return C.coeffs, rhs.coeffs
 
 
 def _sides_eq16(order):
     # 1/C = 1 + (t-1)z - tzC
-    C = _series("bigC", order)
+    C = build_series("bigC", order)
     lhs = C.invert()
     rhs = _one(order) + _z_times(_T_MINUS_1, order) - C.shift_up(1).scale(_T)
     return lhs.coeffs, rhs.coeffs
@@ -104,29 +93,29 @@ def _sides_eq16(order):
 
 def _sides_eq18(order):
     # G = (C - 1)/z, checked from a one-order-longer C prefix
-    lhs = _series("bigG", order)
-    C = _series("bigC", order + 1)
+    lhs = build_series("bigG", order)
+    C = build_series("bigC", order + 1)
     rhs = (C - _one(order + 1)).shift_down(1)
     return lhs.coeffs, rhs.coeffs
 
 
 def _sides_eq19(order):
     # G = 1 / (1 - (1+t)z - tz^2 G)
-    G = _series("bigG", order)
+    G = build_series("bigG", order)
     denom = _one(order) - _z_times(_ONE_PLUS_T, order) - G.shift_up(2).scale(_T)
     return G.coeffs, denom.invert().coeffs
 
 
 def _sides_eq20(order):
     # G = 1 + (1+t)zG + tz^2 G^2
-    G = _series("bigG", order)
+    G = build_series("bigG", order)
     rhs = _one(order) + G.shift_up(1).scale(_ONE_PLUS_T) + (G * G).shift_up(2).scale(_T)
     return G.coeffs, rhs.coeffs
 
 
 def _sides_eq23(order):
     # (1 - (1+t)z) c = 1 - tz C(t^2, z^2)
-    c = _series("smallc", order)
+    c = build_series("smallc", order)
     lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
     rhs = _one(order) - _C_of_t2_z2(order).shift_up(1).scale(_T)
     return lhs.coeffs, rhs.coeffs
@@ -134,7 +123,7 @@ def _sides_eq23(order):
 
 def _sides_eq24(order):
     # (1 - (1+t)z) c = 1 - tz c(-t,-z) c(t,z)
-    c = _series("smallc", order)
+    c = build_series("smallc", order)
     c_neg = _sub_t_neg(c).subs_neg_z()
     lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
     rhs = _one(order) - (c_neg * c).shift_up(1).scale(_T)
@@ -143,34 +132,34 @@ def _sides_eq24(order):
 
 def _sides_eq25(order):
     # c(t,z) c(-t,-z) = C(t^2, z^2)
-    c = _series("smallc", order)
+    c = build_series("smallc", order)
     c_neg = _sub_t_neg(c).subs_neg_z()
     return (c * c_neg).coeffs, _C_of_t2_z2(order).coeffs
 
 
 def _sides_eq27(order):
     # g = 1 + (1+t)zg - tz^2 G(t^2, z^2)
-    g = _series("smallg", order)
+    g = build_series("smallg", order)
     rhs = _one(order) + g.shift_up(1).scale(_ONE_PLUS_T) - _G_of_t2_z2(order).shift_up(2).scale(_T)
     return g.coeffs, rhs.coeffs
 
 
 def _sides_eq28(order):
     # g(t,z) g(t,-z) = G(t^2, z^2)
-    g = _series("smallg", order)
+    g = build_series("smallg", order)
     return (g * g.subs_neg_z()).coeffs, _G_of_t2_z2(order).coeffs
 
 
 def _sides_g_at_1(order):
     # coefficient n of g at t=1 is the central binomial binom(n+1, floor((n+1)/2))
-    lhs = [p(1) for p in _series("smallg", order).coeffs]
+    lhs = [p(1) for p in build_series("smallg", order).coeffs]
     rhs = [binomial(n + 1, (n + 1) // 2) for n in range(order + 1)]
     return lhs, rhs
 
 
 def _sides_g_at_m1(order):
     # g at t=-1 equals the Catalan generating function in z^2
-    lhs = [p(-1) for p in _series("smallg", order).coeffs]
+    lhs = [p(-1) for p in build_series("smallg", order).coeffs]
     rhs = [catalan_number(n // 2) if n % 2 == 0 else 0 for n in range(order + 1)]
     return lhs, rhs
 

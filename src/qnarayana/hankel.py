@@ -27,7 +27,7 @@ from .exactalg import (
     ring_one_like,
 )
 from .gfun import build_series
-from .narayana import TVAR, PolySequence, binomial, poly_sequence
+from .narayana import TVAR, binomial, poly_sequence
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,16 @@ class PolyMatrix:
         return len(self.entries)
 
 
-def hankel_matrix(seq: PolySequence, n: int, shift: int) -> PolyMatrix:
+def hankel_matrix(seq: tuple[Polynomial, ...], n: int, shift: int) -> PolyMatrix:
     """The n x n matrix with entry (i, j) = seq[i + j + shift]."""
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     top = 2 * (n - 1) + shift
-    if len(seq.entries) <= top:
-        raise ValueError(f"sequence too short: need entries up to index {top}, have {len(seq.entries)}")
-    return PolyMatrix(tuple(tuple(seq.entries[i + j + shift] for j in range(n)) for i in range(n)))
+    if len(seq) <= top:
+        raise ValueError(f"sequence too short: need entries up to index {top}, have {len(seq)}")
+    return PolyMatrix(tuple(tuple(seq[i + j + shift] for j in range(n)) for i in range(n)))
 
 
 def det_bareiss(m: PolyMatrix) -> Polynomial:
@@ -162,7 +162,7 @@ def hankel_table_csv(family: str, shift: int, rows: list[HankelRow]) -> str:
 
 def ratfun_series(tag: str, order: int) -> TruncatedSeries:
     """A series family prefix of :func:`gfun.build_series` lifted to rational-function coefficients."""
-    return build_series(tag, order).series.map_coeffs(RationalFunction)
+    return build_series(tag, order).map_coeffs(RationalFunction)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ between routes is a named check of the `verify --all` registry in :mod:`cli`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exactalg import Polynomial
 
@@ -150,19 +149,11 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class PolySequence:
-    """A named family prefix: entry n is the n-th member polynomial."""
-
-    family: str
-    entries: tuple[Polynomial, ...]
-
-
-def poly_sequence(family: str, length: int) -> PolySequence:
+def poly_sequence(family: str, length: int) -> tuple[Polynomial, ...]:
     """The first ``length`` members of a family."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (expected one of {tuple(FAMILIES)})")
     if length < 0:
         raise ValueError("length must be >= 0")
     build = FAMILIES[family]
-    return PolySequence(family, tuple(build(n) for n in range(length)))
+    return tuple(build(n) for n in range(length))

@@ -7,7 +7,6 @@ so that summation loops can run over a uniform range.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exactalg import Polynomial, poly_exact_div
 
@@ -57,24 +56,17 @@ def q_catalan(n: int) -> Polynomial:
     return poly_exact_div(q_binomial(2 * n, n), q_int(n + 1))
 
 
-@dataclass(frozen=True)
-class QNarayanaRow:
+def q_narayana_row(n: int) -> tuple[Polynomial, ...]:
     """Row n of the q-Narayana family: entry k is the coefficient of t^k."""
-
-    n: int
-    entries: tuple[Polynomial, ...]
-
-
-def q_narayana_row(n: int) -> QNarayanaRow:
     if n < 0:
         raise ValueError("row index must be >= 0")
     if n == 0:
-        return QNarayanaRow(0, (_ONE,))
-    return QNarayanaRow(n, tuple(q_narayana_coeff(n, k) for k in range(n)))
+        return (_ONE,)
+    return tuple(q_narayana_coeff(n, k) for k in range(n))
 
 
 def specialize_row(n: int, q0: int) -> tuple[int, ...]:
     """Evaluate row n at an integer q0 (q0 = -1 and q0 = 1 are the cases of interest)."""
     if n < 1:
         raise ValueError("row specialization needs n >= 1")
-    return tuple(p(q0) for p in q_narayana_row(n).entries)
+    return tuple(p(q0) for p in q_narayana_row(n))

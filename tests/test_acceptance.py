@@ -143,7 +143,7 @@ def test_criterion_6_jfraction():
 def test_criterion_7_combinatorial_oracles():
     for n in range(9):
         table = qt_distribution(n)
-        row = q_narayana_row(n).entries
+        row = q_narayana_row(n)
         assert len(table) == len(row)
         for k, poly in table.items():
             assert poly == row[k]

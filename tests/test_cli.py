@@ -174,8 +174,9 @@ class TestRegistry:
 
     def test_results_carry_registered_names(self):
         for name, fn in build_registry(order=4):
-            if name.startswith(("identity/", "first_terms/", "routes/", "eval/")):
-                assert fn().name == name
+            passed, detail = fn()
+            assert passed is True, name
+            assert isinstance(detail, str), name
 
     def test_determinism(self, capsys):
         assert main(["verify", "--order", "6"]) == 0
@@ -249,11 +250,38 @@ def _maj_plus_one_on_udud(path_stats):
     return perturbed
 
 
-def _first_path_twice_at_4(enumerate_symmetric):
-    def perturbed(n):
-        paths = list(enumerate_symmetric(n))
-        return iter(paths + paths[:1] if n == 4 else paths)
-    return perturbed
+def _first_path_twice_at(at):
+    """Perturb an enumerator: at semi-length `at` its first path comes twice."""
+    def perturb(enumerate_paths):
+        def perturbed(n):
+            paths = list(enumerate_paths(n))
+            return iter(paths + paths[:1] if n == at else paths)
+        return perturbed
+    return perturb
+
+
+def _special_value_plus_one(at, which):
+    """Perturb narayana.special_values: entry `which` (0: t = 1, 1: t = -1) at n = `at` gets 1 added."""
+    def perturb(special_values):
+        def perturbed(n):
+            values = list(special_values(n))
+            if n == at:
+                values[which] += 1
+            return tuple(values)
+        return perturbed
+    return perturb
+
+
+def _rhs_plus_t(identity, power):
+    """Perturb the identity table: coefficient `power` of the right-hand side of `identity` gets t added."""
+    def perturb(builders):
+        build = builders[identity]
+
+        def perturbed(order):
+            lhs, rhs = build(order)
+            return lhs, rhs[:power] + (rhs[power] + T,) + rhs[power + 1:]
+        return {**builders, identity: perturbed}
+    return perturb
 
 
 def _det_plus_t_at_dim_4(det_bareiss):
@@ -287,8 +315,21 @@ class TestCheckReportsItsOwnDiff:
          "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
         (["oracle"], dyckoracle, "path_stats", _maj_plus_one_on_udud,
          "FAIL oracle/valley_major (n=2, k=1: enumerated q^3, algebraic q^2)"),
-        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at_4,
+        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(4),
          "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)"),
+        (["oracle"], dyckoracle, "enumerate_dyck", _first_path_twice_at(3),
+         "FAIL oracle/counts (n=3: 6 paths, expected Catalan)"),
+        (["verify"], gfun, "_IDENTITY_BUILDERS", _rhs_plus_t("eq25", 3),
+         "FAIL identity/eq25 (power=3: 0 vs t)"),
+        (["verify", "--all"], hankel, "expected_hankel", _plus_at(("small_c", 1, 3), T),
+         "FAIL hankel/small_c/shift1 (n=3: det -t^3, expected t-t^3)"),
+        (["verify"], narayana, "special_values", _special_value_plus_one(5, 0),
+         "FAIL eval/at_one (n=5: value 10, expected 11)"),
+        (["verify"], narayana, "special_values", _special_value_plus_one(5, 1),
+         "FAIL eval/at_minus_one (n=5: value 2, expected 3)"),
+        (["verify"], qcomb, "q_catalan", _plus_at((4,), Q),
+         "FAIL eval/q_catalan_sum (n=4: q-row sums to 1+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12, "
+         "q-Catalan quotient 1+q+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12)"),
         (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
          "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant t+t^6)"),
         (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
@@ -296,7 +337,8 @@ class TestCheckReportsItsOwnDiff:
         (["verify", "--all"], hankel, "jfraction_to_series", _top_coefficient_plus_one,
          "FAIL cfrac/roundtrip (smallc does not round-trip at depth 8)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "odd-closed-form",
-            "valley-major", "symmetric-valleys", "product-formula-smallg", "product-formula-smallc",
+            "valley-major", "symmetric-valleys", "oracle-counts", "identity", "hankel", "eval-at-one",
+            "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
             "roundtrip"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))

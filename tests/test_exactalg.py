@@ -11,12 +11,6 @@ from qnarayana.exactalg import (
     TruncatedSeries,
     poly_exact_div,
     poly_gcd,
-    poly_mul,
-    poly_substitute,
-    ratfun_normalize,
-    series_invert,
-    series_mul,
-    series_substitute,
 )
 
 
@@ -45,7 +39,7 @@ class TestPolynomial:
     def test_mul_examples(self):
         assert P(1, 1) * P(1, 1, 1) == P(1, 2, 2, 1)
         p = P(3, 0, -2)
-        assert poly_mul(p, Polynomial.one("t")) == p
+        assert p * Polynomial.one("t") == p
         assert P(1, 1, var="q") * P(1, -1, var="q") == P(1, 0, -1, var="q")
 
     def test_mul_degree_additive(self):
@@ -141,17 +135,13 @@ class TestExactDivision:
 
 class TestSubstitution:
     def test_neg(self):
-        assert poly_substitute(P(1, 1, 1), "neg") == P(1, -1, 1)
+        assert P(1, 1, 1).subs_neg() == P(1, -1, 1)
 
     def test_square(self):
-        assert poly_substitute(P(1, 1), "square") == P(1, 0, 1)
+        assert P(1, 1).subs_square() == P(1, 0, 1)
 
     def test_eval_rule(self):
-        assert poly_substitute(P(1, 2, 4, 2, 1), -1) == 2
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            poly_substitute(P(1), "cube")
+        assert P(1, 2, 4, 2, 1)(-1) == 2
 
     def test_neg_is_involution(self):
         p = P(3, -1, 0, 7, 2)
@@ -175,23 +165,23 @@ class TestGcd:
 
 class TestRationalFunction:
     def test_reduction(self):
-        r = ratfun_normalize(P(-1, 0, 1), P(-1, 1))
+        r = RationalFunction(P(-1, 0, 1), P(-1, 1))
         assert r.num == P(1, 1)
         assert r.den == Polynomial.one("t")
 
     def test_zero_numerator(self):
-        r = ratfun_normalize(Polynomial.zero("t"), P(5, 1))
+        r = RationalFunction(Polynomial.zero("t"), P(5, 1))
         assert r.num == Polynomial.zero("t")
         assert r.den == Polynomial.one("t")
 
     def test_sign_canonicalization(self):
-        r = ratfun_normalize(P(2, 2), P(-2))
+        r = RationalFunction(P(2, 2), P(-2))
         assert r.num == P(-1, -1)
         assert r.den == Polynomial.one("t")
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
-            ratfun_normalize(P(1), Polynomial.zero("t"))
+            RationalFunction(P(1), Polynomial.zero("t"))
 
     def test_arithmetic_and_equality(self):
         half = RationalFunction(Polynomial.one("t"), P(-1, 1))  # 1/(t-1)
@@ -216,6 +206,23 @@ class TestRationalFunction:
         r = RationalFunction(P(1, 2), P(0, 0, 3))
         assert RationalFunction.from_json(r.to_json()) == r
 
+    def test_equality_across_variables_is_false(self):
+        # as for two polynomials, or two rational functions, in different variables
+        q = P(1, 2, var="q")
+        for r in (RationalFunction(P(1, 2)), RationalFunction(P(1), P(0, 1))):
+            assert r != q
+            assert q != r
+            assert q not in [r]
+            assert r not in [q]
+        assert RationalFunction(P(1, 2)) != RationalFunction(q)
+
+    def test_integer_pair_is_type_error(self):
+        with pytest.raises(TypeError, match="polynomial denominator"):
+            RationalFunction(3, 5)
+        with pytest.raises(TypeError, match="polynomial denominator"):
+            RationalFunction(3)
+        assert RationalFunction(3, P(0, 1)) == RationalFunction(P(3), P(0, 1))
+
 
 def S(*coeffs):
     return TruncatedSeries(coeffs)
@@ -225,41 +232,41 @@ class TestTruncatedSeries:
     def test_mul_identity(self):
         f = S(3, 1, 4, 1)
         one = TruncatedSeries.constant(1, 3)
-        assert series_mul(f, one) == f
+        assert f * one == f
 
     def test_mul_truncates(self):
         assert S(1, 1, 0) * S(1, -1, 0) == S(1, 0, -1)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="order mismatch"):
-            series_mul(S(1, 1), S(1, 1, 1))
+            S(1, 1) * S(1, 1, 1)
         with pytest.raises(ValueError, match="comparable"):
             S(1, 1) == S(1, 1, 0)
 
     def test_invert_one(self):
         one = TruncatedSeries.constant(1, 4)
-        assert series_invert(one) == one
+        assert one.invert() == one
 
     def test_invert_geometric(self):
-        assert series_invert(S(1, -1, 0, 0)) == S(1, 1, 1, 1)
+        assert S(1, -1, 0, 0).invert() == S(1, 1, 1, 1)
 
     def test_invert_roundtrip(self):
         f = S(-1, 3, -2, 5, 7)
-        assert f * series_invert(f) == TruncatedSeries.constant(1, 4)
+        assert f * f.invert() == TruncatedSeries.constant(1, 4)
 
     def test_invert_non_unit(self):
         with pytest.raises(NotInvertibleError):
-            series_invert(S(2, 1))
+            S(2, 1).invert()
         with pytest.raises(NotInvertibleError):
-            series_invert(TruncatedSeries([Polynomial("t", (1, 1)), Polynomial.one("t")]))
+            TruncatedSeries([Polynomial("t", (1, 1)), Polynomial.one("t")]).invert()
 
     def test_substitute_neg(self):
-        assert series_substitute(S(1, 1, 1), "neg") == S(1, -1, 1)
+        assert S(1, 1, 1).subs_neg_z() == S(1, -1, 1)
 
     def test_substitute_square(self):
-        assert series_substitute(S(1, 1, 0, 0), "square") == S(1, 0, 1, 0)
+        assert S(1, 1, 0, 0).subs_z_squared() == S(1, 0, 1, 0)
         # coefficients beyond order/2 are discarded
-        assert series_substitute(S(1, 2, 3), "square") == S(1, 0, 2)
+        assert S(1, 2, 3).subs_z_squared() == S(1, 0, 2)
 
     def test_shift_up_down(self):
         f = S(1, 2, 3, 4)

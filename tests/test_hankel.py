@@ -101,6 +101,21 @@ class TestDeterminants:
             m = PolyMatrix(rows)
             assert det_bareiss(m) == det_cofactor(m)
 
+    def test_sympy_agreement_beyond_cofactor_limit(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(271828)
+        for k, dim in enumerate((7, 7, 8, 8, 9, 9)):
+            coeffs = [[[rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] for _ in range(dim)]
+                      for _ in range(dim)]
+            if k % 2:
+                coeffs[0][0] = [0]  # the elimination must look below for a pivot
+            m = PolyMatrix(tuple(tuple(Polynomial(TVAR, c) for c in row) for row in coeffs))
+            entries = sympy.Matrix(dim, dim, lambda i, j: sum(c * t ** k for k, c in enumerate(coeffs[i][j])))
+            # the default method expands symbolically and takes tens of seconds here
+            det = sympy.Poly(entries.det(method="domain-ge"), t)
+            assert det_bareiss(m) == Polynomial(TVAR, [int(c) for c in reversed(det.all_coeffs())]), coeffs
+
 
 class TestHankelTable:
     def test_small_c_unshifted(self):

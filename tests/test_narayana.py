@@ -6,7 +6,6 @@ from qnarayana import narayana
 from qnarayana.exactalg import Polynomial
 from qnarayana.narayana import (
     TVAR,
-    PolySequence,
     binomial,
     c_odd_closed,
     c_poly,
@@ -138,21 +137,19 @@ class TestSpecialValues:
 
 class TestPolySequence:
     def test_families(self):
-        seq = poly_sequence("small_c", 6)
-        assert isinstance(seq, PolySequence)
-        assert list(seq.entries) == FIRST_C
-        assert poly_sequence("narayana_poly", 6).entries == tuple(FIRST_NARAYANA)
-        assert poly_sequence("catalan_C", 4).entries == (P(1), P(1), P(2), P(5))
-        assert poly_sequence("narayana_B", 3).entries == (P(1), P(1, 1), P(1, 4, 1))
+        assert poly_sequence("small_c", 6) == tuple(FIRST_C)
+        assert poly_sequence("narayana_poly", 6) == tuple(FIRST_NARAYANA)
+        assert poly_sequence("catalan_C", 4) == (P(1), P(1), P(2), P(5))
+        assert poly_sequence("narayana_B", 3) == (P(1), P(1, 1), P(1, 4, 1))
 
     def test_entry_zero_is_one(self):
         for family in ("catalan_C", "narayana_poly", "narayana_B", "small_c"):
-            assert poly_sequence(family, 1).entries[0] == P(1)
+            assert poly_sequence(family, 1)[0] == P(1)
 
     def test_degrees(self):
         for n in range(1, 12):
-            assert poly_sequence("small_c", n + 1).entries[n].degree() == n - 1
-            assert poly_sequence("narayana_poly", n + 1).entries[n].degree() == n - 1
+            assert poly_sequence("small_c", n + 1)[n].degree() == n - 1
+            assert poly_sequence("narayana_poly", n + 1)[n].degree() == n - 1
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

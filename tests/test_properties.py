@@ -13,7 +13,6 @@ from qnarayana.exactalg import (
     TruncatedSeries,
     poly_exact_div,
     poly_gcd,
-    series_invert,
 )
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=9)
@@ -171,7 +170,7 @@ def test_series_inverse_roundtrip():
         order = rng.randint(0, 8)
         coeffs = [rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(order)]
         f = TruncatedSeries(coeffs, order)
-        assert f * series_invert(f) == TruncatedSeries.constant(1, order)
+        assert f * f.invert() == TruncatedSeries.constant(1, order)
 
 
 @given(coeff_lists, coeff_lists)
@@ -209,3 +208,23 @@ def test_every_accepted_polynomial_round_trips_through_json(coeffs):
         return
     p = Polynomial("t", coeffs)
     assert Polynomial.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
+polys = coeff_lists.map(lambda coeffs: Polynomial("t", coeffs))
+ratfuns = st.builds(RationalFunction, polys, polys.filter(bool))
+
+
+def _through_json(blob):
+    return json.loads(json.dumps(blob))
+
+
+@given(ratfuns)
+def test_rational_function_round_trips_through_json(r):
+    assert RationalFunction.from_json(_through_json(r.to_json())) == r
+
+
+@given(st.one_of(*(st.lists(ring, min_size=1, max_size=6) for ring in (st.integers(), polys, ratfuns))))
+@settings(max_examples=60)
+def test_series_round_trips_through_json(coeffs):
+    f = TruncatedSeries(coeffs)
+    assert TruncatedSeries.from_json(_through_json(f.to_json())) == f

@@ -117,8 +117,8 @@ class TestSpecialization:
     def test_row_invariants(self):
         for n in range(9):
             row = q_narayana_row(n)
-            assert row.entries[0] == Q(1)
-            assert all(c >= 0 for p in row.entries for c in p.coeffs)
+            assert row[0] == Q(1)
+            assert all(c >= 0 for p in row for c in p.coeffs)
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
