@@ -29,7 +29,7 @@ ROUTE_MAX_N = 20
 MAX_POLY_N = 5000
 MAX_HANKEL_N = 30
 MAX_CFRAC_DEPTH = 50
-MAX_ORDER = 120
+MAX_ORDER = 160
 
 # total number of registered checks behind `verify --all`, pinned by the tests
 REGISTRY_SIZE = 31

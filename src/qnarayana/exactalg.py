@@ -15,6 +15,17 @@ Three immutable value types built on Python's arbitrary-precision integers:
   coefficients in any of the rings above (or plain ints).  Every operation
   truncates eagerly; two series are only comparable at equal order.
 
+Series product and inverse over Z[t] (every coefficient a ``Polynomial`` in
+one variable) run on packed integers (Kronecker substitution): each
+coefficient is replaced once by its value at t = 2**w, the convolution or
+inverse recurrence runs on those ints, and each result is read back once as
+its balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism,
+so every packed value is exact; the digits are the coefficients as long as
+each is below 2**(w-1) in absolute value.  w is a whole number of bytes
+taken from a bound computed from the operands (see ``TruncatedSeries``).
+Series over ints, over rational functions, or mixing coefficient types
+use the coefficient-wise loop.
+
 There is no floating point anywhere and no tolerance anywhere: all
 arithmetic is exact, all equality is structural.
 
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import math
 from itertools import zip_longest
+from operator import mul
 
 
 class NotDivisibleError(ArithmeticError):
@@ -241,6 +253,8 @@ class Polynomial:
         return self.var == other.var and self.coeffs == other.coeffs
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:  # a constant equals its int, so it hashes as one
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.var, self.coeffs))
 
     def __repr__(self):
@@ -490,6 +504,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den.coeffs == (1,):  # equals its numerator, so it hashes as one
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -545,6 +561,59 @@ def _unit_inverse(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
+def _packed_var(*series):
+    """The variable every coefficient of the series shares as a Polynomial, else None."""
+    var = None
+    for f in series:
+        for c in f.coeffs:
+            if type(c) is not Polynomial:
+                return None
+            if var is None:
+                var = c.var
+            elif c.var != var:
+                return None
+    return var
+
+
+def _slot_bytes(bound):
+    """Bytes per Kronecker slot for coefficients of absolute value at most bound: its bits plus a sign bit."""
+    return bound.bit_length() // 8 + 1
+
+
+def _slot_bias(nbytes, slots):
+    # 2**(8*nbytes - 1) in each of `slots` slots: shifts balanced digits to non-negative ones
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
+
+
+def _pack(p, nbytes):
+    """Value of p at t = 2**(8*nbytes); every |coefficient| < 2**(8*nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
+    biased = b"".join((c + half).to_bytes(nbytes, "little") for c in p.coeffs)
+    return int.from_bytes(biased, "little") - _slot_bias(nbytes, len(p.coeffs))
+
+
+def _unpack(value, nbytes, var):
+    """The polynomial with balanced base-2**(8*nbytes) digits whose value there is `value`.
+
+    The digits are the coefficients whenever each is below 2**(8*nbytes - 1)
+    in absolute value.  The spare top slot keeps the biased value of any
+    integer inside the buffer, so the function never raises.
+    """
+    slots = value.bit_length() // (8 * nbytes) + 2
+    biased = (value + _slot_bias(nbytes, slots)).to_bytes(slots * nbytes, "little")
+    half = 1 << (8 * nbytes - 1)
+    return Polynomial._trusted(var, [int.from_bytes(biased[k:k + nbytes], "little") - half
+                                     for k in range(0, len(biased), nbytes)])
+
+
+def _max_coeff(polys):
+    return max((abs(c) for p in polys for c in p.coeffs), default=0)
+
+
+def _norms(polys):
+    return [sum(map(abs, p.coeffs)) for p in polys]
+
+
 def ring_to_json(c):
     if isinstance(c, int):
         return str(c)
@@ -565,6 +634,18 @@ class TruncatedSeries:
     ``coeffs`` always has length ``order + 1``; every operation truncates
     back to that order.  Comparing series of different orders is an error,
     not False: prefixes of different lengths carry different information.
+
+    When every coefficient of the operands is a ``Polynomial`` in one shared
+    variable, ``*`` and ``invert`` run the packed kernel described in the
+    module docstring.  Its slot holds any |coefficient| up to a bound B plus
+    a sign bit, rounded up to whole bytes.  With |p|_1 the sum of the
+    absolute coefficients of p, B is the larger of the largest input
+    coefficient and, for a product a*b, the largest sum_i |a_i|_1 |b_(m-i)|_1
+    over m (it bounds every coefficient of output m); for the inverse of a
+    (constant term +-1), the largest beta_m, where beta_0 = 1 and
+    beta_m = sum_(i>=1) |a_i|_1 beta_(m-i) bounds |out_m|_1 by induction on
+    the recurrence out_m = -inv0 * sum_(i>=1) a_i out_(m-i).  Other
+    coefficient rings use the coefficient-wise loop.
     """
 
     __slots__ = ("order", "coeffs")
@@ -621,6 +702,9 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
+        var = _packed_var(self, other)
+        if var is not None:
+            return self._packed_mul(other, var)
         out = []
         for m in range(self.order + 1):
             acc = self.coeffs[0] * other.coeffs[m]
@@ -628,6 +712,17 @@ class TruncatedSeries:
                 acc = acc + self.coeffs[i] * other.coeffs[m - i]
             out.append(acc)
         return TruncatedSeries(out, self.order)
+
+    def _packed_mul(self, other, var):
+        # |coefficient of a_i*b_j| <= |a_i|_1 * |b_j|_1, so the sum over i bounds product coefficient m
+        na, nb = _norms(self.coeffs), _norms(other.coeffs)
+        bound = max(_max_coeff(self.coeffs + other.coeffs),
+                    max(sum(map(mul, na[:m + 1], nb[m::-1])) for m in range(self.order + 1)))
+        nbytes = _slot_bytes(bound)
+        a = [_pack(p, nbytes) for p in self.coeffs]
+        b = [_pack(p, nbytes) for p in other.coeffs]
+        return TruncatedSeries([_unpack(sum(map(mul, a[:m + 1], b[m::-1])), nbytes, var)
+                                for m in range(self.order + 1)], self.order)
 
     def scale(self, c):
         """Multiply every coefficient by a ring element."""
@@ -662,6 +757,9 @@ class TruncatedSeries:
         the polynomial ring, any nonzero element over rational functions.
         """
         inv0 = _unit_inverse(self.coeffs[0])
+        var = _packed_var(self)
+        if var is not None:
+            return self._packed_invert(inv0.coeffs[0], var)
         out = [inv0]
         for m in range(1, self.order + 1):
             acc = self.coeffs[1] * out[m - 1]
@@ -669,6 +767,20 @@ class TruncatedSeries:
                 acc = acc + self.coeffs[i] * out[m - i]
             out.append(-(inv0 * acc))
         return TruncatedSeries(out, self.order)
+
+    def _packed_invert(self, inv0, var):
+        # out_m = -inv0 * sum_{i>=1} a_i out_{m-i} with inv0 = +-1, so |out_m|_1 <= beta_m
+        norms = _norms(self.coeffs)
+        beta = [1]
+        for m in range(1, self.order + 1):
+            beta.append(sum(map(mul, norms[1:m + 1], beta[m - 1::-1])))
+        nbytes = _slot_bytes(max(_max_coeff(self.coeffs), max(beta)))
+        a = [_pack(p, nbytes) for p in self.coeffs]
+        out = [inv0]
+        for m in range(1, self.order + 1):
+            acc = sum(map(mul, a[1:m + 1], out[m - 1::-1]))
+            out.append(-acc if inv0 == 1 else acc)
+        return TruncatedSeries([_unpack(v, nbytes, var) for v in out], self.order)
 
     def subs_neg_z(self):
         """Substitute z -> -z."""

@@ -98,6 +98,12 @@ class TestPolynomial:
         assert RationalFunction(p) != True  # noqa: E712
         assert RationalFunction(one, P(0, 1)) != True  # noqa: E712
 
+    def test_hash_agrees_with_equality(self):
+        assert len({P(1), 1}) == 1
+        assert len({P(), 0}) == 1
+        assert len({P(-7), -7, RationalFunction(P(-7))}) == 1
+        assert {P(1, 2): "p"}[P(1, 2)] == "p"
+
     def test_bool_operand_rejected(self):
         p = P(1, 2)
         for op in (lambda: p + True, lambda: True + p, lambda: p - True, lambda: p * True, lambda: False * p):
@@ -215,6 +221,13 @@ class TestRationalFunction:
             assert q not in [r]
             assert r not in [q]
         assert RationalFunction(P(1, 2)) != RationalFunction(q)
+
+    def test_hash_agrees_with_equality(self):
+        p = P(1, 2)
+        assert len({p, RationalFunction(p)}) == 1
+        assert len({RationalFunction(P(3)), 3}) == 1
+        r = RationalFunction(P(1), P(0, 1))
+        assert len({r, RationalFunction(P(2), P(0, 2))}) == 1
 
     def test_integer_pair_is_type_error(self):
         with pytest.raises(TypeError, match="polynomial denominator"):

@@ -228,3 +228,171 @@ def test_rational_function_round_trips_through_json(r):
 def test_series_round_trips_through_json(coeffs):
     f = TruncatedSeries(coeffs)
     assert TruncatedSeries.from_json(_through_json(f.to_json())) == f
+
+
+# The packed series kernel: over Z[t], TruncatedSeries * and invert() run on
+# each coefficient's value at t = 2**w.  The oracle below is the coefficient-wise
+# loop written with Polynomial * and + only.
+
+def reference_product(f, g):
+    out = []
+    for m in range(f.order + 1):
+        acc = f.coeffs[0] * g.coeffs[m]
+        for i in range(1, m + 1):
+            acc = acc + f.coeffs[i] * g.coeffs[m - i]
+        out.append(acc)
+    return out
+
+
+def reference_inverse(f):
+    inv0 = f.coeffs[0]  # +-1 is its own inverse
+    out = [inv0]
+    for m in range(1, f.order + 1):
+        acc = f.coeffs[1] * out[m - 1]
+        for i in range(2, m + 1):
+            acc = acc + f.coeffs[i] * out[m - i]
+        out.append(-(inv0 * acc))
+    return out
+
+
+def spelled(coeffs):
+    """Coefficients with their types and variables, so an int never passes for a constant polynomial."""
+    return [(type(c).__name__, getattr(c, "var", None), getattr(c, "coeffs", c)) for c in coeffs]
+
+
+EDGES = [s * v for k in (1, 2, 3) for v in (2 ** (8 * k) - 1, 2 ** (8 * k)) for s in (1, -1)]
+
+
+def rand_edge_poly(rng):
+    """Signed coefficients from small values, zeros and the byte-boundary magnitudes, of random degree."""
+    pool = (0, 1, -1, 7, -9) + tuple(EDGES)
+    return Polynomial("t", [rng.choice(pool) for _ in range(rng.randint(0, 6))])
+
+
+def rand_poly_series(rng, order, unit=False):
+    coeffs = [rand_edge_poly(rng) for _ in range(order + 1)]
+    if unit:
+        coeffs[0] = Polynomial.constant("t", rng.choice((1, -1)))
+    return TruncatedSeries(coeffs, order)
+
+
+def test_packed_product_matches_reference():
+    rng = random.Random(60601)
+    for _ in range(300):
+        order = rng.randint(0, 7)
+        f, g = rand_poly_series(rng, order), rand_poly_series(rng, order)
+        assert spelled((f * g).coeffs) == spelled(reference_product(f, g)), (f, g)
+
+
+def test_packed_inverse_matches_reference():
+    rng = random.Random(60602)
+    for _ in range(300):
+        f = rand_poly_series(rng, rng.randint(0, 7), unit=True)
+        assert spelled(f.invert().coeffs) == spelled(reference_inverse(f)), f
+
+
+def P(*coeffs):
+    return Polynomial("t", coeffs)
+
+
+# The first three products and the first inverse leave no spare byte: a slot
+# one byte narrower still holds every input but not the largest output
+# coefficient (255 * 257 = 2**16 - 1; the inverse of 1 - 255z has 255**m).
+KERNEL_EDGE_PRODUCTS = [
+    (TruncatedSeries([P(255)]), TruncatedSeries([P(257)])),
+    (TruncatedSeries([P(-(2 ** 16 - 1))]), TruncatedSeries([P(2 ** 16)])),
+    (TruncatedSeries([P(2 ** 24, -1), P(1, 1)]), TruncatedSeries([P(-(2 ** 24)), P(0, 0, 2 ** 8 - 1)])),
+    # coefficient 1 cancels to the zero polynomial: p*(-p) + p*p
+    (TruncatedSeries([P(3, -1, 2), P(3, -1, 2)]), TruncatedSeries([P(3, -1, 2), P(-3, 1, -2)])),
+    # an all-zero operand
+    (TruncatedSeries([P(5, -2), P(1), P(0, 0, 9)]), TruncatedSeries([P(), P(), P()])),
+    (TruncatedSeries([P(), P()]), TruncatedSeries([P(), P()])),
+]
+KERNEL_EDGE_INVERSES = [
+    TruncatedSeries([P(1), P(-255), P()]),
+    TruncatedSeries([P(-1)]),
+    TruncatedSeries([P(-1), P(255, -256), P(2 ** 16 - 1)]),
+    TruncatedSeries([P(1), P(), P(0, 2 ** 8)]),
+]
+
+
+def test_packed_kernel_edge_cases():
+    for f, g in KERNEL_EDGE_PRODUCTS:
+        assert spelled((f * g).coeffs) == spelled(reference_product(f, g)), (f, g)
+        assert spelled((g * f).coeffs) == spelled(reference_product(g, f)), (g, f)
+    assert (KERNEL_EDGE_PRODUCTS[3][0] * KERNEL_EDGE_PRODUCTS[3][1]).coeffs[1] == P()
+    for f in KERNEL_EDGE_INVERSES:
+        assert spelled(f.invert().coeffs) == spelled(reference_inverse(f)), f
+        assert f * f.invert() == TruncatedSeries.constant(P(1), f.order)
+
+
+def real_kernel_cases(order=60):
+    """smallc * smallc(-t,-z), bigG^2 and bigC^-1, each with its reference coefficients."""
+    from qnarayana.gfun import build_series
+
+    c, G, C = (build_series(tag, order) for tag in ("smallc", "bigG", "bigC"))
+    c_neg = c.map_coeffs(lambda p: p.subs_neg()).subs_neg_z()
+    return [(lambda: c * c_neg, reference_product(c, c_neg)),
+            (lambda: G * G, reference_product(G, G)),
+            (lambda: C.invert(), reference_inverse(C))]
+
+
+def test_packed_kernel_on_the_package_series():
+    for compute, want in real_kernel_cases():
+        assert spelled(compute().coeffs) == spelled(want)
+
+
+def test_slot_one_byte_narrower_is_caught(monkeypatch):
+    from qnarayana import exactalg
+
+    width = exactalg._slot_bytes
+    monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: width(bound) - 1)
+    for f, g in KERNEL_EDGE_PRODUCTS[:3]:
+        assert (f * g).coeffs != tuple(reference_product(f, g)), (f, g)
+    f = KERNEL_EDGE_INVERSES[0]
+    assert f.invert().coeffs != tuple(reference_inverse(f))
+
+
+def test_generic_rings_keep_the_coefficient_loop(monkeypatch):
+    def packed(*args):
+        raise AssertionError("packed kernel used outside Z[t]")
+
+    monkeypatch.setattr(TruncatedSeries, "_packed_mul", packed)
+    monkeypatch.setattr(TruncatedSeries, "_packed_invert", packed)
+    rng = random.Random(60603)
+    for _ in range(40):
+        order = rng.randint(0, 5)
+        f, g = rand_series(rng, order), rand_series(rng, order)
+        assert spelled((f * g).coeffs) == spelled(reference_product(f, g))
+        r = TruncatedSeries([RationalFunction(rand_edge_poly(rng), P(1, 1)) for _ in range(order + 1)], order)
+        s = TruncatedSeries([RationalFunction(rand_edge_poly(rng)) for _ in range(order + 1)], order)
+        assert spelled((r * s).coeffs) == spelled(reference_product(r, s))
+        r_unit = TruncatedSeries([RationalFunction(P(rng.choice((1, -1))))] + list(r.coeffs[1:]), order)
+        assert spelled(r_unit.invert().coeffs) == spelled(reference_inverse(r_unit))
+        unit = TruncatedSeries([rng.choice((1, -1))] + list(f.coeffs[1:]), order)
+        assert spelled(unit.invert().coeffs) == spelled(reference_inverse(unit))
+    mixed = TruncatedSeries([1, P(0, 1), -3])
+    other = TruncatedSeries([P(1, 1), 2, P(-1)])
+    assert spelled((mixed * other).coeffs) == spelled(reference_product(mixed, other))
+    assert spelled(mixed.invert().coeffs) == spelled(reference_inverse(mixed))
+
+
+def test_polynomial_series_in_two_variables_still_raise():
+    f = TruncatedSeries([P(1), P(0, 1)])
+    g = TruncatedSeries([Polynomial("q", (1,)), Polynomial("q", (0, 1))])
+    with pytest.raises(ValueError, match="variable mismatch"):
+        f * g
+    with pytest.raises(ValueError, match="variable mismatch"):
+        TruncatedSeries([P(1), Polynomial("q", (0, 1))]).invert()
+
+
+def test_packed_path_makes_no_coefficient_products(monkeypatch):
+    f = rand_poly_series(random.Random(60604), 6, unit=True)
+    want_product, want_inverse = spelled(reference_product(f, f)), spelled(reference_inverse(f))
+
+    def schoolbook(*args):
+        raise AssertionError("Polynomial.__mul__ called")
+
+    monkeypatch.setattr(Polynomial, "__mul__", schoolbook)
+    assert spelled((f * f).coeffs) == want_product
+    assert spelled(f.invert().coeffs) == want_inverse
