@@ -57,7 +57,10 @@ class TestParseArgs:
         (["cfrac", "--family", "c", "--depth"], "depth", cli.MAX_CFRAC_DEPTH),
         (["verify", "--order"], "order", cli.MAX_ORDER),
         (["verify", "--all", "--order"], "order", cli.MAX_ORDER),
-    ])
+        (["oracle", "--q-max-n"], "q_max_n", dyckoracle.MAX_QT),
+        (["oracle", "--sym-max-n"], "sym_max_n", dyckoracle.MAX_SYMMETRIC),
+    ], ids=["poly-n", "hankel-max-n", "cfrac-depth", "verify-order", "verify-all-order",
+            "oracle-q-max-n", "oracle-sym-max-n"])
     def test_size_caps(self, capsys, argv, option, cap):
         assert parse_args(argv + [str(cap)]).options[option] == cap
         with pytest.raises(SystemExit) as err:

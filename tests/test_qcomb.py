@@ -1,7 +1,8 @@
 import pytest
 
-from qnarayana.exactalg import Polynomial, poly_exact_div
-from qnarayana.narayana import v_coeff
+from qnarayana import qcomb
+from qnarayana.exactalg import NotDivisibleError, Polynomial, poly_exact_div
+from qnarayana.narayana import narayana_number, v_coeff
 from qnarayana.qcomb import (
     QVAR,
     q_binomial,
@@ -15,6 +16,23 @@ from qnarayana.qcomb import (
 
 def Q(*coeffs):
     return Polynomial(QVAR, coeffs)
+
+
+def schoolbook_coeff(n, k):
+    """q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1] by polynomial multiply and exact division."""
+    numerator = Polynomial.monomial(QVAR, k * k + k) * q_binomial(n, k) * q_binomial(n - 1, k)
+    return poly_exact_div(numerator, q_int(k + 1))
+
+
+def kernel_mismatches(max_n):
+    """Yield (n, k), 1 <= n <= max_n, where q_narayana_coeff raises or differs from the schoolbook formula."""
+    for n in range(1, max_n + 1):
+        for k in range(n):
+            try:
+                if q_narayana_coeff(n, k) != schoolbook_coeff(n, k):
+                    yield n, k
+            except (ArithmeticError, ValueError, OverflowError):
+                yield n, k
 
 
 def pascal_triangle(rows):
@@ -87,6 +105,34 @@ class TestQNarayana:
             assert q_narayana_coeff(n, n - 1) != Polynomial.zero(QVAR)
 
 
+class TestPackedKernel:
+    def test_matches_schoolbook_formula(self):
+        assert list(kernel_mismatches(30)) == []
+
+    # one byte narrower breaks the smallest entries; one-byte slots give wrong values further out
+    @pytest.mark.parametrize("narrow", [lambda nbytes: nbytes - 1, lambda nbytes: 1],
+                             ids=["one-byte-narrower", "one-byte-slots"])
+    def test_narrower_slot_is_caught(self, monkeypatch, narrow):
+        slot_bytes = qcomb._slot_bytes
+        monkeypatch.setattr(qcomb, "_slot_bytes", lambda bound: narrow(slot_bytes(bound)))
+        assert next(kernel_mismatches(30), None) is not None
+
+    def test_non_dividing_divisor_raises(self, monkeypatch):
+        monkeypatch.setattr(qcomb, "q_int", lambda m: Q(2))
+        # (1+q+q^2)(1+q) = 1+2q+2q^2+q^3 has odd coefficients
+        with pytest.raises(NotDivisibleError):
+            poly_exact_div(q_binomial(3, 1) * q_binomial(2, 1), qcomb.q_int(2))
+        with pytest.raises(NotDivisibleError):
+            q_narayana_coeff(3, 1)
+
+    def test_integer_exact_polynomial_inexact_raises(self, monkeypatch):
+        # 97 divides 2^24 + 1, the value of 1+q in 3-byte slots, but not 1+q in Z[q]
+        monkeypatch.setattr(qcomb, "_slot_bytes", lambda bound: 3)
+        assert (2 ** 24 + 1) % 97 == 0
+        with pytest.raises(NotDivisibleError):
+            qcomb._packed_quotient(Q(1, 1), Q(1), Q(97))
+
+
 class TestQCatalan:
     def test_values(self):
         assert q_catalan(0) == Q(1)
@@ -95,7 +141,7 @@ class TestQCatalan:
         assert q_catalan(3) == expected
 
     def test_sum_rule(self):
-        for n in range(1, 11):
+        for n in range(1, 31):
             total = Polynomial.zero(QVAR)
             for k in range(n):
                 total = total + q_narayana_coeff(n, k)
@@ -110,12 +156,16 @@ class TestSpecialization:
         assert specialize_row(1, 5) == (1,)
 
     def test_matches_closed_form(self):
-        for n in range(1, 17):
+        for n in range(1, 41):
             row = specialize_row(n, -1)
             assert row == tuple(v_coeff(n, k) for k in range(n))
 
+    def test_q1_is_narayana(self):
+        for n in range(1, 41):
+            assert specialize_row(n, 1) == tuple(narayana_number(n, k) for k in range(n))
+
     def test_row_invariants(self):
-        for n in range(9):
+        for n in range(41):
             row = q_narayana_row(n)
             assert row[0] == Q(1)
             assert all(c >= 0 for p in row for c in p.coeffs)
