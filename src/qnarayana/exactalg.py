@@ -26,6 +26,13 @@ taken from a bound computed from the operands (see ``TruncatedSeries``).
 Series over ints, over rational functions, or mixing coefficient types
 use the coefficient-wise loop.
 
+Polynomial product and exact division skip zero low blocks, which
+fraction-free elimination produces in bulk (entries t^v times a short
+polynomial, monomial pivots): the product's inner loop starts at the inner
+operand's lowest nonzero coefficient, and exact division splits var^v off
+the divisor first, so division by a monomial is one pass (see
+``poly_exact_div``).
+
 There is no floating point anywhere and no tolerance anywhere: all
 arithmetic is exact, all equality is structural.
 
@@ -203,12 +210,14 @@ class Polynomial:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Polynomial._trusted(self.var, [])
+        low = _valuation(other)
+        inner = other.coeffs[low:]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(self.coeffs, low):
             if a == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for j, b in enumerate(inner, i):
+                out[j] += a * b
         return Polynomial._trusted(self.var, out)
 
     __rmul__ = __mul__
@@ -288,19 +297,28 @@ class Polynomial:
 
 
 def poly_exact_div(a, b):
-    """Quotient q with a = q*b exactly in Z[var]; NotDivisibleError otherwise."""
+    """Quotient q with a = q*b exactly in Z[var]; NotDivisibleError otherwise.
+
+    A divisor var^v * b' with b'(0) != 0 needs the dividend's v lowest
+    coefficients to be zero; the rest of the dividend is then divided by b'
+    alone, so dividing by a monomial is one pass over the dividend.
+    """
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return Polynomial._trusted(a.var, [])
-    da, db = len(a.coeffs) - 1, len(b.coeffs) - 1
+    low = _valuation(b)
+    if any(a.coeffs[:low]):
+        raise NotDivisibleError(a, b)
+    divisor = b.coeffs[low:]
+    da, db = len(a.coeffs) - 1 - low, len(divisor) - 1
     if da < db:
         raise NotDivisibleError(a, b)
-    rem = list(a.coeffs)
+    rem = list(a.coeffs[low:])
     quot = [0] * (da - db + 1)
-    lead = b.coeffs[-1]
+    lead = divisor[-1]
     for i in range(da - db, -1, -1):
         c = rem[i + db]
         if c == 0:
@@ -309,7 +327,7 @@ def poly_exact_div(a, b):
         if r:
             raise NotDivisibleError(a, b)
         quot[i] = q
-        for j, bc in enumerate(b.coeffs):
+        for j, bc in enumerate(divisor):
             rem[i + j] -= q * bc
     if any(rem):
         raise NotDivisibleError(a, b)
@@ -328,8 +346,9 @@ def _pseudo_rem(a, b):
 
 
 def _valuation(p):
-    # lowest power with a nonzero coefficient of a nonzero polynomial
-    return next(i for i, c in enumerate(p.coeffs) if c)
+    # lowest power with a nonzero coefficient of a nonzero polynomial; the
+    # first nonzero value is found and then located by C-level scans
+    return p.coeffs.index(next(filter(None, p.coeffs)))
 
 
 def poly_gcd(a, b):

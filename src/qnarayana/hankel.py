@@ -2,9 +2,12 @@
 
 The determinant engine is the classical fraction-free elimination over an
 integral domain: cross-multiply, then divide by the previous pivot, every
-division provably exact in Z[t].  A cofactor-expansion determinant is kept
-alongside as an independent oracle for small dimensions, and the two are
-never merged.
+division provably exact in Z[t].  A symmetric matrix, which every Hankel
+matrix is, stays symmetric under that update, so until a zero pivot forces
+a row swap only the upper triangle is computed and mirrored; a swap breaks
+the symmetry and the rest of the elimination computes every entry.  A
+cofactor-expansion determinant is kept alongside as an independent oracle
+for small dimensions, and the two are never merged.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
@@ -70,10 +73,18 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
 
     A zero pivot triggers a row-swap search down the column with sign
     tracking; if the whole column below is zero the determinant is zero.
+
+    A symmetric input (every Hankel matrix is one) stays symmetric under
+    the update, since entry (i, j) of step k is built from (i, j), (i, k),
+    (k, j) and the pivot.  While it does, only the entries with j >= i are
+    computed and each is mirrored to (j, i).  A row swap breaks the
+    symmetry of the remaining block, so from the first swap on every entry
+    is computed, exactly as for a non-symmetric input.
     """
     n = m.dim
     var = m.entries[0][0].var
     a = [list(row) for row in m.entries]
+    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     sign = 1
     prev = Polynomial.one(var)
     for k in range(n - 1):
@@ -82,13 +93,18 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
+                    symmetric = False
                     break
             else:
                 return Polynomial.zero(var)
+        pivot, row_k = a[k][k], a[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = poly_exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-        prev = a[k][k]
+            row_i = a[i]
+            for j in range(i if symmetric else k + 1, n):
+                row_i[j] = poly_exact_div(pivot * row_i[j] - row_i[k] * row_k[j], prev)
+                if symmetric:
+                    a[j][i] = row_i[j]
+        prev = pivot
     return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
 
 

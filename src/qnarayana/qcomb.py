@@ -50,13 +50,15 @@ def q_int(n: int) -> Polynomial:
 def q_binomial(n: int, k: int) -> Polynomial:
     """Gaussian binomial coefficient via the q-Pascal recurrence.
 
-    Memoized; zero polynomial outside 0 <= k <= n.
+    qbinom(n,k) = qbinom(n-1,k-1) + q^k * qbinom(n-1,k), the product by q^k
+    taken as a shift of the coefficients.  Memoized; zero polynomial
+    outside 0 <= k <= n.
     """
     if k < 0 or n < 0 or k > n:
         return _ZERO
     if k == 0 or k == n:
         return _ONE
-    return q_binomial(n - 1, k - 1) + Polynomial.monomial(QVAR, k) * q_binomial(n - 1, k)
+    return q_binomial(n - 1, k - 1) + Polynomial._trusted(QVAR, [0] * k + list(q_binomial(n - 1, k).coeffs))
 
 
 def q_narayana_coeff(n: int, k: int) -> Polynomial:

@@ -1,6 +1,10 @@
 import json
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnarayana.exactalg import (
     NEG_INF,
@@ -16,6 +20,39 @@ from qnarayana.exactalg import (
 
 def P(*coeffs, var="t"):
     return Polynomial(var, coeffs)
+
+
+# coefficient lists with a zero block of up to 12 low powers, as in the
+# entries of a fraction-free elimination
+low_block_lists = st.builds(
+    lambda low, rest: [0] * low + rest, st.integers(0, 12), st.lists(st.integers(-9, 9), max_size=8)
+)
+
+
+def schoolbook_product(a, b):
+    """Coefficients of a*b for coefficient tuples, every pair multiplied."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def schoolbook_quotient(a, b):
+    """The quotient a/b for coefficient tuples (b nonzero), or None when b does not divide a in Z[t].
+
+    Long division over the rationals: b divides a in Z[t] exactly when the
+    remainder is zero and every quotient coefficient is an integer.
+    """
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= quot[i] * y
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        return None
+    return [int(q) for q in quot]
 
 
 class TestPolynomial:
@@ -137,6 +174,39 @@ class TestExactDivision:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             poly_exact_div(P(1), Polynomial.zero("t"))
+
+    @pytest.mark.parametrize(
+        "dividend, divisor",
+        [
+            ((1, 0, 0, 1), (0, 0, 1)),  # (1 + t^3)/t^2: a nonzero coefficient below t^2
+            ((0, 0, 1, 0, 0, 1), (0, 0, 2)),  # (t^2 + t^5)/(2t^2): content
+            ((0, 1, 0, 0, 1), (0, 1, 0, 1)),  # (t + t^4)/(t + t^3): remainder after t is split off
+        ],
+    )
+    def test_not_divisible_with_low_zero_block(self, dividend, divisor):
+        with pytest.raises(NotDivisibleError):
+            poly_exact_div(P(*dividend), P(*divisor))
+
+
+@given(low_block_lists, low_block_lists)
+def test_mul_with_zero_low_blocks_matches_schoolbook(a, b):
+    a, b = P(*a), P(*b)
+    assert a * b == Polynomial("t", schoolbook_product(a.coeffs, b.coeffs))
+
+
+@given(low_block_lists, low_block_lists.filter(any), low_block_lists)
+def test_exact_div_with_zero_low_blocks_matches_schoolbook(a, b, noise):
+    # dividend a*b + noise: divisible when noise is zero, and decided by the
+    # reference long division otherwise
+    b = P(*b)
+    product = schoolbook_product(P(*a).coeffs, b.coeffs)
+    dividend = P(*(x + y for x, y in zip_longest(product, noise, fillvalue=0)))
+    expected = schoolbook_quotient(dividend.coeffs, b.coeffs)
+    if expected is None:
+        with pytest.raises(NotDivisibleError):
+            poly_exact_div(dividend, b)
+    else:
+        assert poly_exact_div(dividend, b) == Polynomial("t", expected)
 
 
 class TestSubstitution:

@@ -32,6 +32,28 @@ def matrix(rows):
     return PolyMatrix(tuple(tuple(P(*entry) for entry in row) for row in rows))
 
 
+def rand_poly(rng):
+    return Polynomial(TVAR, [rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+
+
+def rand_symmetric(rng, dim):
+    rows = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = rand_poly(rng)
+    return rows
+
+
+def sympy_det(sympy, coeffs):
+    """det_bareiss's expected value for a matrix of coefficient lists, from sympy."""
+    t = sympy.Symbol("t")
+    dim = len(coeffs)
+    entries = sympy.Matrix(dim, dim, lambda i, j: sum(c * t ** k for k, c in enumerate(coeffs[i][j])))
+    # the default method expands symbolically and takes tens of seconds here
+    det = sympy.Poly(entries.det(method="domain-ge"), t)
+    return Polynomial(TVAR, [int(c) for c in reversed(det.all_coeffs())])
+
+
 class TestHankelMatrix:
     def test_small_c_unshifted(self):
         seq = poly_sequence("small_c", 4)
@@ -103,7 +125,6 @@ class TestDeterminants:
 
     def test_sympy_agreement_beyond_cofactor_limit(self):
         sympy = pytest.importorskip("sympy")
-        t = sympy.Symbol("t")
         rng = random.Random(271828)
         for k, dim in enumerate((7, 7, 8, 8, 9, 9)):
             coeffs = [[[rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] for _ in range(dim)]
@@ -111,10 +132,50 @@ class TestDeterminants:
             if k % 2:
                 coeffs[0][0] = [0]  # the elimination must look below for a pivot
             m = PolyMatrix(tuple(tuple(Polynomial(TVAR, c) for c in row) for row in coeffs))
-            entries = sympy.Matrix(dim, dim, lambda i, j: sum(c * t ** k for k, c in enumerate(coeffs[i][j])))
-            # the default method expands symbolically and takes tens of seconds here
-            det = sympy.Poly(entries.det(method="domain-ge"), t)
-            assert det_bareiss(m) == Polynomial(TVAR, [int(c) for c in reversed(det.all_coeffs())]), coeffs
+            assert det_bareiss(m) == sympy_det(sympy, coeffs), coeffs
+
+    def test_sympy_agreement_symmetric(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(314159)
+        for k, dim in enumerate((7, 7, 8, 8, 9, 9)):
+            rows = rand_symmetric(rng, dim)
+            if k % 2:
+                rows[0][0] = P(0)  # a swap at the first step ends the symmetric phase
+            coeffs = [[list(p.coeffs) for p in row] for row in rows]
+            assert det_bareiss(PolyMatrix(tuple(map(tuple, rows)))) == sympy_det(sympy, coeffs), coeffs
+
+    def test_symmetric_with_zero_pivot(self):
+        # With s = zero_step, the leading (s+1) x (s+1) block is a sum of s
+        # rank-one blocks v v^T, so that leading minor, the pivot of step s, is
+        # zero: the elimination runs symmetric for s steps, then swaps rows and
+        # computes every entry of the remaining block.
+        rng = random.Random(8081)
+        for dim in range(1, 7):
+            for zero_step in (None, *range(dim - 1)):
+                for _ in range(4):
+                    rows = rand_symmetric(rng, dim)
+                    if zero_step is not None:
+                        size = zero_step + 1
+                        vecs = [[rand_poly(rng) for _ in range(size)] for _ in range(zero_step)]
+                        for i in range(size):
+                            for j in range(size):
+                                rows[i][j] = sum((v[i] * v[j] for v in vecs), P(0))
+                        lead = PolyMatrix(tuple(tuple(row[:size]) for row in rows[:size]))
+                        assert det_cofactor(lead) == P(0)
+                    m = PolyMatrix(tuple(map(tuple, rows)))
+                    assert det_bareiss(m) == det_cofactor(m), (dim, zero_step, rows)
+
+    def test_one_asymmetric_entry(self):
+        # symmetric except for one entry below the diagonal, at every position:
+        # the symmetry test must read the whole matrix
+        rng = random.Random(4242)
+        for dim in range(2, 6):
+            for i in range(1, dim):
+                for j in range(i):
+                    rows = rand_symmetric(rng, dim)
+                    rows[i][j] = rows[i][j] + P(rng.choice((-3, -1, 1, 2)), rng.randint(-2, 2))
+                    m = PolyMatrix(tuple(map(tuple, rows)))
+                    assert det_bareiss(m) == det_cofactor(m), (dim, i, j, rows)
 
 
 class TestHankelTable:
@@ -140,6 +201,12 @@ class TestHankelTable:
         for family in ("narayana_poly", "small_c"):
             for shift in (0, 1):
                 assert all(row.match for row in hankel_table(family, shift, 7))
+
+    @pytest.mark.parametrize("family", ["narayana_poly", "small_c"])
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_all_match_to_twenty(self, family, shift):
+        rows = hankel_table(family, shift, 20)
+        assert [row.determinant for row in rows] == [expected_hankel(family, shift, n) for n in range(1, 21)]
 
     def test_expected_values(self):
         assert expected_hankel("small_c", 1, 3) == P(0, 0, 0, -1)

@@ -68,6 +68,13 @@ class TestQBinomial:
         denominator = q_int(2) * q_int(1)
         assert poly_exact_div(numerator, denominator) == q_binomial(4, 2)
 
+    def test_memo_matches_q_pascal_with_multiply(self):
+        for n in range(31):
+            assert q_binomial(n, 0) == q_binomial(n, n) == Q(1)
+            for k in range(1, n):
+                pascal = q_binomial(n - 1, k - 1) + Polynomial.monomial(QVAR, k) * q_binomial(n - 1, k)
+                assert q_binomial(n, k) == pascal, (n, k)
+
     def test_symmetry(self):
         for n in range(13):
             for k in range(n + 1):
