@@ -15,16 +15,18 @@ Three immutable value types built on Python's arbitrary-precision integers:
   coefficients in any of the rings above (or plain ints).  Every operation
   truncates eagerly; two series are only comparable at equal order.
 
-Series product and inverse over Z[t] (every coefficient a ``Polynomial`` in
-one variable) run on packed integers (Kronecker substitution): each
-coefficient is replaced once by its value at t = 2**w, the convolution or
-inverse recurrence runs on those ints, and each result is read back once as
-its balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism,
-so every packed value is exact; the digits are the coefficients as long as
-each is below 2**(w-1) in absolute value.  w is a whole number of bytes
-taken from a bound computed from the operands (see ``TruncatedSeries``).
-Series over ints, over rational functions, or mixing coefficient types
-use the coefficient-wise loop.
+Packed integers (Kronecker substitution) carry the big Z[t] work: a
+polynomial is replaced by its value at t = 2**w and read back once as its
+balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism, so
+every packed value is exact; the digits are the coefficients as long as each
+is below 2**(w-1) in absolute value, and w is a whole number of bytes taken
+from a bound on every coefficient.  The codec has three users.  The series
+product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the only
+series loops, on the packed coefficients instead of the polynomials (see
+``TruncatedSeries`` for the bound).  ``_bounded_quotient`` divides packed
+values and certifies the quotient: an integer division can be exact where
+the polynomial one is not, so a quotient is accepted only with remainder 0
+and every coefficient within a caller's bound that the slot was sized for.
 
 Polynomial product and exact division skip zero low blocks, which
 fraction-free elimination produces in bulk (entries t^v times a short
@@ -46,8 +48,9 @@ which only strips trailing zeros.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import zip_longest
-from operator import mul
+from operator import add, mul
 
 
 class NotDivisibleError(ArithmeticError):
@@ -626,11 +629,46 @@ def _unpack(value, nbytes, var):
 
 
 def _max_coeff(polys):
-    return max((abs(c) for p in polys for c in p.coeffs), default=0)
+    return max((max(map(abs, p.coeffs)) for p in polys if p.coeffs), default=0)
 
 
 def _norms(polys):
     return [sum(map(abs, p.coeffs)) for p in polys]
+
+
+def _convolve(a, b):
+    """Truncated product of coefficient lists in any ring: out_m = a_0 b_m + ... + a_m b_0, summed left to right."""
+    return [reduce(add, map(mul, a[:m + 1], b[m::-1])) for m in range(len(a))]
+
+
+def _inverse(a, inv0):
+    """Truncated inverse of a coefficient list with a_0 * inv0 = 1: out_m = -(inv0 * (a_1 out_(m-1) + ... + a_m out_0))."""
+    out = [inv0]
+    for m in range(1, len(a)):
+        out.append(-(inv0 * reduce(add, map(mul, a[1:m + 1], out[m - 1::-1]))))
+    return out
+
+
+def _bounded_quotient(a, b, d, bound):
+    """a*b/d in Z[var], accepted only if every |coefficient| <= bound; NotDivisibleError otherwise.
+
+    The slot holds |d|_1 * bound + |a|_1 * |b|_1 plus a sign bit, and
+    every input's l1 norm whatever the bound.  The packed product is divided
+    by the packed divisor and the quotient Q' unpacked once.  With remainder
+    0 and every |Q'_i| <= bound, each coefficient of Q'*d - a*b is at most
+    |d|_1 * bound + |a|_1 * |b|_1, so below 2**(w-1) in absolute value, and
+    Q'*d - a*b vanishes at 2**w; balanced digits are unique, so it is zero
+    and Q' is exact.  This holds for any divisor and any bound: a bound
+    below the true quotient's coefficients raises, never returns a wrong
+    value.
+    """
+    norm_a, norm_b, norm_d = _norms((a, b, d))
+    nbytes = _slot_bytes(max(norm_a, norm_b, norm_d, norm_d * bound + norm_a * norm_b))
+    packed, rem = divmod(_pack(a, nbytes) * _pack(b, nbytes), _pack(d, nbytes))
+    quotient = _unpack(packed, nbytes, a.var)
+    if rem or _max_coeff((quotient,)) > bound:
+        raise NotDivisibleError(a * b, d)
+    return quotient
 
 
 def ring_to_json(c):
@@ -654,17 +692,18 @@ class TruncatedSeries:
     back to that order.  Comparing series of different orders is an error,
     not False: prefixes of different lengths carry different information.
 
-    When every coefficient of the operands is a ``Polynomial`` in one shared
-    variable, ``*`` and ``invert`` run the packed kernel described in the
-    module docstring.  Its slot holds any |coefficient| up to a bound B plus
-    a sign bit, rounded up to whole bytes.  With |p|_1 the sum of the
-    absolute coefficients of p, B is the larger of the largest input
-    coefficient and, for a product a*b, the largest sum_i |a_i|_1 |b_(m-i)|_1
-    over m (it bounds every coefficient of output m); for the inverse of a
-    (constant term +-1), the largest beta_m, where beta_0 = 1 and
+    ``*`` and ``invert`` are ``_convolve`` and ``_inverse``.  Over ints,
+    rational functions or mixed rings they run on the coefficients.  When
+    every coefficient is a ``Polynomial`` in one shared variable they run on
+    the packed coefficients (module docstring), in slots that hold a bound B
+    plus a sign bit, rounded up to whole bytes.  B is the larger of the
+    largest input coefficient and the largest value of the same loop run on
+    the ints |p|_1, the sums of absolute coefficients: for a product,
+    _convolve of the norms, whose entry m bounds every coefficient of output
+    m; for the inverse of a (constant term +-1), beta = _inverse of
+    [1, -|a_1|_1, -|a_2|_1, ...] with inverse constant 1, so that
     beta_m = sum_(i>=1) |a_i|_1 beta_(m-i) bounds |out_m|_1 by induction on
-    the recurrence out_m = -inv0 * sum_(i>=1) a_i out_(m-i).  Other
-    coefficient rings use the coefficient-wise loop.
+    out_m = -inv0 * sum_(i>=1) a_i out_(m-i).
     """
 
     __slots__ = ("order", "coeffs")
@@ -721,27 +760,13 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
+        a, b = self.coeffs, other.coeffs
         var = _packed_var(self, other)
-        if var is not None:
-            return self._packed_mul(other, var)
-        out = []
-        for m in range(self.order + 1):
-            acc = self.coeffs[0] * other.coeffs[m]
-            for i in range(1, m + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[m - i]
-            out.append(acc)
-        return TruncatedSeries(out, self.order)
-
-    def _packed_mul(self, other, var):
-        # |coefficient of a_i*b_j| <= |a_i|_1 * |b_j|_1, so the sum over i bounds product coefficient m
-        na, nb = _norms(self.coeffs), _norms(other.coeffs)
-        bound = max(_max_coeff(self.coeffs + other.coeffs),
-                    max(sum(map(mul, na[:m + 1], nb[m::-1])) for m in range(self.order + 1)))
-        nbytes = _slot_bytes(bound)
-        a = [_pack(p, nbytes) for p in self.coeffs]
-        b = [_pack(p, nbytes) for p in other.coeffs]
-        return TruncatedSeries([_unpack(sum(map(mul, a[:m + 1], b[m::-1])), nbytes, var)
-                                for m in range(self.order + 1)], self.order)
+        if var is None:
+            return TruncatedSeries(_convolve(a, b), self.order)
+        nbytes = _slot_bytes(max(_max_coeff(a + b), *_convolve(_norms(a), _norms(b))))
+        packed = _convolve([_pack(p, nbytes) for p in a], [_pack(p, nbytes) for p in b])
+        return TruncatedSeries([_unpack(v, nbytes, var) for v in packed], self.order)
 
     def scale(self, c):
         """Multiply every coefficient by a ring element."""
@@ -752,6 +777,7 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("shift must be >= 0")
         zero = ring_zero_like(self.coeffs[0])
+        k = min(k, self.order + 1)
         coeffs = (zero,) * k + self.coeffs[: self.order + 1 - k]
         return TruncatedSeries(coeffs, self.order)
 
@@ -775,31 +801,15 @@ class TruncatedSeries:
         The constant coefficient must be a unit: +-1 over the integers or
         the polynomial ring, any nonzero element over rational functions.
         """
-        inv0 = _unit_inverse(self.coeffs[0])
+        a = self.coeffs
+        inv0 = _unit_inverse(a[0])
         var = _packed_var(self)
-        if var is not None:
-            return self._packed_invert(inv0.coeffs[0], var)
-        out = [inv0]
-        for m in range(1, self.order + 1):
-            acc = self.coeffs[1] * out[m - 1]
-            for i in range(2, m + 1):
-                acc = acc + self.coeffs[i] * out[m - i]
-            out.append(-(inv0 * acc))
-        return TruncatedSeries(out, self.order)
-
-    def _packed_invert(self, inv0, var):
-        # out_m = -inv0 * sum_{i>=1} a_i out_{m-i} with inv0 = +-1, so |out_m|_1 <= beta_m
-        norms = _norms(self.coeffs)
-        beta = [1]
-        for m in range(1, self.order + 1):
-            beta.append(sum(map(mul, norms[1:m + 1], beta[m - 1::-1])))
-        nbytes = _slot_bytes(max(_max_coeff(self.coeffs), max(beta)))
-        a = [_pack(p, nbytes) for p in self.coeffs]
-        out = [inv0]
-        for m in range(1, self.order + 1):
-            acc = sum(map(mul, a[1:m + 1], out[m - 1::-1]))
-            out.append(-acc if inv0 == 1 else acc)
-        return TruncatedSeries([_unpack(v, nbytes, var) for v in out], self.order)
+        if var is None:
+            return TruncatedSeries(_inverse(a, inv0), self.order)
+        beta = _inverse([1] + [-n for n in _norms(a[1:])], 1)
+        nbytes = _slot_bytes(max(_max_coeff(a), *beta))
+        packed = _inverse([_pack(p, nbytes) for p in a], inv0.coeffs[0])
+        return TruncatedSeries([_unpack(v, nbytes, var) for v in packed], self.order)
 
     def subs_neg_z(self):
         """Substitute z -> -z."""

@@ -4,34 +4,23 @@ Everything lives in Z[q].  Out-of-range indices yield the zero polynomial
 so that summation loops can run over a uniform range.
 
 Each q-Narayana coefficient q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1]
-is computed on packed integers (Kronecker substitution, as in the series
-kernel of ``exactalg``): the two q-binomials and [k+1] are evaluated at
-q = 2**w, multiplied and divided as Python ints, and the quotient is read
-back once as its balanced base-2**w digits, then shifted by q^(k^2+k).
-Evaluation at 2**w is a ring homomorphism, so the integer division is
-exact whenever the polynomial one is; the converse fails (1+q over 97 is
-exact at 2**24), so the quotient is certified.  Let A be the product of
-the l1 norms of the two binomials and N their product:
-
-* Bound.  Every |N_i| <= A.  The true quotient
-  Q = N(1 - q) / (1 - q^(k+1)) has every |Q_i| <= |N(1 - q)|_1 <= 2A,
-  since Q_i sums coefficients of N(1 - q) at positions k+1 apart.
-* Certificate.  The slot holds (2k+3) * A plus a sign bit.  The unpacked
-  Q' is accepted only if the remainder is 0 and every |Q'_i| <= 2A.  Then
-  every coefficient of Q'*[k+1] - N is at most (k+1)*2A + A = (2k+3)A,
-  below 2**(w-1) in absolute value, and Q'*[k+1] - N vanishes at 2**w.
-  Balanced base-2**w digits are unique, so it is zero: Q' is exact.
-
-Anything else raises ``NotDivisibleError``, as ``poly_exact_div`` does.
-``q_catalan`` keeps ``poly_exact_div``, so the row sums it is checked
-against do not share the packed kernel.
+comes from ``exactalg._bounded_quotient``, one packed product and one
+packed division certified against a bound on the true quotient.  With N
+the product of the two binomials and A the product of their l1 norms, the
+quotient Q = N(1 - q) / (1 - q^(k+1)) has every |Q_i| <= |N(1 - q)|_1 <= 2A,
+since Q_i sums coefficients of N(1 - q) at positions k+1 apart.  The
+binomials' coefficients are nonnegative, so A is the product of their
+coefficient sums a(1) * b(1).  A faulty negative coefficient only makes
+that bound stricter, so it can raise ``NotDivisibleError`` but never
+return a wrong value.  ``q_catalan`` keeps ``poly_exact_div``, so the row
+sums it is checked against do not share the packed kernel.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .exactalg import NotDivisibleError, Polynomial, _norms, _pack, _slot_bytes, _unpack, poly_exact_div
+from .exactalg import Polynomial, _bounded_quotient, poly_exact_div
 
 QVAR = "q"
 
@@ -64,38 +53,18 @@ def q_binomial(n: int, k: int) -> Polynomial:
 def q_narayana_coeff(n: int, k: int) -> Polynomial:
     """q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1], the division exact.
 
-    The binomials and [k+1] are packed at q = 2**w with w whole bytes
-    holding (2k+3) * A plus a sign bit, A the product of the binomials'
-    l1 norms; one big-int product and one divmod give the packed quotient,
-    unpacked once and shifted.  It is accepted only with remainder 0 and
-    every coefficient at most 2A, which certifies it exact in Z[q] (see the
-    module docstring); otherwise NotDivisibleError.  Zero polynomial for
-    k < 0 or k >= n.
+    The quotient is ``_bounded_quotient`` with the bound 2A of the module
+    docstring, so its slot holds (2k+3) * A plus a sign bit; a quotient
+    that is not exact in Z[q] raises NotDivisibleError.  Zero polynomial
+    for k < 0 or k >= n.
     """
     if n < 1:
         raise ValueError("q-Narayana coefficients need n >= 1")
     if k < 0 or k >= n:
         return _ZERO
-    quotient = _packed_quotient(q_binomial(n, k), q_binomial(n - 1, k), q_int(k + 1))
+    a, b = q_binomial(n, k), q_binomial(n - 1, k)
+    quotient = _bounded_quotient(a, b, q_int(k + 1), 2 * sum(a.coeffs) * sum(b.coeffs))
     return Polynomial._trusted(QVAR, [0] * (k * k + k) + list(quotient.coeffs))
-
-
-def _packed_quotient(a: Polynomial, b: Polynomial, d: Polynomial) -> Polynomial:
-    """a*b/d in Z[q] for nonzero a and b, accepted only with every |coefficient| <= 2*|a|_1*|b|_1.
-
-    The slot holds (2*|d|_1 + 1) * |a|_1*|b|_1 plus a sign bit, which is
-    (2k+3) * A for d = [k+1].  The 2A bound holds for the true quotient
-    when d = [k+1]; for another divisor a larger quotient raises
-    NotDivisibleError, never a wrong value.
-    """
-    norm_a, norm_b, norm_d = _norms((a, b, d))
-    bound = norm_a * norm_b
-    nbytes = _slot_bytes((2 * norm_d + 1) * bound)
-    packed, rem = divmod(_pack(a, nbytes) * _pack(b, nbytes), _pack(d, nbytes))
-    quotient = _unpack(packed, nbytes, QVAR)
-    if rem or max(map(abs, quotient.coeffs), default=0) > 2 * bound:
-        raise NotDivisibleError(a * b, d)
-    return quotient
 
 
 def q_catalan(n: int) -> Polynomial:

@@ -292,6 +292,11 @@ class TestJFraction:
         assert series.coeffs[0] == RationalFunction.one(TVAR)
         assert all(c.is_zero() for c in series.coeffs[1:])
 
+    @pytest.mark.parametrize("tag", ["smallc", "smallg"])
+    def test_order_zero_is_the_constant_one(self, tag):
+        jf = jfraction_extract(ratfun_series(tag, 6), 2)
+        assert jfraction_to_series(jf, 0) == TruncatedSeries.constant(RationalFunction.one(TVAR), 0)
+
     def test_roundtrip(self):
         for tag in ("smallc", "smallg"):
             for depth in (1, 3, 5):

@@ -326,20 +326,68 @@ def test_packed_kernel_edge_cases():
         assert f * f.invert() == TruncatedSeries.constant(P(1), f.order)
 
 
+def kernel(case):
+    """f * g for a pair (f, g), f.invert() for a single (f,)."""
+    return case[0] * case[1] if len(case) == 2 else case[0].invert()
+
+
+def reference(case):
+    return reference_product(*case) if len(case) == 2 else reference_inverse(*case)
+
+
 def real_kernel_cases(order=60):
-    """smallc * smallc(-t,-z), bigG^2 and bigC^-1, each with its reference coefficients."""
+    """smallc * smallc(-t,-z) and bigG^2 as (f, g) pairs, bigC^-1 as (f,)."""
     from qnarayana.gfun import build_series
 
     c, G, C = (build_series(tag, order) for tag in ("smallc", "bigG", "bigC"))
     c_neg = c.map_coeffs(lambda p: p.subs_neg()).subs_neg_z()
-    return [(lambda: c * c_neg, reference_product(c, c_neg)),
-            (lambda: G * G, reference_product(G, G)),
-            (lambda: C.invert(), reference_inverse(C))]
+    return [(c, c_neg), (G, G), (C,)]
 
 
 def test_packed_kernel_on_the_package_series():
-    for compute, want in real_kernel_cases():
-        assert spelled(compute().coeffs) == spelled(want)
+    for case in real_kernel_cases():
+        assert spelled(kernel(case).coeffs) == spelled(reference(case))
+
+
+def l1(p):
+    return sum(abs(c) for c in p.coeffs)
+
+
+def pinned_series_bound(case):
+    """The slot bound of a series product or inverse, written out term by term."""
+    largest = max((abs(c) for f in case for p in f.coeffs for c in p.coeffs), default=0)
+    f = case[0]
+    if len(case) == 2:
+        g = case[1]
+        sums = [sum(l1(f.coeffs[i]) * l1(g.coeffs[m - i]) for i in range(m + 1)) for m in range(f.order + 1)]
+        return max(largest, max(sums))
+    beta = [1]
+    for m in range(1, f.order + 1):
+        beta.append(sum(l1(f.coeffs[i]) * beta[m - i] for i in range(1, m + 1)))
+    return max(largest, max(beta))
+
+
+def test_slot_bounds_are_pinned(monkeypatch):
+    from qnarayana import exactalg
+    from qnarayana.qcomb import q_binomial, q_narayana_coeff
+
+    width, seen = exactalg._slot_bytes, []
+    monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: seen.append(bound) or width(bound))
+    rng = random.Random(60605)
+    cases = real_kernel_cases()
+    for _ in range(100):
+        order = rng.randint(0, 7)
+        cases.append((rand_poly_series(rng, order), rand_poly_series(rng, order)))
+        cases.append((rand_poly_series(rng, order, unit=True),))
+    for case in cases:
+        seen.clear()
+        kernel(case)
+        assert seen == [pinned_series_bound(case)], case
+    for n in range(1, 31):
+        for k in range(n):
+            seen.clear()
+            q_narayana_coeff(n, k)
+            assert seen == [(2 * k + 3) * l1(q_binomial(n, k)) * l1(q_binomial(n - 1, k))], (n, k)
 
 
 def test_slot_one_byte_narrower_is_caught(monkeypatch):
@@ -354,11 +402,12 @@ def test_slot_one_byte_narrower_is_caught(monkeypatch):
 
 
 def test_generic_rings_keep_the_coefficient_loop(monkeypatch):
+    from qnarayana import exactalg
+
     def packed(*args):
         raise AssertionError("packed kernel used outside Z[t]")
 
-    monkeypatch.setattr(TruncatedSeries, "_packed_mul", packed)
-    monkeypatch.setattr(TruncatedSeries, "_packed_invert", packed)
+    monkeypatch.setattr(exactalg, "_pack", packed)
     rng = random.Random(60603)
     for _ in range(40):
         order = rng.randint(0, 5)

@@ -1,6 +1,6 @@
 import pytest
 
-from qnarayana import qcomb
+from qnarayana import exactalg, qcomb
 from qnarayana.exactalg import NotDivisibleError, Polynomial, poly_exact_div
 from qnarayana.narayana import narayana_number, v_coeff
 from qnarayana.qcomb import (
@@ -120,8 +120,8 @@ class TestPackedKernel:
     @pytest.mark.parametrize("narrow", [lambda nbytes: nbytes - 1, lambda nbytes: 1],
                              ids=["one-byte-narrower", "one-byte-slots"])
     def test_narrower_slot_is_caught(self, monkeypatch, narrow):
-        slot_bytes = qcomb._slot_bytes
-        monkeypatch.setattr(qcomb, "_slot_bytes", lambda bound: narrow(slot_bytes(bound)))
+        slot_bytes = exactalg._slot_bytes
+        monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: narrow(slot_bytes(bound)))
         assert next(kernel_mismatches(30), None) is not None
 
     def test_non_dividing_divisor_raises(self, monkeypatch):
@@ -134,10 +134,10 @@ class TestPackedKernel:
 
     def test_integer_exact_polynomial_inexact_raises(self, monkeypatch):
         # 97 divides 2^24 + 1, the value of 1+q in 3-byte slots, but not 1+q in Z[q]
-        monkeypatch.setattr(qcomb, "_slot_bytes", lambda bound: 3)
+        monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: 3)
         assert (2 ** 24 + 1) % 97 == 0
         with pytest.raises(NotDivisibleError):
-            qcomb._packed_quotient(Q(1, 1), Q(1), Q(97))
+            exactalg._bounded_quotient(Q(1, 1), Q(1), Q(97), 2)
 
 
 class TestQCatalan:
