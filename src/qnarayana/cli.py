@@ -10,10 +10,9 @@ stderr, and identical invocations produce byte-identical output, so
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from . import dyckoracle, fixtures, gfun, hankel, narayana, qcomb
 from .exactalg import Polynomial, RationalFunction
@@ -35,14 +34,12 @@ MAX_ORDER = 160
 REGISTRY_SIZE = 31
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     verb: str
     options: dict
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -274,6 +271,13 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     return tuple(checks)
 
 
+def _dumps(payload) -> str:
+    """payload as one line of JSON; json is imported here, so only --json runs load it."""
+    import json
+
+    return json.dumps(payload)
+
+
 def _run_checks(named_checks, as_json: bool) -> int:
     results = []
     for name, fn in named_checks:
@@ -291,7 +295,7 @@ def _run_checks(named_checks, as_json: bool) -> int:
                 for r in results
             ],
         }
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         for r in results:
             line = f"{'PASS' if r.passed else 'FAIL'} {r.name}"
@@ -315,7 +319,7 @@ _CFRAC_FAMILIES = {"c": "smallc", "g": "smallg"}
 def _run_poly(opts) -> int:
     poly = narayana.FAMILIES[_POLY_FAMILIES[opts["family"]]](opts["n"])
     if opts["json"]:
-        print(json.dumps(poly.to_json()))
+        print(_dumps(poly.to_json()))
     else:
         print(poly)
     return 0
@@ -334,7 +338,7 @@ def _run_hankel(opts) -> int:
                 for r in rows
             ],
         }
-        print(json.dumps(payload))
+        print(_dumps(payload))
     elif opts["csv"]:
         sys.stdout.write(hankel.hankel_table_csv(family, shift, rows))
     else:
@@ -360,7 +364,7 @@ def _run_cfrac(opts) -> int:
                 for kind, k, got, want, match in levels
             ],
         }
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         for kind, k, got, want, match in levels:
             flag = "match" if match else "MISMATCH"
@@ -377,7 +381,7 @@ def _run_verify(opts) -> int:
             # identity-only JSON inherits the IdentityReport serialization
             reports = [gfun.verify_identity(i, order).to_json() for i in opts["identity"]]
             status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
-            print(json.dumps({"status": status, "reports": reports}))
+            print(_dumps({"status": status, "reports": reports}))
             return 0 if status == "pass" else 1
         by_identity = {entry[0].split("/")[1]: entry for entry in build_registry(order)
                        if entry[0].startswith("identity/")}

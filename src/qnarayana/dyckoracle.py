@@ -23,8 +23,7 @@ this module exists to validate small cases, not to scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .exactalg import Polynomial, ring_to_json
 from .qcomb import QVAR
@@ -84,17 +83,20 @@ def is_dyck_path(word: str) -> bool:
     return height == 0
 
 
+_SWAP = str.maketrans("UD", "DU")
+
+
 def reverse_complement(word: str) -> str:
-    swap = {"U": "D", "D": "U"}
-    return "".join(swap[step] for step in reversed(word))
+    if word.count("U") + word.count("D") != len(word):
+        raise ValueError(f"path steps must be 'U' or 'D', got {word!r}")
+    return word[::-1].translate(_SWAP)
 
 
 def is_symmetric(word: str) -> bool:
     return word == reverse_complement(word)
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     valleys: int
     maj: int
 
@@ -103,10 +105,11 @@ def path_stats(word: str) -> PathStats:
     """Valley count and major index of a valid path."""
     valleys = 0
     maj = 0
-    for i in range(len(word) - 1):
-        if word[i] == "D" and word[i + 1] == "U":
-            valleys += 1
-            maj += i + 1
+    i = word.find("DU")
+    while i >= 0:
+        valleys += 1
+        maj += i + 1
+        i = word.find("DU", i + 1)
     return PathStats(valleys, maj)
 
 

@@ -20,7 +20,7 @@ the mapping from key to statement is spelled out in ``IDENTITY_DESCRIPTIONS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import Polynomial, TruncatedSeries, ring_to_json
 from .narayana import FAMILIES, TVAR, binomial, catalan_number
@@ -197,8 +197,7 @@ IDENTITY_DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check: pass, or the first failing power."""
 
     identity: str

@@ -20,7 +20,7 @@ the double product ``hankel_product_formula``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import (
     Polynomial,
@@ -33,23 +33,32 @@ from .gfun import build_series
 from .narayana import TVAR, binomial, poly_sequence
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix of polynomials sharing one variable."""
-
+class _PolyMatrixFields(NamedTuple):
     entries: tuple[tuple[Polynomial, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.entries)
+
+class PolyMatrix(_PolyMatrixFields):
+    """Square matrix of polynomials sharing one variable."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[tuple[Polynomial, ...], ...]):
+        n = len(entries)
         if n == 0:
             raise ValueError("empty matrix")
-        var = self.entries[0][0].var
-        for row in self.entries:
+        var = entries[0][0].var
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
             for p in row:
                 if p.var != var:
                     raise ValueError("matrix entries must share one variable")
+        return super().__new__(cls, entries)
+
+    @classmethod
+    def _make(cls, iterable):
+        """From an iterable of fields, through the checks of __new__ (``_replace`` calls this too)."""
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -132,8 +141,7 @@ def _det_cofactor(rows):
     return total
 
 
-@dataclass(frozen=True)
-class HankelRow:
+class HankelRow(NamedTuple):
     n: int
     determinant: Polynomial
     expected: Polynomial
@@ -181,8 +189,13 @@ def ratfun_series(tag: str, order: int) -> TruncatedSeries:
     return build_series(tag, order).map_coeffs(RationalFunction)
 
 
-@dataclass(frozen=True)
-class JFraction:
+class _JFractionFields(NamedTuple):
+    s: tuple[RationalFunction, ...]
+    t_coeffs: tuple[RationalFunction, ...]
+    terminated: bool = False
+
+
+class JFraction(_JFractionFields):
     """Diagonal coefficients s and subdiagonal coefficients t_coeffs.
 
     Always one more s than t (the innermost level has no subdiagonal term);
@@ -191,15 +204,20 @@ class JFraction:
     in that case the fraction is finite and reproduces its series exactly.
     """
 
-    s: tuple[RationalFunction, ...]
-    t_coeffs: tuple[RationalFunction, ...]
-    terminated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.s) != len(self.t_coeffs) + 1 and (self.s or self.t_coeffs):
+    def __new__(cls, s: tuple[RationalFunction, ...], t_coeffs: tuple[RationalFunction, ...],
+                terminated: bool = False):
+        if len(s) != len(t_coeffs) + 1 and (s or t_coeffs):
             raise ValueError("need exactly one more diagonal than subdiagonal coefficient")
-        if any(t.is_zero() for t in self.t_coeffs):
+        if any(t.is_zero() for t in t_coeffs):
             raise ValueError("subdiagonal coefficients must be nonzero")
+        return super().__new__(cls, s, t_coeffs, terminated)
+
+    @classmethod
+    def _make(cls, iterable):
+        """From an iterable of fields, through the checks of __new__ (``_replace`` calls this too)."""
+        return cls(*iterable)
 
     @property
     def depth(self) -> int:

@@ -395,6 +395,38 @@ class TestCheckReportsItsOwnDiff:
         assert found == []
 
 
+def _python(*args):
+    """Run the interpreter on args, with the package's source directory on the path."""
+    src = str(Path(qnarayana.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+class TestStartUp:
+    """Every run imports the CLI, so it loads only what every run needs."""
+
+    def test_import_loads_no_heavy_module(self):
+        listing = "import sys; sys.stdout.write(' '.join(sorted(sys.modules)))"
+        bare, loaded = (_python("-c", code).stdout.decode().split()
+                        for code in (listing, "import qnarayana.cli; " + listing))
+        added = set(loaded) - set(bare)  # a site hook that loads a module loads it in both runs
+        assert "qnarayana.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"})
+
+    @pytest.mark.parametrize("golden, json_loaded", [("verify_all_json.out", True),
+                                                     ("cfrac_c_depth12.out", False)])
+    def test_json_loads_only_for_json_output(self, golden, json_loaded):
+        script = ("import sys\n"
+                  "from qnarayana.cli import main\n"
+                  f"code = main({GOLDEN[golden]!r})\n"
+                  "sys.stderr.write(str('json' in sys.modules))\n"
+                  "sys.exit(code)\n")
+        run = _python("-c", script)
+        assert run.returncode == 0
+        assert run.stdout == (Path(__file__).parent / "data" / golden).read_bytes()
+        assert run.stderr.decode() == str(json_loaded)
+
+
 class TestSharedExtraction:
     """A request cut from a deeper shared extraction equals a fresh extraction at its depth."""
 
@@ -414,3 +446,82 @@ class TestSharedExtraction:
         extract = cli._extract_once()
         for depth in (4, 0, 1, 2, 3, 5):
             assert extract("finite", depth) == cli._extract("finite", depth)
+
+
+def _record_fields():
+    """Each record type with a fresh set of field values, by field name in declaration order."""
+    one = RationalFunction.one("t")
+    return [
+        (Command, {"verb": "poly", "options": {"family": "c", "n": 3}}),
+        (cli.CheckResult, {"name": "eval/at_one", "passed": True, "detail": "n<=20"}),
+        (gfun.IdentityReport, {"identity": "eq15", "order": 4, "status": "fail", "power": 2,
+                               "lhs": T, "rhs": T + Polynomial.one("t")}),
+        (hankel.PolyMatrix, {"entries": ((Polynomial.one("t"), T), (T, T * T))}),
+        (hankel.HankelRow, {"n": 2, "determinant": T, "expected": T, "match": True}),
+        (hankel.JFraction, {"s": (one, one + one), "t_coeffs": (one,), "terminated": True}),
+        (dyckoracle.PathStats, {"valleys": 1, "maj": 2}),
+    ]
+
+
+_RECORD_IDS = [cls.__name__ for cls, _ in _record_fields()]
+
+
+class TestRecords:
+    """The small result and command records: immutable values compared field by field."""
+
+    @pytest.mark.parametrize("index", range(len(_RECORD_IDS)), ids=_RECORD_IDS)
+    def test_assignment_raises(self, index):
+        cls, fields = _record_fields()[index]
+        record = cls(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("index", range(len(_RECORD_IDS)), ids=_RECORD_IDS)
+    def test_keyword_and_positional_construction_agree(self, index):
+        cls, fields = _record_fields()[index]
+        record = cls(**fields)
+        assert record == cls(*fields.values())
+        assert {name: getattr(record, name) for name in fields} == fields
+
+    @pytest.mark.parametrize("index", range(len(_RECORD_IDS)), ids=_RECORD_IDS)
+    def test_equal_fields_give_equal_values_and_hashes(self, index):
+        (cls, fields), (_, same) = _record_fields()[index], _record_fields()[index]
+        a, b = cls(**fields), cls(**same)
+        assert a == b
+        if cls is Command:  # its options are a dict, so it is as unhashable as the dict
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+
+    def test_defaults(self):
+        one = RationalFunction.one("t")
+        assert cli.CheckResult("eval/at_one", True).detail == ""
+        report = gfun.IdentityReport("eq15", 4, "pass")
+        assert (report.power, report.lhs, report.rhs) == (None, None, None)
+        assert hankel.JFraction((one, one), (one,)).terminated is False
+        assert hankel.JFraction((one, one), (one,), terminated=True).terminated is True
+
+    def test_poly_matrix_refuses_malformed_entries(self):
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            hankel.PolyMatrix(())
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            hankel.PolyMatrix(((T, T),))
+        with pytest.raises(ValueError, match="^matrix entries must share one variable$"):
+            hankel.PolyMatrix(((T, Q), (T, T)))
+
+    def test_make_and_replace_run_the_checks(self):
+        one = RationalFunction.one("t")
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            hankel.PolyMatrix._make([()])
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            hankel.PolyMatrix(((T,),))._replace(entries=((T, T),))
+        with pytest.raises(ValueError, match="one more diagonal"):
+            hankel.JFraction._make([(one,), (one,)])
+        with pytest.raises(ValueError, match="nonzero"):
+            hankel.JFraction((one, one), (one,))._replace(t_coeffs=(one - one,))
+        assert hankel.JFraction((one, one), (one,))._replace(terminated=True) == hankel.JFraction(
+            (one, one), (one,), terminated=True)

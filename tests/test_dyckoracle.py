@@ -67,6 +67,41 @@ class TestStats:
                 assert path_stats(path).valleys <= n - 1
 
 
+def _reference_stats(word):
+    """Valley count and major index, one pair of adjacent steps at a time."""
+    pairs = [i + 1 for i in range(len(word) - 1) if word[i] == "D" and word[i + 1] == "U"]
+    return len(pairs), sum(pairs)
+
+
+def _reference_reverse_complement(word):
+    return "".join({"U": "D", "D": "U"}[step] for step in reversed(word))
+
+
+def _words():
+    """Every Dyck path with n <= 10, and every symmetric path with n <= 14 with its first half."""
+    for n in range(11):
+        yield from enumerate_dyck(n)
+    for n in range(15):
+        for path in enumerate_symmetric(n):
+            yield path
+            yield path[:n]
+
+
+class TestAgainstPerStepReference:
+    def test_path_stats(self):
+        for word in _words():
+            assert path_stats(word) == PathStats(*_reference_stats(word)), word
+
+    def test_reverse_complement(self):
+        for word in _words():
+            assert reverse_complement(word) == _reference_reverse_complement(word), word
+
+    @pytest.mark.parametrize("word", ["UXD", "X", "UDu", "UD D"])
+    def test_reverse_complement_refuses_other_steps(self, word):
+        with pytest.raises(ValueError, match="'U' or 'D'"):
+            reverse_complement(word)
+
+
 class TestQtDistribution:
     def test_examples(self):
         assert qt_distribution(1) == {0: Q(1)}
