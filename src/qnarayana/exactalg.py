@@ -23,10 +23,12 @@ is below 2**(w-1) in absolute value, and w is a whole number of bytes taken
 from a bound on every coefficient.  The codec has three users.  The series
 product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the only
 series loops, on the packed coefficients instead of the polynomials (see
-``TruncatedSeries`` for the bound).  ``_bounded_quotient`` divides packed
-values and certifies the quotient: an integer division can be exact where
-the polynomial one is not, so a quotient is accepted only with remainder 0
-and every coefficient within a caller's bound that the slot was sized for.
+``TruncatedSeries`` for the bound); a series of rational functions whose
+denominators are all 1 lies in Z[t] too and packs its numerators.
+``_bounded_quotient`` divides packed values and certifies the quotient: an
+integer division can be exact where the polynomial one is not, so a
+quotient is accepted only with remainder 0 and every coefficient within a
+caller's bound that the slot was sized for.
 
 Polynomial product and exact division skip zero low blocks, which
 fraction-free elimination produces in bulk (entries t^v times a short
@@ -583,18 +585,38 @@ def _unit_inverse(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def _packed_var(*series):
-    """The variable every coefficient of the series shares as a Polynomial, else None."""
-    var = None
-    for f in series:
-        for c in f.coeffs:
-            if type(c) is not Polynomial:
+def _numerators(*series):
+    """(var, kind, numerators per series) when every coefficient lies in one Z[var], else None.
+
+    A coefficient lies in Z[var] as a Polynomial or as a RationalFunction
+    with denominator 1; every coefficient of every operand must be of the
+    same one of these two types, so the result can be given back in it.
+    """
+    kind = type(series[0].coeffs[0])
+    if kind is Polynomial:
+        polys = [f.coeffs for f in series]
+    elif kind is RationalFunction:
+        polys = []
+        for f in series:
+            if any(type(c) is not RationalFunction or c.den.coeffs != (1,) for c in f.coeffs):
                 return None
-            if var is None:
-                var = c.var
-            elif c.var != var:
+            polys.append([c.num for c in f.coeffs])
+    else:
+        return None
+    var = polys[0][0].var
+    for ps in polys:
+        for p in ps:
+            if type(p) is not Polynomial or p.var != var:
                 return None
-    return var
+    return var, kind, polys
+
+
+def _lift(polys, kind, var):
+    # results of the packed kernel, in the operands' coefficient type
+    if kind is Polynomial:
+        return polys
+    one = Polynomial.one(var)
+    return [RationalFunction._trusted(p, one) for p in polys]
 
 
 def _slot_bytes(bound):
@@ -692,10 +714,14 @@ class TruncatedSeries:
     back to that order.  Comparing series of different orders is an error,
     not False: prefixes of different lengths carry different information.
 
-    ``*`` and ``invert`` are ``_convolve`` and ``_inverse``.  Over ints,
-    rational functions or mixed rings they run on the coefficients.  When
-    every coefficient is a ``Polynomial`` in one shared variable they run on
-    the packed coefficients (module docstring), in slots that hold a bound B
+    ``*`` and ``invert`` are ``_convolve`` and ``_inverse``.  When every
+    coefficient lies in one Z[var], as a ``Polynomial`` throughout or as a
+    ``RationalFunction`` with denominator 1 throughout, they run on the
+    packed polynomials (module docstring) and give each result back in that
+    type; ``invert`` also needs the constant term +-1, since any other
+    inverse leaves Z[var].  Over ints, mixed types, or rational functions
+    with any other denominator they run on the coefficients.  The packed
+    loops use slots that hold a bound B
     plus a sign bit, rounded up to whole bytes.  B is the larger of the
     largest input coefficient and the largest value of the same loop run on
     the ints |p|_1, the sums of absolute coefficients: for a product,
@@ -760,13 +786,13 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        a, b = self.coeffs, other.coeffs
-        var = _packed_var(self, other)
-        if var is None:
-            return TruncatedSeries(_convolve(a, b), self.order)
+        ring = _numerators(self, other)
+        if ring is None:
+            return TruncatedSeries(_convolve(self.coeffs, other.coeffs), self.order)
+        var, kind, (a, b) = ring
         nbytes = _slot_bytes(max(_max_coeff(a + b), *_convolve(_norms(a), _norms(b))))
         packed = _convolve([_pack(p, nbytes) for p in a], [_pack(p, nbytes) for p in b])
-        return TruncatedSeries([_unpack(v, nbytes, var) for v in packed], self.order)
+        return TruncatedSeries(_lift([_unpack(v, nbytes, var) for v in packed], kind, var), self.order)
 
     def scale(self, c):
         """Multiply every coefficient by a ring element."""
@@ -799,17 +825,18 @@ class TruncatedSeries:
         """Multiplicative inverse up to the truncation order.
 
         The constant coefficient must be a unit: +-1 over the integers or
-        the polynomial ring, any nonzero element over rational functions.
+        the polynomial ring, any nonzero element over rational functions
+        (packed only when it is +-1).
         """
-        a = self.coeffs
-        inv0 = _unit_inverse(a[0])
-        var = _packed_var(self)
-        if var is None:
-            return TruncatedSeries(_inverse(a, inv0), self.order)
+        inv0 = _unit_inverse(self.coeffs[0])
+        ring = _numerators(self)
+        if ring is None or ring[2][0][0].coeffs not in ((1,), (-1,)):  # a_0 = +-1 keeps 1/a_0 in Z[var]
+            return TruncatedSeries(_inverse(self.coeffs, inv0), self.order)
+        var, kind, (a,) = ring
         beta = _inverse([1] + [-n for n in _norms(a[1:])], 1)
         nbytes = _slot_bytes(max(_max_coeff(a), *beta))
-        packed = _inverse([_pack(p, nbytes) for p in a], inv0.coeffs[0])
-        return TruncatedSeries([_unpack(v, nbytes, var) for v in packed], self.order)
+        packed = _inverse([_pack(p, nbytes) for p in a], a[0].coeffs[0])
+        return TruncatedSeries(_lift([_unpack(v, nbytes, var) for v in packed], kind, var), self.order)
 
     def subs_neg_z(self):
         """Substitute z -> -z."""

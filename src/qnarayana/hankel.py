@@ -11,7 +11,13 @@ for small dimensions, and the two are never merged.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
-because the intermediate reciprocals genuinely live there.  A ``JFraction``
+because a level's division by t_k may leave Z[t].  For smallc and smallg,
+the two families the CLI extracts, it does not: every t_k is +-t, so every
+level's series has denominator 1 throughout, and each level's inverse, like
+every inverse of ``jfraction_to_series``, runs on the packed Z[t] kernel of
+``TruncatedSeries``; only the division by t_k goes through the field's gcd.
+A level whose series leaves Z[t] falls back to the coefficient loop over
+the field, with the same result.  A ``JFraction``
 holding diagonal coefficients s_0..s_d and subdiagonal coefficients
 t_0..t_{d-1} reconstructs the series exactly through order 2d+1; the
 subdiagonal coefficients alone determine every Hankel determinant through

@@ -51,20 +51,43 @@ def narayana_number(n: int, k: int) -> int:
     return q
 
 
+def _row_by_ratio(length: int, step) -> list[int]:
+    """x_0 = 1, ..., x_(length-1) with x_(k+1) = x_k * num / den for (num, den) = step(k).
+
+    The row builders below take one multiply and one division per entry
+    instead of fresh binomials; each division is checked exact.
+    """
+    row = [1]
+    for k in range(length - 1):
+        num, den = step(k)
+        q, r = divmod(row[-1] * num, den)
+        if r:
+            raise ArithmeticError(f"row entry {k + 1} is not an integer: {row[-1]} * {num} / {den}")
+        row.append(q)
+    return row
+
+
 def narayana_poly(n: int) -> Polynomial:
-    """Row polynomial with Narayana-number coefficients; 1 for n = 0."""
+    """Row polynomial with Narayana-number coefficients; 1 for n = 0.
+
+    Built by N(n,k+1) = N(n,k)(n-k)(n-k-1)/((k+1)(k+2)); narayana_number
+    is the closed form of a single entry.
+    """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return _ONE
-    return Polynomial(TVAR, (narayana_number(n, k) for k in range(n)))
+    return Polynomial(TVAR, _row_by_ratio(n, lambda k: ((n - k) * (n - k - 1), (k + 1) * (k + 2))))
 
 
 def narayana_b_poly(n: int) -> Polynomial:
-    """Type-B analogue: coefficients are the squared binomials binom(n,k)^2."""
+    """Type-B analogue: coefficients are the squared binomials binom(n,k)^2.
+
+    Built from binom(n,k+1) = binom(n,k)(n-k)/(k+1).
+    """
     if n < 0:
         raise ValueError("index must be >= 0")
-    return Polynomial(TVAR, (binomial(n, k) ** 2 for k in range(n + 1)))
+    return Polynomial(TVAR, [c * c for c in _row_by_ratio(n + 1, lambda k: (n - k, k + 1))])
 
 
 def v_coeff(n: int, k: int) -> int:
@@ -77,16 +100,19 @@ def v_coeff(n: int, k: int) -> int:
 
 
 def c_poly(n: int) -> Polynomial:
-    """c_n(t) from the closed-form coefficients; 1 for n = 0.
+    """c_n(t) with the closed-form coefficients v_coeff(n, k); 1 for n = 0.
 
-    The sum runs k = 0..n; the top terms vanish on their own, leaving
-    degree n - 1 for n >= 1.
+    The degree is n - 1 for n >= 1.  Going from k to k + 1 advances one of
+    the two binomials of v_coeff by one step: the second, binom(n//2, j),
+    from an even k = 2j, and the first, binom((n-1)//2, j), from an odd
+    k = 2j+1.  So the row is built by ratio, each step (m - j)/(j + 1).
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return _ONE
-    return Polynomial(TVAR, (v_coeff(n, k) for k in range(n + 1)))
+    tops = (n // 2, (n - 1) // 2)
+    return Polynomial(TVAR, _row_by_ratio(n, lambda k: (tops[k % 2] - k // 2, k // 2 + 1)))
 
 
 def c_poly_recursive(n: int) -> Polynomial:

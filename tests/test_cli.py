@@ -194,6 +194,8 @@ GOLDEN = {
     "verify_all_json.out": ["verify", "--all", "--json"],
     "cfrac_c_depth12.out": ["cfrac", "--family", "c", "--depth", "12"],
     "cfrac_g_json.out": ["cfrac", "--family", "g", "--json"],
+    "cfrac_c_depth30.out": ["cfrac", "--family", "c", "--depth", "30"],
+    "cfrac_g_depth30_json.out": ["cfrac", "--family", "g", "--depth", "30", "--json"],
     "oracle.out": ["oracle"],
     "oracle_q10_sym14.out": ["oracle", "--q-max-n", "10", "--sym-max-n", "14"],
     "hankel_c_shift1_json.out": ["hankel", "--family", "c", "--shift", "1", "--json"],
@@ -298,6 +300,18 @@ def _top_coefficient_plus_one(jfraction_to_series):
     return perturbed
 
 
+def _series_plus_t(tag, power):
+    """Perturb hankel.ratfun_series: coefficient `power` of the series of `tag` gets t added."""
+    def perturb(ratfun_series):
+        def perturbed(name, order):
+            f = ratfun_series(name, order)
+            if name != tag:
+                return f
+            return TruncatedSeries(f.coeffs[:power] + (f.coeffs[power] + T,) + f.coeffs[power + 1:], order)
+        return perturbed
+    return perturb
+
+
 T = Polynomial.gen("t")
 Q = Polynomial.gen("q")
 
@@ -339,10 +353,14 @@ class TestCheckReportsItsOwnDiff:
          "FAIL cfrac/smallc/product_formula (n=4: product t^6, determinant t+t^6)"),
         (["verify", "--all"], hankel, "jfraction_to_series", _top_coefficient_plus_one,
          "FAIL cfrac/roundtrip (smallc does not round-trip at depth 8)"),
+        (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallg", 19),
+         "FAIL cfrac/smallg/closed_forms (s_9: extracted (-1-t^8-t^9)/(t^8), stored -1-t)"),
+        (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17),
+         "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "identity", "hankel", "eval-at-one",
             "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
-            "roundtrip"])
+            "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
         assert main(argv) == 1

@@ -154,3 +154,37 @@ class TestPolySequence:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             poly_sequence("fibonacci", 3)
+
+
+class TestRowsByRatio:
+    """The row builders step by ratio; the single-entry closed forms are their oracle."""
+
+    @staticmethod
+    def rows_and_closed_forms(n, ks=None):
+        """(row, entries of the row at ks, closed forms at ks) for each builder; ks defaults to every entry."""
+        out = []
+        for row, closed, length in ((narayana_poly(n), narayana_number, n),
+                                    (narayana_b_poly(n), lambda n, k: binomial(n, k) ** 2, n + 1),
+                                    (c_poly(n), v_coeff, n)):
+            at = range(length) if ks is None else ks
+            out.append((row, [row.coefficient(k) for k in at], [closed(n, k) for k in at]))
+        return out
+
+    def test_every_entry_up_to_300(self):
+        for n in range(1, 301):
+            for row, got, want in self.rows_and_closed_forms(n):
+                assert row.coeffs == tuple(got) and got == want, n
+
+    def test_at_5000(self):
+        n = 5000
+        ks = sorted({*range(0, n + 1, 97), *range(6), *range(n - 5, n + 1), n // 2})
+        (nara, *pair_c), (typeb, *pair_b), (small_c, *pair_s) = self.rows_and_closed_forms(n, ks)
+        assert pair_c[0] == pair_c[1] and pair_b[0] == pair_b[1] and pair_s[0] == pair_s[1]
+        assert (nara.degree(), typeb.degree(), small_c.degree()) == (n - 1, n, n - 1)
+        assert sum(nara.coeffs) == catalan_number(n)
+        assert sum(typeb.coeffs) == binomial(2 * n, n)
+        assert sum(small_c.coeffs) == special_values(n)[0]
+
+    def test_inexact_step_raises(self):
+        with pytest.raises(ArithmeticError, match=r"row entry 2 is not an integer: 2 \* 3 / 4"):
+            narayana._row_by_ratio(3, lambda k: (3, 4) if k else (2, 1))

@@ -245,7 +245,9 @@ def reference_product(f, g):
 
 
 def reference_inverse(f):
-    inv0 = f.coeffs[0]  # +-1 is its own inverse
+    inv0 = f.coeffs[0]  # +-1 is its own inverse; a rational function is inverted in the field
+    if isinstance(inv0, RationalFunction):
+        inv0 = inv0.reciprocal()
     out = [inv0]
     for m in range(1, f.order + 1):
         acc = f.coeffs[1] * out[m - 1]
@@ -256,8 +258,12 @@ def reference_inverse(f):
 
 
 def spelled(coeffs):
-    """Coefficients with their types and variables, so an int never passes for a constant polynomial."""
-    return [(type(c).__name__, getattr(c, "var", None), getattr(c, "coeffs", c)) for c in coeffs]
+    """Coefficients with their types and variables, so an int never passes for a constant polynomial.
+
+    A rational function is spelled as its numerator and denominator.
+    """
+    return [("RationalFunction", *spelled((c.num, c.den))) if isinstance(c, RationalFunction)
+            else (type(c).__name__, getattr(c, "var", None), getattr(c, "coeffs", c)) for c in coeffs]
 
 
 EDGES = [s * v for k in (1, 2, 3) for v in (2 ** (8 * k) - 1, 2 ** (8 * k)) for s in (1, -1)]
@@ -274,6 +280,11 @@ def rand_poly_series(rng, order, unit=False):
     if unit:
         coeffs[0] = Polynomial.constant("t", rng.choice((1, -1)))
     return TruncatedSeries(coeffs, order)
+
+
+def rand_ratfun_series(rng, order, unit=False):
+    """rand_poly_series with every coefficient a rational function of denominator 1."""
+    return rand_poly_series(rng, order, unit).map_coeffs(RationalFunction)
 
 
 def test_packed_product_matches_reference():
@@ -402,6 +413,7 @@ def test_slot_one_byte_narrower_is_caught(monkeypatch):
 
 
 def test_generic_rings_keep_the_coefficient_loop(monkeypatch):
+    """A coefficient outside Z[t], mixed coefficient types or a constant term other than +-1 never packs."""
     from qnarayana import exactalg
 
     def packed(*args):
@@ -413,13 +425,29 @@ def test_generic_rings_keep_the_coefficient_loop(monkeypatch):
         order = rng.randint(0, 5)
         f, g = rand_series(rng, order), rand_series(rng, order)
         assert spelled((f * g).coeffs) == spelled(reference_product(f, g))
-        r = TruncatedSeries([RationalFunction(rand_edge_poly(rng), P(1, 1)) for _ in range(order + 1)], order)
-        s = TruncatedSeries([RationalFunction(rand_edge_poly(rng)) for _ in range(order + 1)], order)
-        assert spelled((r * s).coeffs) == spelled(reference_product(r, s))
-        r_unit = TruncatedSeries([RationalFunction(P(rng.choice((1, -1))))] + list(r.coeffs[1:]), order)
-        assert spelled(r_unit.invert().coeffs) == spelled(reference_inverse(r_unit))
         unit = TruncatedSeries([rng.choice((1, -1))] + list(f.coeffs[1:]), order)
         assert spelled(unit.invert().coeffs) == spelled(reference_inverse(unit))
+        # one coefficient with a denominator other than 1, anywhere in the series
+        r = rand_ratfun_series(rng, order, unit=True)
+        at = rng.randint(0, order)
+        r = TruncatedSeries(r.coeffs[:at] + (rand_ratfun(rng, False),) + r.coeffs[at + 1:], order)
+        s = rand_ratfun_series(rng, order)
+        assert spelled((r * s).coeffs) == spelled(reference_product(r, s))
+        assert spelled((s * r).coeffs) == spelled(reference_product(s, r))
+        assert spelled(r.invert().coeffs) == spelled(reference_inverse(r))
+        # denominator 1 throughout, but 1/a_0 leaves Z[t]
+        for a0 in (RationalFunction(P(rng.choice((2, -2, 3)))), RationalFunction(P(1, 1)),
+                   RationalFunction(P(0, rng.choice((1, -1))))):
+            s_off = TruncatedSeries((a0,) + s.coeffs[1:], order)
+            assert spelled(s_off.invert().coeffs) == spelled(reference_inverse(s_off))
+        # denominator 1 throughout, but polynomials beside rational functions
+        p = rand_poly_series(rng, order, unit=True)
+        assert spelled((p * s).coeffs) == spelled(reference_product(p, s))
+        assert spelled((s * p).coeffs) == spelled(reference_product(s, p))
+        if order:
+            both = TruncatedSeries(p.coeffs[:1] + s.coeffs[1:], order)
+            assert spelled((both * both).coeffs) == spelled(reference_product(both, both))
+            assert spelled(both.invert().coeffs) == spelled(reference_inverse(both))
     mixed = TruncatedSeries([1, P(0, 1), -3])
     other = TruncatedSeries([P(1, 1), 2, P(-1)])
     assert spelled((mixed * other).coeffs) == spelled(reference_product(mixed, other))
@@ -445,3 +473,54 @@ def test_packed_path_makes_no_coefficient_products(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", schoolbook)
     assert spelled((f * f).coeffs) == want_product
     assert spelled(f.invert().coeffs) == want_inverse
+
+
+def test_polynomial_and_denominator_one_series_pack_alike(monkeypatch):
+    """Over denominator-1 rational functions the kernel packs the numerators in the same slots."""
+    from qnarayana import exactalg
+
+    width, seen = exactalg._slot_bytes, []
+    monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: seen.append(bound) or width(bound))
+    rng = random.Random(60606)
+    for _ in range(100):
+        order = rng.randint(0, 7)
+        for case in ((rand_poly_series(rng, order), rand_poly_series(rng, order)),
+                     (rand_poly_series(rng, order, unit=True),)):
+            seen.clear()
+            kernel(tuple(f.map_coeffs(RationalFunction) for f in case))
+            assert seen == [pinned_series_bound(case)], case
+
+
+def test_denominator_one_packed_path_makes_no_coefficient_products(monkeypatch):
+    f = rand_ratfun_series(random.Random(60607), 6, unit=True)
+    want_product, want_inverse = spelled(reference_product(f, f)), spelled(reference_inverse(f))
+
+    def schoolbook(*args):
+        raise AssertionError("Polynomial.__mul__ called")
+
+    monkeypatch.setattr(Polynomial, "__mul__", schoolbook)
+    assert spelled((f * f).coeffs) == want_product
+    assert spelled(f.invert().coeffs) == want_inverse
+
+
+edge_polys = st.lists(st.sampled_from((0, 1, -1, 7, -9) + tuple(EDGES)), max_size=6).map(lambda c: Polynomial("t", c))
+unit_den = edge_polys.map(RationalFunction)
+
+
+def unit_den_series(order, count):
+    return st.tuples(*(st.lists(unit_den, min_size=order + 1, max_size=order + 1) for _ in range(count)))
+
+
+@given(st.integers(0, 7).flatmap(lambda order: unit_den_series(order, 2)))
+@settings(max_examples=150)
+def test_denominator_one_product_matches_reference(pair):
+    f, g = (TruncatedSeries(coeffs) for coeffs in pair)
+    assert spelled((f * g).coeffs) == spelled(reference_product(f, g))
+
+
+@given(st.sampled_from((1, -1)), st.integers(0, 7).flatmap(lambda order: unit_den_series(order, 1)))
+@settings(max_examples=150)
+def test_denominator_one_inverse_matches_reference(a0, coeffs):
+    f = TruncatedSeries([RationalFunction(P(a0))] + coeffs[0][1:])
+    assert spelled(f.invert().coeffs) == spelled(reference_inverse(f))
+    assert f * f.invert() == TruncatedSeries.constant(RationalFunction(P(1)), f.order)
