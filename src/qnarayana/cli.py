@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 from . import dyckoracle, fixtures, gfun, hankel, narayana, qcomb
@@ -32,6 +32,9 @@ MAX_ORDER = 160
 
 # total number of registered checks behind `verify --all`, pinned by the tests
 REGISTRY_SIZE = 31
+
+# the series tags of the cfrac checks, in report order
+_CFRAC_TAGS = ("smallg", "smallc")
 
 
 class Command(NamedTuple):
@@ -135,28 +138,6 @@ def _extract(tag: str, depth: int):
     return series, hankel.jfraction_extract(series, depth)
 
 
-def _extract_once():
-    """An _extract for one registry: each tag is extracted at the deepest depth
-    asked so far, and a shallower request is cut from that extraction.
-
-    The cut equals a fresh _extract at the shallower depth: level k depends
-    only on the series through z^(2k+2), and a fresh extraction stops at its
-    depth before it could meet a later zero subdiagonal coefficient.
-    """
-    deepest = {}
-
-    def extract(tag: str, depth: int):
-        if tag not in deepest or deepest[tag][0] < depth:
-            deepest[tag] = (depth, *_extract(tag, depth))
-        top, series, jf = deepest[tag]
-        if depth == top:
-            return series, jf
-        return series.truncate(2 * depth + 2), hankel.JFraction(
-            jf.s[:depth + 1], jf.t_coeffs[:depth], jf.terminated and depth > jf.depth)
-
-    return extract
-
-
 def _cfrac_levels(tag: str, jf):
     """Each coefficient of the J-fraction jf of tag beside the stored closed form.
 
@@ -171,32 +152,30 @@ def _cfrac_levels(tag: str, jf):
     return levels
 
 
-def _check_cfrac_closed(extract, tag: str, depth: int) -> tuple[bool, str]:
-    _, jf = extract(tag, depth)
-    if jf.depth != depth:
+def _check_cfrac_closed(extract, tag: str) -> tuple[bool, str]:
+    _, jf = extract(tag)
+    if jf.depth != DEFAULT_CFRAC_DEPTH:
         return False, f"extraction stopped at depth {jf.depth}"
     for kind, k, got, want, match in _cfrac_levels(tag, jf):
         if not match:
             return False, f"{kind}_{k}: extracted {got}, stored {want}"
-    return True, f"levels<={depth}"
+    return True, f"levels<={DEFAULT_CFRAC_DEPTH}"
 
 
 def _check_cfrac_product(extract, tag: str, max_n: int) -> tuple[bool, str]:
-    _, jf = extract(tag, max_n - 1)
-    family, shift = gfun.TAG_FAMILIES[tag]
-    seq = narayana.poly_sequence(family, 2 * max_n - 1 + shift)
-    for n in range(1, max_n + 1):
-        det = hankel.det_bareiss(hankel.hankel_matrix(seq, n, shift))
-        product = hankel.hankel_product_formula(jf.t_coeffs, n)
-        if product != RationalFunction(det):
-            return False, f"n={n}: product {product}, determinant {det}"
+    _, jf = extract(tag)
+    for row in hankel.hankel_table(*gfun.TAG_FAMILIES[tag], max_n):
+        product = hankel.hankel_product_formula(jf.t_coeffs, row.n)
+        if product != RationalFunction(row.determinant):
+            return False, f"n={row.n}: product {product}, determinant {row.determinant}"
     return True, f"n<={max_n}"
 
 
 def _check_cfrac_roundtrip(extract, depth: int) -> tuple[bool, str]:
-    for tag in ("smallc", "smallg"):
-        series, jf = extract(tag, depth)
-        rebuilt = hankel.jfraction_to_series(jf, 2 * depth + 1)
+    for tag in _CFRAC_TAGS:
+        series, jf = extract(tag)
+        rebuilt = hankel.jfraction_to_series(hankel.JFraction(jf.s[:depth + 1], jf.t_coeffs[:depth]),
+                                             2 * depth + 1)
         if rebuilt != series.truncate(2 * depth + 1):
             return False, f"{tag} does not round-trip at depth {depth}"
     return True, f"depth={depth}"
@@ -254,15 +233,18 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     ]
     for identity in gfun.ALL_IDENTITIES:
         checks.append((f"identity/{identity}", partial(_check_identity, identity, order)))
-    for family in ("narayana_poly", "small_c"):
+    for family in hankel.TABLE_FAMILIES:
         for shift in (0, 1):
             checks.append((f"hankel/{family}/shift{shift}",
                            partial(_check_hankel, family, shift, DEFAULT_HANKEL_MAX_N)))
-    extract = _extract_once()  # the cfrac checks share one extraction per tag
-    for tag in ("smallg", "smallc"):
-        checks.append((f"cfrac/{tag}/closed_forms",
-                       partial(_check_cfrac_closed, extract, tag, DEFAULT_CFRAC_DEPTH)))
-    for tag in ("smallg", "smallc"):
+    # One extraction per tag, at the closed forms' depth, serves every cfrac
+    # check: level k depends only on the series through z^(2k+2), so the
+    # product formula (t_0..t_4) and the depth-8 round-trip read prefixes of
+    # it.  This holds while the deepest check is the one that extracts (9 >= 8 >= 5).
+    extract = cache(partial(_extract, depth=DEFAULT_CFRAC_DEPTH))
+    for tag in _CFRAC_TAGS:
+        checks.append((f"cfrac/{tag}/closed_forms", partial(_check_cfrac_closed, extract, tag)))
+    for tag in _CFRAC_TAGS:
         checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, tag, 6)))
     checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
     checks.append(("oracle/valley_major", partial(_check_oracle_qt, q_max_n)))
@@ -310,9 +292,6 @@ def _run_checks(named_checks, as_json: bool) -> int:
 # CLI short name -> name in narayana.FAMILIES
 _POLY_FAMILIES = {"c": "small_c", "C": "narayana_poly", "B": "narayana_B", "catalan": "catalan_C"}
 
-# the short names hankel.expected_hankel has predictions for
-_HANKEL_FAMILIES = ("c", "C")
-
 _CFRAC_FAMILIES = {"c": "smallc", "g": "smallg"}
 
 
@@ -340,7 +319,9 @@ def _run_hankel(opts) -> int:
         }
         print(_dumps(payload))
     elif opts["csv"]:
-        sys.stdout.write(hankel.hankel_table_csv(family, shift, rows))
+        print("n,shift,family,determinant,expected,match")
+        for r in rows:
+            print(f"{r.n},{shift},{family},{r.determinant},{r.expected},{str(r.match).lower()}")
     else:
         for r in rows:
             flag = "match" if r.match else "MISMATCH"
@@ -421,7 +402,9 @@ def parse_args(argv) -> Command:
     p_poly.add_argument("--json", action="store_true")
 
     p_hankel = sub.add_parser("hankel", help="Hankel determinant table against predictions")
-    p_hankel.add_argument("--family", required=True, choices=sorted(_HANKEL_FAMILIES))
+    p_hankel.add_argument("--family", required=True,
+                          choices=sorted(alias for alias, family in _POLY_FAMILIES.items()
+                                         if family in hankel.TABLE_FAMILIES))
     p_hankel.add_argument("--shift", type=int, choices=(0, 1), default=0)
     p_hankel.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_HANKEL_MAX_N,
                           help=f"largest dimension, 1..{MAX_HANKEL_N}")

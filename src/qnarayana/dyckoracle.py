@@ -118,8 +118,6 @@ def qt_distribution(n: int) -> dict[int, Polynomial]:
 
     Entry k sums q^maj over all paths with k valleys.
     """
-    if n < 0:
-        raise ValueError("semi-length must be >= 0")
     if n > MAX_QT:
         raise ValueError(f"semi-length {n} exceeds the distribution guard {MAX_QT}")
     counts: dict[int, dict[int, int]] = {k: {} for k in range(max(n - 1, 0) + 1)}
@@ -156,11 +154,8 @@ def enumerate_symmetric(n: int) -> Iterator[str]:
 
 def symmetric_valley_distribution(n: int) -> dict[int, int]:
     """Number of symmetric paths per valley count."""
-    if n < 0:
-        raise ValueError("semi-length must be >= 0")
-    if n > MAX_SYMMETRIC:
-        raise ValueError(f"semi-length {n} exceeds the symmetric guard {MAX_SYMMETRIC}")
+    paths = enumerate_symmetric(n)  # refuses an n out of range before the table is sized
     table = {k: 0 for k in range(max(n - 1, 0) + 1)}
-    for path in enumerate_symmetric(n):
+    for path in paths:
         table[path_stats(path).valleys] += 1
     return table

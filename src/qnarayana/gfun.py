@@ -59,21 +59,13 @@ def _z_times(p, order, power=1):
     return TruncatedSeries.from_coeffs([Polynomial.zero(TVAR)] * power + [p], order)
 
 
-def _sub_t_square(series):
-    return series.map_coeffs(lambda p: p.subs_square())
-
-
 def _sub_t_neg(series):
     return series.map_coeffs(lambda p: p.subs_neg())
 
 
-def _C_of_t2_z2(order):
-    # the bigC family with t -> t^2 and z -> z^2, still at the same order
-    return _sub_t_square(build_series("bigC", order)).subs_z_squared()
-
-
-def _G_of_t2_z2(order):
-    return _sub_t_square(build_series("bigG", order)).subs_z_squared()
+def _at_t2_z2(tag, order):
+    # the family of tag with t -> t^2 and z -> z^2, still at the same order
+    return build_series(tag, order).map_coeffs(Polynomial.subs_square).subs_z_squared()
 
 
 def _sides_eq15(order):
@@ -117,7 +109,7 @@ def _sides_eq23(order):
     # (1 - (1+t)z) c = 1 - tz C(t^2, z^2)
     c = build_series("smallc", order)
     lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
-    rhs = _one(order) - _C_of_t2_z2(order).shift_up(1).scale(_T)
+    rhs = _one(order) - _at_t2_z2("bigC", order).shift_up(1).scale(_T)
     return lhs.coeffs, rhs.coeffs
 
 
@@ -134,20 +126,20 @@ def _sides_eq25(order):
     # c(t,z) c(-t,-z) = C(t^2, z^2)
     c = build_series("smallc", order)
     c_neg = _sub_t_neg(c).subs_neg_z()
-    return (c * c_neg).coeffs, _C_of_t2_z2(order).coeffs
+    return (c * c_neg).coeffs, _at_t2_z2("bigC", order).coeffs
 
 
 def _sides_eq27(order):
     # g = 1 + (1+t)zg - tz^2 G(t^2, z^2)
     g = build_series("smallg", order)
-    rhs = _one(order) + g.shift_up(1).scale(_ONE_PLUS_T) - _G_of_t2_z2(order).shift_up(2).scale(_T)
+    rhs = _one(order) + g.shift_up(1).scale(_ONE_PLUS_T) - _at_t2_z2("bigG", order).shift_up(2).scale(_T)
     return g.coeffs, rhs.coeffs
 
 
 def _sides_eq28(order):
     # g(t,z) g(t,-z) = G(t^2, z^2)
     g = build_series("smallg", order)
-    return (g * g.subs_neg_z()).coeffs, _G_of_t2_z2(order).coeffs
+    return (g * g.subs_neg_z()).coeffs, _at_t2_z2("bigG", order).coeffs
 
 
 def _sides_g_at_1(order):

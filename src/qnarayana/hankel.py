@@ -7,7 +7,9 @@ matrix is, stays symmetric under that update, so until a zero pivot forces
 a row swap only the upper triangle is computed and mirrored; a swap breaks
 the symmetry and the rest of the elimination computes every entry.  A
 cofactor-expansion determinant is kept alongside as an independent oracle
-for small dimensions, and the two are never merged.
+for small dimensions, and the two are never merged.  ``hankel_table`` is
+the one loop of ``det_bareiss`` over dimensions n = 1..max_n, for the
+``TABLE_FAMILIES`` that have predictions; the CLI writes its rows out.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
@@ -154,12 +156,13 @@ class HankelRow(NamedTuple):
     match: bool
 
 
-_TABLE_FAMILIES = ("narayana_poly", "small_c")
+# the families expected_hankel has predictions for, in report order
+TABLE_FAMILIES = ("narayana_poly", "small_c")
 
 
 def expected_hankel(family: str, shift: int, n: int) -> Polynomial:
     """The predicted determinant: t^binom(n,2), signed for the shifted c family."""
-    if family not in _TABLE_FAMILIES:
+    if family not in TABLE_FAMILIES:
         raise ValueError(f"no expected values for family {family!r}")
     e = binomial(n, 2)
     coeff = -1 if family == "small_c" and shift == 1 and e % 2 else 1
@@ -168,8 +171,8 @@ def expected_hankel(family: str, shift: int, n: int) -> Polynomial:
 
 def hankel_table(family: str, shift: int, max_n: int) -> list[HankelRow]:
     """Determinants against predictions for n = 1..max_n."""
-    if family not in _TABLE_FAMILIES:
-        raise ValueError(f"unknown table family {family!r} (expected one of {_TABLE_FAMILIES})")
+    if family not in TABLE_FAMILIES:
+        raise ValueError(f"unknown table family {family!r} (expected one of {TABLE_FAMILIES})")
     if shift not in (0, 1):
         raise ValueError("shift must be 0 or 1")
     if max_n < 1:
@@ -181,13 +184,6 @@ def hankel_table(family: str, shift: int, max_n: int) -> list[HankelRow]:
         expected = expected_hankel(family, shift, n)
         rows.append(HankelRow(n, det, expected, det == expected))
     return rows
-
-
-def hankel_table_csv(family: str, shift: int, rows: list[HankelRow]) -> str:
-    lines = ["n,shift,family,determinant,expected,match"]
-    for row in rows:
-        lines.append(f"{row.n},{shift},{family},{row.determinant},{row.expected},{str(row.match).lower()}")
-    return "\n".join(lines) + "\n"
 
 
 def ratfun_series(tag: str, order: int) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,15 @@ class TestParseArgs:
 
     def test_oracle_guard(self):
         assert main(["oracle", "--q-max-n", "11"]) == 2
+
+    @pytest.mark.parametrize("alias", sorted(cli._POLY_FAMILIES) + ["X"])
+    def test_hankel_families_are_the_table_families(self, capsys, alias):
+        argv = ["hankel", "--family", alias]
+        if cli._POLY_FAMILIES.get(alias) in hankel.TABLE_FAMILIES:
+            assert parse_args(argv).options["family"] == alias
+        else:
+            assert main(argv) == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     # parsed only, never run: a run at a cap takes seconds
     @pytest.mark.parametrize("argv, option, cap", [
@@ -180,6 +190,15 @@ class TestRegistry:
             passed, detail = fn()
             assert passed is True, name
             assert isinstance(detail, str), name
+
+    def test_sizes_match_the_benchmark(self, monkeypatch):
+        # perfbench/workloads.py expects these sizes in every registry run it times
+        sizes = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+        selected = []
+        monkeypatch.setattr(cli, "_run_checks", lambda checks, as_json: selected.append(len(checks)) or 0)
+        for argv in (["verify", "--all"], ["verify"], ["oracle"]):
+            assert main(argv) == 0
+        assert selected == [sizes["GATE_CHECKS"], sizes["BARE_VERIFY_CHECKS"], sizes["ORACLE_CHECKS"]]
 
     def test_determinism(self, capsys):
         assert main(["verify", "--order", "6"]) == 0
@@ -352,7 +371,7 @@ class TestCheckReportsItsOwnDiff:
         (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
          "FAIL cfrac/smallc/product_formula (n=4: product t^6, determinant t+t^6)"),
         (["verify", "--all"], hankel, "jfraction_to_series", _top_coefficient_plus_one,
-         "FAIL cfrac/roundtrip (smallc does not round-trip at depth 8)"),
+         "FAIL cfrac/roundtrip (smallg does not round-trip at depth 8)"),
         (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallg", 19),
          "FAIL cfrac/smallg/closed_forms (s_9: extracted (-1-t^8-t^9)/(t^8), stored -1-t)"),
         (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17),
@@ -446,24 +465,33 @@ class TestStartUp:
 
 
 class TestSharedExtraction:
-    """A request cut from a deeper shared extraction equals a fresh extraction at its depth."""
+    """One registry extracts the J-fraction of each cfrac tag once, and _extract marks where a fraction ends."""
 
-    @pytest.mark.parametrize("tag", sorted(gfun.TAG_FAMILIES))
-    def test_cut_equals_fresh_extraction(self, tag):
-        extract = cli._extract_once()
-        for depth in (6, 2, 0, 6, 4, 8, 3):
-            assert extract(tag, depth) == cli._extract(tag, depth)
+    def test_verify_all_extracts_once_per_tag(self, capsys, monkeypatch):
+        tags, depths = [], []
+        ratfun_series, extract = hankel.ratfun_series, hankel.jfraction_extract
 
-    def test_terminated_fraction_cut_equals_fresh_extraction(self, monkeypatch):
+        def recorded_series(tag, order):
+            tags.append(tag)
+            return ratfun_series(tag, order)
+
+        def recorded_extract(series, depth):
+            depths.append(depth)
+            return extract(series, depth)
+
+        monkeypatch.setattr(hankel, "ratfun_series", recorded_series)
+        monkeypatch.setattr(hankel, "jfraction_extract", recorded_extract)
+        assert main(["verify", "--all"]) == 0
+        assert sorted(tags) == ["smallc", "smallg"]
+        assert depths == [cli.DEFAULT_CFRAC_DEPTH] * 2
+
+    def test_extract_marks_a_terminated_fraction(self, monkeypatch):
         # 1/(1 - z - z^2/(1 - 2z)): the second subdiagonal coefficient is 0
         one = RationalFunction.one("t")
         finite = hankel.JFraction((one, one + one), (one,))
         monkeypatch.setattr(hankel, "ratfun_series", lambda tag, order: hankel.jfraction_to_series(finite, order))
         assert cli._extract("finite", 4)[1] == hankel.JFraction(finite.s, finite.t_coeffs, terminated=True)
         assert not cli._extract("finite", 1)[1].terminated
-        extract = cli._extract_once()
-        for depth in (4, 0, 1, 2, 3, 5):
-            assert extract("finite", depth) == cli._extract("finite", depth)
 
 
 def _record_fields():

@@ -12,7 +12,6 @@ from qnarayana.hankel import (
     hankel_matrix,
     hankel_product_formula,
     hankel_table,
-    hankel_table_csv,
     jfraction_extract,
     jfraction_to_series,
     ratfun_series,
@@ -212,15 +211,6 @@ class TestHankelTable:
         assert expected_hankel("small_c", 1, 3) == P(0, 0, 0, -1)
         assert expected_hankel("small_c", 0, 3) == P(0, 0, 0, 1)
         assert expected_hankel("narayana_poly", 1, 4) == Polynomial.monomial(TVAR, 6)
-
-    def test_csv_format(self):
-        rows = hankel_table("small_c", 1, 2)
-        text = hankel_table_csv("small_c", 1, rows)
-        assert text == (
-            "n,shift,family,determinant,expected,match\n"
-            "1,1,small_c,1,1,true\n"
-            "2,1,small_c,-t,-t,true\n"
-        )
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
