@@ -1,6 +1,13 @@
 """Command-line front end: family tables, identity suites, Hankel and
 continued-fraction reports, and the brute-force path oracles.
 
+argparse does all of the parsing: each size option states its range once,
+through one ``type=`` validator, and each verb's parser names the function
+that runs it (``set_defaults(run=...)``).  The check registry
+(``build_registry``) names every check once; within one registry run each
+cfrac tag's J-fraction is extracted once and each (family, shift) Hankel
+table is computed once, and every check that needs it reads it.
+
 Exit codes: 0 when every executed check passes, 1 on any mismatch or
 internal error, 2 on usage errors.  Output goes to stdout, diagnostics to
 stderr, and identical invocations produce byte-identical output, so
@@ -15,7 +22,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from . import dyckoracle, fixtures, gfun, hankel, narayana, qcomb
-from .exactalg import Polynomial, RationalFunction
+from .exactalg import Polynomial
 
 DEFAULT_ORDER = 20
 DEFAULT_HANKEL_MAX_N = 7
@@ -33,13 +40,11 @@ MAX_ORDER = 160
 # total number of registered checks behind `verify --all`, pinned by the tests
 REGISTRY_SIZE = 31
 
-# the series tags of the cfrac checks, in report order
-_CFRAC_TAGS = ("smallg", "smallc")
+# CLI short name -> name in narayana.FAMILIES
+_POLY_FAMILIES = {"c": "small_c", "C": "narayana_poly", "B": "narayana_B", "catalan": "catalan_C"}
 
-
-class Command(NamedTuple):
-    verb: str
-    options: dict
+# CLI short name -> series tag; the cfrac checks take the tags in this order
+_CFRAC_FAMILIES = {"g": "smallg", "c": "smallc"}
 
 
 class CheckResult(NamedTuple):
@@ -125,11 +130,12 @@ def _check_identity(identity: str, order: int) -> tuple[bool, str]:
     return False, f"power={report.power}: {report.lhs} vs {report.rhs}"
 
 
-def _check_hankel(family: str, shift: int, max_n: int) -> tuple[bool, str]:
-    for row in hankel.hankel_table(family, shift, max_n):
+def _check_hankel(table, family: str, shift: int) -> tuple[bool, str]:
+    rows = table(family, shift)
+    for row in rows:
         if not row.match:
             return False, f"n={row.n}: det {row.determinant}, expected {row.expected}"
-    return True, f"n<={max_n}"
+    return True, f"n<={len(rows)}"
 
 
 def _extract(tag: str, depth: int):
@@ -147,7 +153,7 @@ def _cfrac_levels(tag: str, jf):
     for kind, coeffs, stored in (("s", jf.s, fixtures.expected_jfraction_s),
                                  ("t", jf.t_coeffs, fixtures.expected_jfraction_t)):
         for k, got in enumerate(coeffs):
-            want = RationalFunction(stored(tag, k))
+            want = stored(tag, k)
             levels.append((kind, k, got, want, got == want))
     return levels
 
@@ -162,17 +168,17 @@ def _check_cfrac_closed(extract, tag: str) -> tuple[bool, str]:
     return True, f"levels<={DEFAULT_CFRAC_DEPTH}"
 
 
-def _check_cfrac_product(extract, tag: str, max_n: int) -> tuple[bool, str]:
+def _check_cfrac_product(extract, table, tag: str, max_n: int) -> tuple[bool, str]:
     _, jf = extract(tag)
-    for row in hankel.hankel_table(*gfun.TAG_FAMILIES[tag], max_n):
+    for row in table(*gfun.TAG_FAMILIES[tag])[:max_n]:
         product = hankel.hankel_product_formula(jf.t_coeffs, row.n)
-        if product != RationalFunction(row.determinant):
+        if product != row.determinant:
             return False, f"n={row.n}: product {product}, determinant {row.determinant}"
     return True, f"n<={max_n}"
 
 
 def _check_cfrac_roundtrip(extract, depth: int) -> tuple[bool, str]:
-    for tag in _CFRAC_TAGS:
+    for tag in _CFRAC_FAMILIES.values():
         series, jf = extract(tag)
         rebuilt = hankel.jfraction_to_series(hankel.JFraction(jf.s[:depth + 1], jf.t_coeffs[:depth]),
                                              2 * depth + 1)
@@ -233,19 +239,22 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     ]
     for identity in gfun.ALL_IDENTITIES:
         checks.append((f"identity/{identity}", partial(_check_identity, identity, order)))
+    # One table per (family, shift) serves the hankel checks and, through its
+    # first rows, the product-formula checks; the determinants stay Bareiss's.
+    table = cache(partial(hankel.hankel_table, max_n=DEFAULT_HANKEL_MAX_N))
     for family in hankel.TABLE_FAMILIES:
         for shift in (0, 1):
-            checks.append((f"hankel/{family}/shift{shift}",
-                           partial(_check_hankel, family, shift, DEFAULT_HANKEL_MAX_N)))
+            checks.append((f"hankel/{family}/shift{shift}", partial(_check_hankel, table, family, shift)))
     # One extraction per tag, at the closed forms' depth, serves every cfrac
     # check: level k depends only on the series through z^(2k+2), so the
     # product formula (t_0..t_4) and the depth-8 round-trip read prefixes of
     # it.  This holds while the deepest check is the one that extracts (9 >= 8 >= 5).
     extract = cache(partial(_extract, depth=DEFAULT_CFRAC_DEPTH))
-    for tag in _CFRAC_TAGS:
+    tags = _CFRAC_FAMILIES.values()
+    for tag in tags:
         checks.append((f"cfrac/{tag}/closed_forms", partial(_check_cfrac_closed, extract, tag)))
-    for tag in _CFRAC_TAGS:
-        checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, tag, 6)))
+    for tag in tags:
+        checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, table, tag, 6)))
     checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
     checks.append(("oracle/valley_major", partial(_check_oracle_qt, q_max_n)))
     checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, sym_max_n)))
@@ -289,26 +298,19 @@ def _run_checks(named_checks, as_json: bool) -> int:
     return 0 if all_passed else 1
 
 
-# CLI short name -> name in narayana.FAMILIES
-_POLY_FAMILIES = {"c": "small_c", "C": "narayana_poly", "B": "narayana_B", "catalan": "catalan_C"}
-
-_CFRAC_FAMILIES = {"c": "smallc", "g": "smallg"}
-
-
-def _run_poly(opts) -> int:
-    poly = narayana.FAMILIES[_POLY_FAMILIES[opts["family"]]](opts["n"])
-    if opts["json"]:
+def _run_poly(ns) -> int:
+    poly = narayana.FAMILIES[_POLY_FAMILIES[ns.family]](ns.n)
+    if ns.json:
         print(_dumps(poly.to_json()))
     else:
         print(poly)
     return 0
 
 
-def _run_hankel(opts) -> int:
-    family = _POLY_FAMILIES[opts["family"]]
-    shift = opts["shift"]
-    rows = hankel.hankel_table(family, shift, opts["max_n"])
-    if opts["json"]:
+def _run_hankel(ns) -> int:
+    family, shift = _POLY_FAMILIES[ns.family], ns.shift
+    rows = hankel.hankel_table(family, shift, ns.max_n)
+    if ns.json:
         payload = {
             "family": family,
             "shift": shift,
@@ -318,7 +320,7 @@ def _run_hankel(opts) -> int:
             ],
         }
         print(_dumps(payload))
-    elif opts["csv"]:
+    elif ns.csv:
         print("n,shift,family,determinant,expected,match")
         for r in rows:
             print(f"{r.n},{shift},{family},{r.determinant},{r.expected},{str(r.match).lower()}")
@@ -329,12 +331,12 @@ def _run_hankel(opts) -> int:
     return 0 if all(r.match for r in rows) else 1
 
 
-def _run_cfrac(opts) -> int:
-    tag = _CFRAC_FAMILIES[opts["family"]]
-    _, jf = _extract(tag, opts["depth"])
+def _run_cfrac(ns) -> int:
+    tag = _CFRAC_FAMILIES[ns.family]
+    _, jf = _extract(tag, ns.depth)
     levels = _cfrac_levels(tag, jf)
-    ok = jf.depth == opts["depth"] and all(match for *_, match in levels)
-    if opts["json"]:
+    ok = jf.depth == ns.depth and all(match for *_, match in levels)
+    if ns.json:
         payload = {
             "family": tag,
             "depth": jf.depth,
@@ -353,42 +355,50 @@ def _run_cfrac(opts) -> int:
     return 0 if ok else 1
 
 
-def _run_verify(opts) -> int:
-    order = opts["order"]
-    if opts["all"]:
+def _run_verify(ns) -> int:
+    order = ns.order
+    if ns.all:
         selected = build_registry(order)
-    elif opts["identity"]:
-        if opts["json"]:
+    elif ns.identity:
+        identities = tuple(dict.fromkeys(ns.identity))  # a repeated identity runs once
+        if ns.json:
             # identity-only JSON inherits the IdentityReport serialization
-            reports = [gfun.verify_identity(i, order).to_json() for i in opts["identity"]]
+            reports = [gfun.verify_identity(i, order).to_json() for i in identities]
             status = "pass" if all(r["status"] == "pass" for r in reports) else "fail"
             print(_dumps({"status": status, "reports": reports}))
             return 0 if status == "pass" else 1
-        by_identity = {entry[0].split("/")[1]: entry for entry in build_registry(order)
-                       if entry[0].startswith("identity/")}
-        selected = tuple(by_identity[i] for i in opts["identity"])
+        checks = dict(build_registry(order))
+        selected = tuple((f"identity/{i}", checks[f"identity/{i}"]) for i in identities)
     else:
         selected = tuple(entry for entry in build_registry(order)
                          if entry[0].split("/")[0] in ("first_terms", "routes", "eval", "identity"))
-    return _run_checks(selected, opts["json"])
+    return _run_checks(selected, ns.json)
 
 
-def _run_oracle(opts) -> int:
-    registry = build_registry(q_max_n=opts["q_max_n"], sym_max_n=opts["sym_max_n"])
-    return _run_checks(tuple(entry for entry in registry if entry[0].startswith("oracle/")), opts["json"])
+def _run_oracle(ns) -> int:
+    registry = build_registry(q_max_n=ns.q_max_n, sym_max_n=ns.sym_max_n)
+    return _run_checks(tuple(entry for entry in registry if entry[0].startswith("oracle/")), ns.json)
 
 
-_EXECUTORS = {
-    "poly": _run_poly,
-    "hankel": _run_hankel,
-    "cfrac": _run_cfrac,
-    "verify": _run_verify,
-    "oracle": _run_oracle,
-}
+def _int_in(low: int, high: int):
+    """An argparse type: an integer in low..high, anything else a usage error naming the option."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {high}")
+        return value
+    return parse
 
 
-def parse_args(argv) -> Command:
-    """Validate argv into a Command; argparse exits with code 2 on usage errors."""
+def _add_size(parser, flag: str, low: int, high: int, what: str, **kwargs) -> None:
+    parser.add_argument(flag, type=_int_in(low, high), help=f"{what}, {low}..{high}", **kwargs)
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """Validate argv; the namespace's run(ns) executes it.  argparse exits with code 2 on usage errors."""
     parser = argparse.ArgumentParser(
         prog="qnarayana",
         description="Exact computation and verification of Narayana-type polynomial identities.",
@@ -396,77 +406,57 @@ def parse_args(argv) -> Command:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_poly = sub.add_parser("poly", help="print one member of a polynomial family")
+    p_poly.set_defaults(run=_run_poly)
     p_poly.add_argument("--family", required=True, choices=sorted(_POLY_FAMILIES),
                         help="c (signed specialization), C (Narayana), B (type B), catalan")
-    p_poly.add_argument("--n", required=True, type=int, help=f"index within the family, 0..{MAX_POLY_N}")
+    _add_size(p_poly, "--n", 0, MAX_POLY_N, "index within the family", required=True)
     p_poly.add_argument("--json", action="store_true")
 
     p_hankel = sub.add_parser("hankel", help="Hankel determinant table against predictions")
+    p_hankel.set_defaults(run=_run_hankel)
     p_hankel.add_argument("--family", required=True,
                           choices=sorted(alias for alias, family in _POLY_FAMILIES.items()
                                          if family in hankel.TABLE_FAMILIES))
     p_hankel.add_argument("--shift", type=int, choices=(0, 1), default=0)
-    p_hankel.add_argument("--max-n", dest="max_n", type=int, default=DEFAULT_HANKEL_MAX_N,
-                          help=f"largest dimension, 1..{MAX_HANKEL_N}")
+    _add_size(p_hankel, "--max-n", 1, MAX_HANKEL_N, "largest dimension", default=DEFAULT_HANKEL_MAX_N)
     fmt = p_hankel.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")
     fmt.add_argument("--json", action="store_true")
 
     p_cfrac = sub.add_parser("cfrac", help="extracted continued-fraction coefficients beside their closed forms")
+    p_cfrac.set_defaults(run=_run_cfrac)
     p_cfrac.add_argument("--family", required=True, choices=sorted(_CFRAC_FAMILIES))
-    p_cfrac.add_argument("--depth", type=int, default=DEFAULT_CFRAC_DEPTH,
-                         help=f"number of subdiagonal levels, 0..{MAX_CFRAC_DEPTH}")
+    _add_size(p_cfrac, "--depth", 0, MAX_CFRAC_DEPTH, "number of subdiagonal levels",
+              default=DEFAULT_CFRAC_DEPTH)
     p_cfrac.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run identity checks (--all for the full registry)")
-    p_verify.add_argument("--all", action="store_true", help="run every registered check")
-    p_verify.add_argument("--identity", action="append", choices=gfun.ALL_IDENTITIES,
-                          help="check one identity (repeatable)")
-    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                          help=f"series order of the identity checks, 2..{MAX_ORDER}")
+    p_verify.set_defaults(run=_run_verify)
+    scope = p_verify.add_mutually_exclusive_group()
+    scope.add_argument("--all", action="store_true", help="run every registered check")
+    scope.add_argument("--identity", action="append", choices=gfun.ALL_IDENTITIES,
+                       help="check one identity (repeatable)")
+    _add_size(p_verify, "--order", 2, MAX_ORDER, "series order of the identity checks", default=DEFAULT_ORDER)
     p_verify.add_argument("--json", action="store_true")
 
     p_oracle = sub.add_parser("oracle", help="brute-force path enumerations against the formulas")
-    p_oracle.add_argument("--q-max-n", dest="q_max_n", type=int, default=DEFAULT_QT_MAX_N)
-    p_oracle.add_argument("--sym-max-n", dest="sym_max_n", type=int, default=DEFAULT_SYM_MAX_N)
+    p_oracle.set_defaults(run=_run_oracle)
+    _add_size(p_oracle, "--q-max-n", 0, dyckoracle.MAX_QT, "largest semi-length of the enumerated Dyck paths",
+              default=DEFAULT_QT_MAX_N)
+    _add_size(p_oracle, "--sym-max-n", 0, dyckoracle.MAX_SYMMETRIC, "largest semi-length of the symmetric paths",
+              default=DEFAULT_SYM_MAX_N)
     p_oracle.add_argument("--json", action="store_true")
 
-    ns = parser.parse_args(argv)
-
-    if ns.verb == "poly" and not 0 <= ns.n <= MAX_POLY_N:
-        p_poly.error(f"--n must be between 0 and {MAX_POLY_N}")
-    if ns.verb == "hankel" and not 1 <= ns.max_n <= MAX_HANKEL_N:
-        p_hankel.error(f"--max-n must be between 1 and {MAX_HANKEL_N}")
-    if ns.verb == "cfrac" and not 0 <= ns.depth <= MAX_CFRAC_DEPTH:
-        p_cfrac.error(f"--depth must be between 0 and {MAX_CFRAC_DEPTH}")
-    if ns.verb == "verify":
-        if not 2 <= ns.order <= MAX_ORDER:
-            p_verify.error(f"--order must be between 2 and {MAX_ORDER}")
-        if ns.all and ns.identity:
-            p_verify.error("--all and --identity are mutually exclusive")
-    if ns.verb == "oracle":
-        if not 0 <= ns.q_max_n <= dyckoracle.MAX_QT:
-            p_oracle.error(f"--q-max-n must be between 0 and {dyckoracle.MAX_QT}")
-        if not 0 <= ns.sym_max_n <= dyckoracle.MAX_SYMMETRIC:
-            p_oracle.error(f"--sym-max-n must be between 0 and {dyckoracle.MAX_SYMMETRIC}")
-
-    options = vars(ns)
-    verb = options.pop("verb")
-    return Command(verb, options)
-
-
-def execute(cmd: Command) -> int:
-    """Dispatch a validated command; returns the process exit code."""
-    return _EXECUTORS[cmd.verb](cmd.options)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        cmd = parse_args(sys.argv[1:] if argv is None else list(argv))
+        ns = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse has already written the diagnostic
         return int(exc.code or 0)
     try:
-        return execute(cmd)
+        return ns.run(ns)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

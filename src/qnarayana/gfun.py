@@ -14,8 +14,10 @@ The closed forms that involve square roots are never evaluated (exact
 arithmetic has no radicals); they are certified indirectly, through the
 quadratic functional equations they solve (identifiers eq15 and eq20).
 
-Identity identifiers are stable registry keys (eq15, eq16, ... g_at_m1);
-the mapping from key to statement is spelled out in ``IDENTITY_DESCRIPTIONS``.
+Identity identifiers are stable registry keys (eq15, eq16, ... g_at_m1).
+Each side builder is registered with its key and its statement in one
+``@_identity`` line, which fills both ``_IDENTITY_BUILDERS`` and
+``IDENTITY_DESCRIPTIONS``.
 """
 
 from __future__ import annotations
@@ -68,53 +70,69 @@ def _at_t2_z2(tag, order):
     return build_series(tag, order).map_coeffs(Polynomial.subs_square).subs_z_squared()
 
 
+# identity key -> the function building both sides' coefficients, and key ->
+# the statement it checks; both filled by @_identity, in report order
+_IDENTITY_BUILDERS = {}
+IDENTITY_DESCRIPTIONS = {}
+
+
+def _identity(key: str, statement: str):
+    """Register the decorated side builder as identity key, which states statement."""
+    def register(build):
+        _IDENTITY_BUILDERS[key] = build
+        IDENTITY_DESCRIPTIONS[key] = statement
+        return build
+    return register
+
+
+@_identity("eq15", "C = 1 - z(t-1)C + tzC^2")
 def _sides_eq15(order):
-    # C = 1 - z(t-1)C + tzC^2
     C = build_series("bigC", order)
     rhs = _one(order) - C.shift_up(1).scale(_T_MINUS_1) + (C * C).shift_up(1).scale(_T)
     return C.coeffs, rhs.coeffs
 
 
+@_identity("eq16", "1/C = 1 + (t-1)z - tzC")
 def _sides_eq16(order):
-    # 1/C = 1 + (t-1)z - tzC
     C = build_series("bigC", order)
     lhs = C.invert()
     rhs = _one(order) + _z_times(_T_MINUS_1, order) - C.shift_up(1).scale(_T)
     return lhs.coeffs, rhs.coeffs
 
 
+@_identity("eq18", "G = (C - 1)/z")
 def _sides_eq18(order):
-    # G = (C - 1)/z, checked from a one-order-longer C prefix
+    # checked from a one-order-longer C prefix, so the shift down keeps every power
     lhs = build_series("bigG", order)
     C = build_series("bigC", order + 1)
     rhs = (C - _one(order + 1)).shift_down(1)
     return lhs.coeffs, rhs.coeffs
 
 
+@_identity("eq19", "G = 1/(1 - (1+t)z - tz^2 G)")
 def _sides_eq19(order):
-    # G = 1 / (1 - (1+t)z - tz^2 G)
     G = build_series("bigG", order)
     denom = _one(order) - _z_times(_ONE_PLUS_T, order) - G.shift_up(2).scale(_T)
     return G.coeffs, denom.invert().coeffs
 
 
+@_identity("eq20", "G = 1 + (1+t)zG + tz^2 G^2")
 def _sides_eq20(order):
-    # G = 1 + (1+t)zG + tz^2 G^2
     G = build_series("bigG", order)
     rhs = _one(order) + G.shift_up(1).scale(_ONE_PLUS_T) + (G * G).shift_up(2).scale(_T)
     return G.coeffs, rhs.coeffs
 
 
+@_identity("eq23", "(1 - (1+t)z)c = 1 - tzC(t^2,z^2)")
 def _sides_eq23(order):
-    # (1 - (1+t)z) c = 1 - tz C(t^2, z^2)
     c = build_series("smallc", order)
     lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
     rhs = _one(order) - _at_t2_z2("bigC", order).shift_up(1).scale(_T)
     return lhs.coeffs, rhs.coeffs
 
 
+@_identity("eq24", "(1 - (1+t)z)c = 1 - tz c(-t,-z)c(t,z)")
 def _sides_eq24(order):
-    # (1 - (1+t)z) c = 1 - tz c(-t,-z) c(t,z)
     c = build_series("smallc", order)
     c_neg = _sub_t_neg(c).subs_neg_z()
     lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
@@ -122,71 +140,41 @@ def _sides_eq24(order):
     return lhs.coeffs, rhs.coeffs
 
 
+@_identity("eq25", "c(t,z)c(-t,-z) = C(t^2,z^2)")
 def _sides_eq25(order):
-    # c(t,z) c(-t,-z) = C(t^2, z^2)
     c = build_series("smallc", order)
     c_neg = _sub_t_neg(c).subs_neg_z()
     return (c * c_neg).coeffs, _at_t2_z2("bigC", order).coeffs
 
 
+@_identity("eq27", "g = 1 + (1+t)zg - tz^2 G(t^2,z^2)")
 def _sides_eq27(order):
-    # g = 1 + (1+t)zg - tz^2 G(t^2, z^2)
     g = build_series("smallg", order)
     rhs = _one(order) + g.shift_up(1).scale(_ONE_PLUS_T) - _at_t2_z2("bigG", order).shift_up(2).scale(_T)
     return g.coeffs, rhs.coeffs
 
 
+@_identity("eq28", "g(t,z)g(t,-z) = G(t^2,z^2)")
 def _sides_eq28(order):
-    # g(t,z) g(t,-z) = G(t^2, z^2)
     g = build_series("smallg", order)
     return (g * g.subs_neg_z()).coeffs, _at_t2_z2("bigG", order).coeffs
 
 
+@_identity("g_at_1", "g(1,z) has central-binomial coefficients")
 def _sides_g_at_1(order):
-    # coefficient n of g at t=1 is the central binomial binom(n+1, floor((n+1)/2))
     lhs = [p(1) for p in build_series("smallg", order).coeffs]
     rhs = [binomial(n + 1, (n + 1) // 2) for n in range(order + 1)]
     return lhs, rhs
 
 
+@_identity("g_at_m1", "g(-1,z) = C(1,z^2)")
 def _sides_g_at_m1(order):
-    # g at t=-1 equals the Catalan generating function in z^2
     lhs = [p(-1) for p in build_series("smallg", order).coeffs]
     rhs = [catalan_number(n // 2) if n % 2 == 0 else 0 for n in range(order + 1)]
     return lhs, rhs
 
 
-_IDENTITY_BUILDERS = {
-    "eq15": _sides_eq15,
-    "eq16": _sides_eq16,
-    "eq18": _sides_eq18,
-    "eq19": _sides_eq19,
-    "eq20": _sides_eq20,
-    "eq23": _sides_eq23,
-    "eq24": _sides_eq24,
-    "eq25": _sides_eq25,
-    "eq27": _sides_eq27,
-    "eq28": _sides_eq28,
-    "g_at_1": _sides_g_at_1,
-    "g_at_m1": _sides_g_at_m1,
-}
-
 ALL_IDENTITIES = tuple(_IDENTITY_BUILDERS)
-
-IDENTITY_DESCRIPTIONS = {
-    "eq15": "C = 1 - z(t-1)C + tzC^2",
-    "eq16": "1/C = 1 + (t-1)z - tzC",
-    "eq18": "G = (C - 1)/z",
-    "eq19": "G = 1/(1 - (1+t)z - tz^2 G)",
-    "eq20": "G = 1 + (1+t)zG + tz^2 G^2",
-    "eq23": "(1 - (1+t)z)c = 1 - tzC(t^2,z^2)",
-    "eq24": "(1 - (1+t)z)c = 1 - tz c(-t,-z)c(t,z)",
-    "eq25": "c(t,z)c(-t,-z) = C(t^2,z^2)",
-    "eq27": "g = 1 + (1+t)zg - tz^2 G(t^2,z^2)",
-    "eq28": "g(t,z)g(t,-z) = G(t^2,z^2)",
-    "g_at_1": "g(1,z) has central-binomial coefficients",
-    "g_at_m1": "g(-1,z) = C(1,z^2)",
-}
 
 
 class IdentityReport(NamedTuple):

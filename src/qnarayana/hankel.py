@@ -9,7 +9,9 @@ the symmetry and the rest of the elimination computes every entry.  A
 cofactor-expansion determinant is kept alongside as an independent oracle
 for small dimensions, and the two are never merged.  ``hankel_table`` is
 the one loop of ``det_bareiss`` over dimensions n = 1..max_n, for the
-``TABLE_FAMILIES`` that have predictions; the CLI writes its rows out.
+``TABLE_FAMILIES`` that have predictions.  The CLI writes its rows out, and
+its check registry computes each (family, shift) table once per run: the
+Hankel checks read every row and the product-formula checks the first six.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field

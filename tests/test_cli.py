@@ -10,20 +10,22 @@ import pytest
 
 import qnarayana
 from qnarayana import cli, dyckoracle, fixtures, gfun, hankel, narayana, qcomb
-from qnarayana.cli import REGISTRY_SIZE, Command, build_registry, main, parse_args
+from qnarayana.cli import REGISTRY_SIZE, build_registry, main, parse_args
 from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 
 
 class TestParseArgs:
     def test_verify_command(self):
-        cmd = parse_args(["verify", "--identity", "eq25", "--order", "20"])
-        assert cmd == Command("verify", {"all": False, "identity": ["eq25"], "order": 20, "json": False})
+        ns = parse_args(["verify", "--identity", "eq25", "--order", "20"])
+        assert vars(ns) == {"verb": "verify", "run": cli._run_verify,
+                            "all": False, "identity": ["eq25"], "order": 20, "json": False}
 
     def test_poly_command(self):
-        cmd = parse_args(["poly", "--family", "c", "--n", "5"])
-        assert cmd.verb == "poly"
-        assert cmd.options["family"] == "c"
-        assert cmd.options["n"] == 5
+        ns = parse_args(["poly", "--family", "c", "--n", "5"])
+        assert ns.verb == "poly"
+        assert ns.run is cli._run_poly
+        assert ns.family == "c"
+        assert ns.n == 5
 
     def test_bad_shift_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -55,28 +57,33 @@ class TestParseArgs:
     def test_hankel_families_are_the_table_families(self, capsys, alias):
         argv = ["hankel", "--family", alias]
         if cli._POLY_FAMILIES.get(alias) in hankel.TABLE_FAMILIES:
-            assert parse_args(argv).options["family"] == alias
+            assert parse_args(argv).family == alias
         else:
             assert main(argv) == 2
             assert "invalid choice" in capsys.readouterr().err
 
     # parsed only, never run: a run at a cap takes seconds
-    @pytest.mark.parametrize("argv, option, cap", [
-        (["poly", "--family", "C", "--n"], "n", cli.MAX_POLY_N),
-        (["hankel", "--family", "C", "--max-n"], "max_n", cli.MAX_HANKEL_N),
-        (["cfrac", "--family", "c", "--depth"], "depth", cli.MAX_CFRAC_DEPTH),
-        (["verify", "--order"], "order", cli.MAX_ORDER),
-        (["verify", "--all", "--order"], "order", cli.MAX_ORDER),
-        (["oracle", "--q-max-n"], "q_max_n", dyckoracle.MAX_QT),
-        (["oracle", "--sym-max-n"], "sym_max_n", dyckoracle.MAX_SYMMETRIC),
+    @pytest.mark.parametrize("argv, option, cap, not_int", [
+        (["poly", "--family", "C", "--n"], "n", cli.MAX_POLY_N, "five"),
+        (["hankel", "--family", "C", "--max-n"], "max_n", cli.MAX_HANKEL_N, "2.5"),
+        (["cfrac", "--family", "c", "--depth"], "depth", cli.MAX_CFRAC_DEPTH, "1e3"),
+        (["verify", "--order"], "order", cli.MAX_ORDER, "0x1f"),
+        (["verify", "--all", "--order"], "order", cli.MAX_ORDER, ""),
+        (["oracle", "--q-max-n"], "q_max_n", dyckoracle.MAX_QT, "ten"),
+        (["oracle", "--sym-max-n"], "sym_max_n", dyckoracle.MAX_SYMMETRIC, "3 4"),
     ], ids=["poly-n", "hankel-max-n", "cfrac-depth", "verify-order", "verify-all-order",
             "oracle-q-max-n", "oracle-sym-max-n"])
-    def test_size_caps(self, capsys, argv, option, cap):
-        assert parse_args(argv + [str(cap)]).options[option] == cap
+    def test_size_caps(self, capsys, argv, option, cap, not_int):
+        assert getattr(parse_args(argv + [str(cap)]), option) == cap
+        flag = argv[-1]
         with pytest.raises(SystemExit) as err:
             parse_args(argv + [str(cap + 1)])
         assert err.value.code == 2
-        assert "must be between" in capsys.readouterr().err
+        assert f"argument {flag}: must be between" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv + [not_int])
+        assert err.value.code == 2
+        assert f"argument {flag}: invalid int value: {not_int!r}" in capsys.readouterr().err
 
 
 class TestPolyVerb:
@@ -154,6 +161,20 @@ class TestVerifyVerb:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "pass"
         assert payload["reports"] == [{"identity": "eq15", "order": 6, "status": "pass"}]
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_repeated_identity_runs_once(self, capsys, monkeypatch, as_json):
+        verified = []
+        verify = gfun.verify_identity
+        monkeypatch.setattr(gfun, "verify_identity", lambda i, order: verified.append(i) or verify(i, order))
+        argv = ["verify", "--identity", "eq25", "--identity", "eq15", "--identity", "eq25", "--order", "6"]
+        assert main(argv + ["--json"] * as_json) == 0
+        out = capsys.readouterr().out
+        assert verified == ["eq25", "eq15"]
+        if as_json:
+            assert [r["identity"] for r in json.loads(out)["reports"]] == ["eq25", "eq15"]
+        else:
+            assert out == "PASS identity/eq25 (order=6)\nPASS identity/eq15 (order=6)\n2/2 checks passed\n"
 
     def test_all_json_lists_checks(self, capsys):
         assert main(["verify", "--order", "6", "--json"]) == 0
@@ -494,11 +515,50 @@ class TestSharedExtraction:
         assert not cli._extract("finite", 1)[1].terminated
 
 
+class TestSharedHankelTables:
+    """One registry computes each (family, shift) Hankel table once, and the product-formula checks read it."""
+
+    def test_verify_all_computes_each_determinant_once(self, capsys, monkeypatch):
+        dims, tables = [], []
+        det_bareiss, hankel_table = hankel.det_bareiss, hankel.hankel_table
+
+        def counted_det(m):
+            dims.append(m.dim)
+            return det_bareiss(m)
+
+        def counted_table(family, shift, max_n):
+            tables.append((family, shift, max_n))
+            return hankel_table(family, shift, max_n)
+
+        monkeypatch.setattr(hankel, "det_bareiss", counted_det)
+        monkeypatch.setattr(hankel, "hankel_table", counted_table)
+        assert main(["verify", "--all"]) == 0
+        capsys.readouterr()
+        # 4 tables of dimensions 1..7; the two product-formula checks read rows 1..6 of two of them
+        assert len(dims) == 28
+        assert sorted(dims) == sorted(list(range(1, cli.DEFAULT_HANKEL_MAX_N + 1)) * 4)
+        assert sorted(tables) == [(family, shift, cli.DEFAULT_HANKEL_MAX_N)
+                                  for family in sorted(hankel.TABLE_FAMILIES) for shift in (0, 1)]
+
+
+class TestBenchmarkTracer:
+    """perfbench/trace_op.py can still wrap every layer it times after a change to the package."""
+
+    def test_trace_leaves_stdout_alone_and_binds_every_layer(self):
+        root = Path(__file__).resolve().parents[1]
+        run = _python(str(root / "perfbench" / "trace_op.py"), "verify", "--all")
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == (root / "tests" / "data" / "verify_all.out").read_bytes()
+        mark = "perfbench-trace: "
+        lines = [line for line in run.stderr.decode().splitlines() if line.startswith(mark)]
+        assert len(lines) == 1
+        assert json.loads(lines[0][len(mark):])["unbound"] == []
+
+
 def _record_fields():
     """Each record type with a fresh set of field values, by field name in declaration order."""
     one = RationalFunction.one("t")
     return [
-        (Command, {"verb": "poly", "options": {"family": "c", "n": 3}}),
         (cli.CheckResult, {"name": "eval/at_one", "passed": True, "detail": "n<=20"}),
         (gfun.IdentityReport, {"identity": "eq15", "order": 4, "status": "fail", "power": 2,
                                "lhs": T, "rhs": T + Polynomial.one("t")}),
@@ -513,7 +573,7 @@ _RECORD_IDS = [cls.__name__ for cls, _ in _record_fields()]
 
 
 class TestRecords:
-    """The small result and command records: immutable values compared field by field."""
+    """The small result records: immutable values compared field by field."""
 
     @pytest.mark.parametrize("index", range(len(_RECORD_IDS)), ids=_RECORD_IDS)
     def test_assignment_raises(self, index):
@@ -537,11 +597,7 @@ class TestRecords:
         (cls, fields), (_, same) = _record_fields()[index], _record_fields()[index]
         a, b = cls(**fields), cls(**same)
         assert a == b
-        if cls is Command:  # its options are a dict, so it is as unhashable as the dict
-            with pytest.raises(TypeError):
-                hash(a)
-        else:
-            assert hash(a) == hash(b)
+        assert hash(a) == hash(b)
 
     def test_defaults(self):
         one = RationalFunction.one("t")

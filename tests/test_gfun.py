@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from qnarayana.exactalg import Polynomial
@@ -44,6 +46,13 @@ class TestVerifyIdentity:
     def test_registry_is_complete(self):
         assert set(ALL_IDENTITIES) == set(IDENTITY_DESCRIPTIONS)
         assert len(ALL_IDENTITIES) == 12
+
+    def test_readme_table_lists_the_descriptions(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Identity registry", 1)[1].split("\n## ", 1)[0]
+        rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
+        table = {key.strip(): statement.strip().replace("`", "") for key, statement in rows[1:]}
+        assert table == IDENTITY_DESCRIPTIONS
 
     def test_unknown_identifier(self):
         with pytest.raises(ValueError, match="unknown identity"):
