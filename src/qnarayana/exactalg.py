@@ -30,12 +30,16 @@ integer division can be exact where the polynomial one is not, so a
 quotient is accepted only with remainder 0 and every coefficient within a
 caller's bound that the slot was sized for.
 
-Polynomial product and exact division skip zero low blocks, which
-fraction-free elimination produces in bulk (entries t^v times a short
-polynomial, monomial pivots): the product's inner loop starts at the inner
-operand's lowest nonzero coefficient, and exact division splits var^v off
-the divisor first, so division by a monomial is one pass (see
-``poly_exact_div``).
+Polynomial product and exact division skip zero low blocks and take a
+single term in one pass, structure that fraction-free elimination produces
+in bulk (entries t^v times a short polynomial, pivots c*t^v): the product's
+inner loop starts at the inner operand's lowest nonzero coefficient, and an
+inner operand with one term there scales the outer one in a single list;
+exact division splits var^v off the divisor first, and a divisor left with
+one term c is a slice of the dividend (c = +-1) or one list of ``divmod``
+(see ``poly_exact_div``).  A series squared (``f * f``, the same object) packs
+once and computes each symmetric pair of its convolution once (see
+``_convolve``).
 
 There is no floating point anywhere and no tolerance anywhere: all
 arithmetic is exact, all equality is structural.
@@ -217,6 +221,9 @@ class Polynomial:
             return Polynomial._trusted(self.var, [])
         low = _valuation(other)
         inner = other.coeffs[low:]
+        if len(inner) == 1:  # other = c * var^low
+            c = inner[0]
+            return Polynomial._trusted(self.var, [0] * low + [a * c for a in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs, low):
             if a == 0:
@@ -306,7 +313,10 @@ def poly_exact_div(a, b):
 
     A divisor var^v * b' with b'(0) != 0 needs the dividend's v lowest
     coefficients to be zero; the rest of the dividend is then divided by b'
-    alone, so dividing by a monomial is one pass over the dividend.
+    alone.  A single-term b' = c takes one pass: for c = +-1 the quotient is
+    that rest of the dividend (negated for -1), for any other c one list of
+    ``divmod``, and a nonzero remainder anywhere raises.  Every b' with two or
+    more terms goes through long division.
     """
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
@@ -318,6 +328,16 @@ def poly_exact_div(a, b):
     if any(a.coeffs[:low]):
         raise NotDivisibleError(a, b)
     divisor = b.coeffs[low:]
+    if len(divisor) == 1:  # b = c * var^low, and a has a nonzero coefficient from var^low on
+        c = divisor[0]
+        if c == 1:
+            return Polynomial._trusted(a.var, list(a.coeffs[low:]))
+        if c == -1:
+            return Polynomial._trusted(a.var, [-x for x in a.coeffs[low:]])
+        pairs = [divmod(x, c) for x in a.coeffs[low:]]
+        if any(r for _, r in pairs):
+            raise NotDivisibleError(a, b)
+        return Polynomial._trusted(a.var, [q for q, _ in pairs])
     da, db = len(a.coeffs) - 1 - low, len(divisor) - 1
     if da < db:
         raise NotDivisibleError(a, b)
@@ -659,8 +679,20 @@ def _norms(polys):
 
 
 def _convolve(a, b):
-    """Truncated product of coefficient lists in any ring: out_m = a_0 b_m + ... + a_m b_0, summed left to right."""
-    return [reduce(add, map(mul, a[:m + 1], b[m::-1])) for m in range(len(a))]
+    """Truncated product of coefficient lists in any ring: out_m = a_0 b_m + ... + a_m b_0, summed left to right.
+
+    A square (a is b) computes each symmetric pair once, about half the
+    products: out_m is twice a_0 a_m + ... + a_(h-1) a_(m-h+1) with
+    h = ceil(m/2), plus the middle term a_h^2 when m = 2h is even.
+    """
+    if a is not b:
+        return [reduce(add, map(mul, a[:m + 1], b[m::-1])) for m in range(len(a))]
+    out = [a[0] * a[0]]
+    for m in range(1, len(a)):
+        h = (m + 1) // 2
+        pairs = reduce(add, map(mul, a[:h], a[m:m - h:-1]))
+        out.append(pairs + pairs if m % 2 else pairs + pairs + a[h] * a[h])
+    return out
 
 
 def _inverse(a, inv0):
@@ -729,7 +761,10 @@ class TruncatedSeries:
     m; for the inverse of a (constant term +-1), beta = _inverse of
     [1, -|a_1|_1, -|a_2|_1, ...] with inverse constant 1, so that
     beta_m = sum_(i>=1) |a_i|_1 beta_(m-i) bounds |out_m|_1 by induction on
-    out_m = -inv0 * sum_(i>=1) a_i out_(m-i).
+    out_m = -inv0 * sum_(i>=1) a_i out_(m-i).  A square ``f * f`` (one
+    object on both sides) packs once and runs the square path of
+    ``_convolve``, on the norms too; doubling a pair is exact, so its bound
+    and slot are those of two equal operands.
     """
 
     __slots__ = ("order", "coeffs")
@@ -790,8 +825,13 @@ class TruncatedSeries:
         if ring is None:
             return TruncatedSeries(_convolve(self.coeffs, other.coeffs), self.order)
         var, kind, (a, b) = ring
-        nbytes = _slot_bytes(max(_max_coeff(a + b), *_convolve(_norms(a), _norms(b))))
-        packed = _convolve([_pack(p, nbytes) for p in a], [_pack(p, nbytes) for p in b])
+        square = self is other  # pack once, so that _convolve sees the square
+        norms_a = _norms(a)
+        norms_b = norms_a if square else _norms(b)
+        nbytes = _slot_bytes(max(_max_coeff(a + b), *_convolve(norms_a, norms_b)))
+        packed_a = [_pack(p, nbytes) for p in a]
+        packed_b = packed_a if square else [_pack(p, nbytes) for p in b]
+        packed = _convolve(packed_a, packed_b)
         return TruncatedSeries(_lift([_unpack(v, nbytes, var) for v in packed], kind, var), self.order)
 
     def scale(self, c):

@@ -99,6 +99,11 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
     computed and each is mirrored to (j, i).  A row swap breaks the
     symmetry of the remaining block, so from the first swap on every entry
     is computed, exactly as for a non-symmetric input.
+
+    The pivot is the right operand of its product, ``row_i[j] * pivot``:
+    ``Polynomial.__mul__`` takes an inner operand with one term after its
+    zero low block in a single pass, and every pivot is a leading principal
+    minor, for the Narayana and c families +-t^C(k,2), a single term.
     """
     n = m.dim
     var = m.entries[0][0].var
@@ -120,7 +125,7 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
         for i in range(k + 1, n):
             row_i = a[i]
             for j in range(i if symmetric else k + 1, n):
-                row_i[j] = poly_exact_div(pivot * row_i[j] - row_i[k] * row_k[j], prev)
+                row_i[j] = poly_exact_div(row_i[j] * pivot - row_i[k] * row_k[j], prev)
                 if symmetric:
                     a[j][i] = row_i[j]
         prev = pivot

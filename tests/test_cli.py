@@ -4,12 +4,14 @@ import os
 import runpy
 import subprocess
 import sys
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import pytest
 
 import qnarayana
-from qnarayana import cli, dyckoracle, fixtures, gfun, hankel, narayana, qcomb
+from qnarayana import cli, dyckoracle, exactalg, fixtures, gfun, hankel, narayana, qcomb
 from qnarayana.cli import REGISTRY_SIZE, build_registry, main, parse_args
 from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 
@@ -352,6 +354,24 @@ def _series_plus_t(tag, power):
     return perturb
 
 
+def _square_without_doubling(convolve):
+    """Perturb exactalg._convolve: a square sums each symmetric pair a_i a_(m-i) once instead of twice."""
+    def perturbed(a, b):
+        if a is not b:
+            return convolve(a, b)
+        return [reduce(add, map(mul, a[:m // 2 + 1], a[m::-1])) for m in range(len(a))]
+    return perturbed
+
+
+def _minus_one_divisor_not_negated(poly_exact_div):
+    """Perturb poly_exact_div: a divisor -t^v gives the quotient by t^v, its -1 coefficient ignored."""
+    def perturbed(a, b):
+        if b and not any(b.coeffs[:-1]) and b.coeffs[-1] == -1:
+            return poly_exact_div(a, -b)
+        return poly_exact_div(a, b)
+    return perturbed
+
+
 T = Polynomial.gen("t")
 Q = Polynomial.gen("q")
 
@@ -409,6 +429,23 @@ class TestCheckReportsItsOwnDiff:
         assert len(reported) == 1
         assert reported[0].startswith(line)
         assert "error:" not in reported[0]
+
+    @pytest.mark.parametrize("modules, attr, perturb, failed", [
+        ((exactalg,), "_convolve", _square_without_doubling,
+         ["FAIL identity/eq15", "FAIL identity/eq20"]),
+        # hankel binds poly_exact_div at import, and only the small_c shift-1 table has pivots -t^v
+        ((exactalg, hankel), "poly_exact_div", _minus_one_divisor_not_negated,
+         ["FAIL hankel/small_c/shift1", "FAIL cfrac/smallg/product_formula"]),
+    ], ids=["square-doubling", "minus-one-divisor"])
+    def test_injected_kernel_fault(self, capsys, monkeypatch, modules, attr, perturb, failed):
+        """A fault in a single-term or square path of the Z[t] kernel fails exactly the checks that reach it."""
+        perturbed = perturb(getattr(exactalg, attr))
+        for module in modules:
+            monkeypatch.setattr(module, attr, perturbed)
+        assert main(["verify", "--all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines if line.startswith("FAIL")] == failed
+        assert lines[-1] == f"{REGISTRY_SIZE - len(failed)}/{REGISTRY_SIZE} checks passed"
 
     def test_each_run_extracts_afresh(self, capsys, monkeypatch):
         assert main(["verify", "--all"]) == 0
@@ -544,15 +581,26 @@ class TestSharedHankelTables:
 class TestBenchmarkTracer:
     """perfbench/trace_op.py can still wrap every layer it times after a change to the package."""
 
-    def test_trace_leaves_stdout_alone_and_binds_every_layer(self):
-        root = Path(__file__).resolve().parents[1]
-        run = _python(str(root / "perfbench" / "trace_op.py"), "verify", "--all")
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def traced(self, *argv):
+        """The stdout of a traced run of argv, after checking its exit code and that nothing is unbound."""
+        run = _python(str(self.ROOT / "perfbench" / "trace_op.py"), *argv)
         assert run.returncode == 0, run.stderr.decode()
-        assert run.stdout == (root / "tests" / "data" / "verify_all.out").read_bytes()
         mark = "perfbench-trace: "
         lines = [line for line in run.stderr.decode().splitlines() if line.startswith(mark)]
         assert len(lines) == 1
         assert json.loads(lines[0][len(mark):])["unbound"] == []
+        return run.stdout
+
+    def test_trace_leaves_stdout_alone_and_binds_every_layer(self):
+        assert self.traced("verify", "--all") == (self.ROOT / "tests" / "data" / "verify_all.out").read_bytes()
+
+    def test_trace_of_hankel_matches_the_plain_run(self):
+        argv = ["hankel", "--family", "c", "--shift", "1", "--max-n", "8"]
+        plain = _python("-m", "qnarayana.cli", *argv)
+        assert plain.returncode == 0
+        assert self.traced(*argv) == plain.stdout
 
 
 def _record_fields():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qnarayana import hankel
 from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 from qnarayana.hankel import (
     JFraction,
@@ -317,3 +318,40 @@ class TestProductFormula:
     def test_insufficient_coefficients(self):
         with pytest.raises(ValueError, match="subdiagonal"):
             hankel_product_formula([RF(0, 1)], 3)
+
+
+def type_b_closed_form(shift, n):
+    """2^(n-1) t^C(n,2), times (1 + t^n) for shift 1; verified for n <= 14, not a result of the paper."""
+    det = Polynomial.monomial(TVAR, n * (n - 1) // 2, 2 ** (n - 1))
+    return det * (Polynomial.monomial(TVAR, n) + 1) if shift else det
+
+
+class TestTypeBHankel:
+    """Hankel determinants of the type-B family narayana_B, whose pivots take the divisions c and C never do.
+
+    Every pivot of the elimination is a leading principal minor.  At shift 0
+    they are 2^k t^v, single-term divisors with a coefficient other than
+    +-1; at shift 1 they have two terms and go through long division.
+    """
+
+    SEQ = poly_sequence("narayana_B", 25)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_bareiss_matches_cofactor(self, shift):
+        for n in range(1, 7):
+            m = hankel_matrix(self.SEQ, n, shift)
+            assert det_bareiss(m) == det_cofactor(m), (shift, n)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_closed_form_to_twelve(self, shift):
+        for n in range(1, 13):
+            assert det_bareiss(hankel_matrix(self.SEQ, n, shift)) == type_b_closed_form(shift, n), (shift, n)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_divisors_are_the_leading_minors(self, monkeypatch, shift):
+        divisors, divide = set(), hankel.poly_exact_div
+        monkeypatch.setattr(hankel, "poly_exact_div", lambda a, b: divisors.add(b) or divide(a, b))
+        det_bareiss(hankel_matrix(self.SEQ, 8, shift))
+        assert divisors == {P(1)} | {type_b_closed_form(shift, k) for k in range(1, 7)}
+        terms = {sum(map(bool, d.coeffs)) for d in divisors - {P(1)}}
+        assert terms == ({1} if shift == 0 else {2})

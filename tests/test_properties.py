@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnarayana.exactalg import (
+    NotDivisibleError,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
@@ -524,3 +525,109 @@ def test_denominator_one_inverse_matches_reference(a0, coeffs):
     f = TruncatedSeries([RationalFunction(P(a0))] + coeffs[0][1:])
     assert spelled(f.invert().coeffs) == spelled(reference_inverse(f))
     assert f * f.invert() == TruncatedSeries.constant(RationalFunction(P(1)), f.order)
+
+
+# Single-term operands: Polynomial * takes an inner operand c*t^v in one
+# list, and poly_exact_div a divisor c*t^v as a slice (c = +-1) or one list
+# of divmod.  The oracle is the schoolbook double loop.
+
+SINGLE_TERM_COEFFS = (1, -1, 2, -2, 3, 2 ** 16, -(2 ** 24))
+
+
+def schoolbook(p, q):
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1) if p and q else []
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial("t", out)
+
+
+def check_single_term(p, c, v):
+    m = Polynomial.monomial("t", v, c)
+    want = schoolbook(p, m)
+    assert p * m == want and m * p == want, (p, m)
+    assert poly_exact_div(p * m, m) == p, (p, m)
+    if v == 0:  # an int operand is the constant polynomial
+        assert p * c == want and c * p == want, (p, c)
+
+
+def test_single_term_product_and_division_match_schoolbook():
+    rng = random.Random(70701)
+    for c in SINGLE_TERM_COEFFS:
+        for v in range(7):
+            check_single_term(Polynomial.zero("t"), c, v)
+            for _ in range(20):
+                p = rand_edge_poly(rng)
+                if rng.random() < 0.3:  # a zero low block on the outer operand too
+                    p = p * Polynomial.monomial("t", rng.randint(1, 3))
+                check_single_term(p, c, v)
+
+
+@given(coeff_lists, st.sampled_from(SINGLE_TERM_COEFFS), st.integers(0, 6))
+def test_single_term_paths_hypothesis(coeffs, c, v):
+    check_single_term(Polynomial("t", coeffs), c, v)
+
+
+def test_single_term_division_refuses_what_is_not_a_multiple():
+    rng = random.Random(70702)
+    for c in SINGLE_TERM_COEFFS:
+        for v in range(7):
+            m = Polynomial.monomial("t", v, c)
+            for _ in range(10):
+                p = rand_edge_poly(rng)
+                if not p:
+                    continue
+                if abs(c) > 1:  # one coefficient from v on is off a multiple of c
+                    coeffs = list((p * m).coeffs)
+                    coeffs[rng.randint(v, len(coeffs) - 1)] += rng.choice((1, -1)) * rng.randint(1, abs(c) - 1)
+                    with pytest.raises(NotDivisibleError):
+                        poly_exact_div(Polynomial("t", coeffs), m)
+                if v:  # a nonzero coefficient below t^v
+                    coeffs = list((p * m).coeffs)
+                    coeffs[rng.randint(0, v - 1)] = c * rng.choice((1, -1, 5))
+                    with pytest.raises(NotDivisibleError):
+                        poly_exact_div(Polynomial("t", coeffs), m)
+                    # a dividend shorter than the divisor
+                    with pytest.raises(NotDivisibleError):
+                        poly_exact_div(Polynomial.monomial("t", rng.randint(0, v - 1), c), m)
+            assert poly_exact_div(Polynomial.zero("t"), m) == Polynomial.zero("t")
+            if abs(c) > 1:
+                with pytest.raises(NotDivisibleError):
+                    poly_exact_div(P(*([0] * v + [c, c + 1])), m)
+
+
+# Squares: f * f (one object on both sides) packs once and _convolve computes
+# each symmetric pair once.  An equal but distinct g runs the general product.
+
+def distinct_copy(f):
+    return TruncatedSeries(list(f.coeffs), f.order)
+
+
+def test_square_equals_product_of_distinct_equal_series():
+    rng = random.Random(70703)
+    for order in range(8):
+        for _ in range(15):
+            f_int = rand_series(rng, order)
+            f_poly = rand_poly_series(rng, order)
+            f_unit = rand_ratfun_series(rng, order)
+            f_rf = TruncatedSeries([rand_ratfun(rng, rng.random() < 0.5) for _ in range(order + 1)], order)
+            for f in (f_int, f_poly, f_unit, f_rf):
+                g = distinct_copy(f)
+                assert g is not f and g.coeffs is not f.coeffs
+                want = spelled(reference_product(f, g))
+                assert spelled((f * f).coeffs) == want, f
+                assert spelled((f * g).coeffs) == want, f
+
+
+def test_square_slot_bound_is_pinned(monkeypatch):
+    from qnarayana import exactalg
+
+    width, seen = exactalg._slot_bytes, []
+    monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: seen.append(bound) or width(bound))
+    rng = random.Random(70704)
+    for order in range(8):
+        f = rand_poly_series(rng, order)
+        for square in (f, f.map_coeffs(RationalFunction)):
+            seen.clear()
+            square * square
+            assert seen == [pinned_series_bound((f, f))], f
