@@ -4,9 +4,11 @@ continued-fraction reports, and the brute-force path oracles.
 argparse does all of the parsing: each size option states its range once,
 through one ``type=`` validator, and each verb's parser names the function
 that runs it (``set_defaults(run=...)``).  The check registry
-(``build_registry``) names every check once; within one registry run each
-cfrac tag's J-fraction is extracted once and each (family, shift) Hankel
-table is computed once, and every check that needs it reads it.
+(``build_registry``) names every check once and passes it the bounds it
+loops over and reports; within one registry run each q-Narayana row is
+built once, each cfrac tag's J-fraction is extracted once and each
+(family, shift) Hankel table is computed once, and every check that needs
+it reads it.
 
 Exit codes: 0 when every executed check passes, 1 on any mismatch or
 internal error, 2 on usage errors.  Output goes to stdout, diagnostics to
@@ -62,65 +64,51 @@ def _check_first_terms(alias: str, stored: tuple[str, ...]) -> tuple[bool, str]:
     return True, f"n<={len(stored) - 1}"
 
 
-def _q_row_mismatch(n: int, row: tuple[Polynomial, ...]) -> str:
-    """Where row n of the q-Narayana family breaks its invariants; empty when it keeps them.
-
-    The invariants: constant term 1, no negative coefficient, and the row
-    sums to the q-Catalan quotient.
-    """
-    if row[0] != Polynomial.one(qcomb.QVAR):
-        return f"n={n}: q-row starts with {row[0]}, expected 1"
-    for k, entry in enumerate(row):
-        if any(c < 0 for c in entry.coeffs):
-            return f"n={n}, k={k}: negative coefficient in q-row entry {entry}"
-    total = sum(row, Polynomial.zero(qcomb.QVAR))
-    catalan = qcomb.q_catalan(n)
-    if total != catalan:
-        return f"n={n}: q-row sums to {total}, q-Catalan quotient {catalan}"
-    return ""
-
-
-def _check_routes() -> tuple[bool, str]:
-    for n in range(ROUTE_MAX_N + 1):
+def _check_routes(rows, max_n: int) -> tuple[bool, str]:
+    """c_n three ways: closed form, recursion, and the q-Narayana row at q = -1."""
+    for n in range(max_n + 1):
         closed = narayana.c_poly(n)
         recursive = narayana.c_poly_recursive(n)
         if recursive != closed:
             return False, f"n={n}: recursion gives {recursive}, closed form {closed}"
-        row = qcomb.q_narayana_row(n)
-        mismatch = _q_row_mismatch(n, row)
-        if mismatch:
-            return False, mismatch
-        if n >= 1:
-            specialized = tuple(p(-1) for p in row)
-            if closed.coeffs != specialized:
-                return False, f"n={n}: q-specialization gives {specialized}"
-    return True, f"n<={ROUTE_MAX_N}"
+        specialized = tuple(p(-1) for p in rows(n))
+        if closed.coeffs != specialized:
+            return False, f"n={n}: q-specialization gives {specialized}"
+    return True, f"n<={max_n}"
 
 
-def _check_odd_closed() -> tuple[bool, str]:
-    for m in range(11):
-        odd, closed = narayana.c_odd_closed(m), narayana.c_poly(2 * m + 1)
+def _check_odd_closed(max_n: int) -> tuple[bool, str]:
+    for n in range(1, max_n + 1, 2):
+        odd, closed = narayana.c_odd_closed(n // 2), narayana.c_poly(n)
         if odd != closed:
-            return False, f"n={2 * m + 1}: odd closed form gives {odd}, closed form {closed}"
-    return True, "odd indices <= 21"
+            return False, f"n={n}: odd closed form gives {odd}, closed form {closed}"
+    return True, f"odd indices <= {max_n}"
 
 
-def _check_eval(point: int, indices: range, covered: str) -> tuple[bool, str]:
+def _check_eval(point: int, max_n: int) -> tuple[bool, str]:
     """c_n(point) against the closed-form value from narayana.special_values (point 1 or -1)."""
-    for n in indices:
+    for n in range(max_n + 1):
         want = narayana.special_values(n)[0 if point == 1 else 1]
         got = narayana.c_poly(n)(point)
         if got != want:
             return False, f"n={n}: value {got}, expected {want}"
-    return True, covered
+    return True, f"n<={max_n}"
 
 
-def _check_q_catalan_sum() -> tuple[bool, str]:
-    for n in range(11):
-        mismatch = _q_row_mismatch(n, qcomb.q_narayana_row(n))
-        if mismatch:
-            return False, mismatch
-    return True, "n<=10"
+def _check_q_catalan_sum(rows, max_n: int) -> tuple[bool, str]:
+    """Each q-Narayana row has constant term 1, no negative coefficient, and sums to the q-Catalan quotient."""
+    one, zero = Polynomial.one(qcomb.QVAR), Polynomial.zero(qcomb.QVAR)
+    for n in range(max_n + 1):
+        row = rows(n)
+        if row[0] != one:
+            return False, f"n={n}: q-row starts with {row[0]}, expected 1"
+        for k, entry in enumerate(row):
+            if any(c < 0 for c in entry.coeffs):
+                return False, f"n={n}, k={k}: negative coefficient in q-row entry {entry}"
+        total, catalan = sum(row, zero), qcomb.q_catalan(n)
+        if total != catalan:
+            return False, f"n={n}: q-row sums to {total}, q-Catalan quotient {catalan}"
+    return True, f"n<={max_n}"
 
 
 def _check_identity(identity: str, order: int) -> tuple[bool, str]:
@@ -158,14 +146,14 @@ def _cfrac_levels(tag: str, jf):
     return levels
 
 
-def _check_cfrac_closed(extract, tag: str) -> tuple[bool, str]:
+def _check_cfrac_closed(extract, tag: str, depth: int) -> tuple[bool, str]:
     _, jf = extract(tag)
-    if jf.depth != DEFAULT_CFRAC_DEPTH:
+    if jf.depth != depth:
         return False, f"extraction stopped at depth {jf.depth}"
     for kind, k, got, want, match in _cfrac_levels(tag, jf):
         if not match:
             return False, f"{kind}_{k}: extracted {got}, stored {want}"
-    return True, f"levels<={DEFAULT_CFRAC_DEPTH}"
+    return True, f"levels<={depth}"
 
 
 def _check_cfrac_product(extract, table, tag: str, max_n: int) -> tuple[bool, str]:
@@ -187,10 +175,10 @@ def _check_cfrac_roundtrip(extract, depth: int) -> tuple[bool, str]:
     return True, f"depth={depth}"
 
 
-def _check_oracle_qt(max_n: int) -> tuple[bool, str]:
+def _check_oracle_qt(rows, max_n: int) -> tuple[bool, str]:
     for n in range(max_n + 1):
         table = dyckoracle.qt_distribution(n)
-        row = qcomb.q_narayana_row(n)
+        row = rows(n)
         if len(table) != len(row):
             return False, f"n={n}: {len(table)} valley classes, expected {len(row)}"
         for k, poly in table.items():
@@ -209,16 +197,16 @@ def _check_oracle_symmetric(max_n: int) -> tuple[bool, str]:
     return True, f"n<={max_n}"
 
 
-def _check_oracle_counts() -> tuple[bool, str]:
-    for n in range(11):
+def _check_oracle_counts(path_max_n: int, sym_max_n: int) -> tuple[bool, str]:
+    for n in range(path_max_n + 1):
         count = sum(1 for _ in dyckoracle.enumerate_dyck(n))
         if count != narayana.catalan_number(n):
             return False, f"n={n}: {count} paths, expected Catalan"
-    for n in range(13):
+    for n in range(sym_max_n + 1):
         count = sum(1 for _ in dyckoracle.enumerate_symmetric(n))
         if count != narayana.binomial(n, n // 2):
             return False, f"n={n}: {count} symmetric paths, expected central binomial"
-    return True, "path<=10, symmetric<=12"
+    return True, f"path<={path_max_n}, symmetric<={sym_max_n}"
 
 
 def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
@@ -228,14 +216,19 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     Each entry is (name, check); a check returns (passed, detail).  The
     name is spelled here only.
     """
+    # One q-Narayana row per n serves the route, invariant and valley-major
+    # checks.  The cache is made here, not at import, so it wraps
+    # qcomb.q_narayana_row as bound when the registry is built: the benchmark
+    # tracer and the fault-injection tests rebind it first.
+    rows = cache(qcomb.q_narayana_row)
     checks = [
         ("first_terms/c", partial(_check_first_terms, "c", fixtures.FIRST_TERMS_SMALL_C)),
         ("first_terms/C", partial(_check_first_terms, "C", fixtures.FIRST_TERMS_NARAYANA)),
-        ("routes/c_three_ways", _check_routes),
-        ("routes/odd_closed_form", _check_odd_closed),
-        ("eval/at_one", partial(_check_eval, 1, range(ROUTE_MAX_N + 1), f"n<={ROUTE_MAX_N}")),
-        ("eval/at_minus_one", partial(_check_eval, -1, range(22), "indices <= 21")),
-        ("eval/q_catalan_sum", _check_q_catalan_sum),
+        ("routes/c_three_ways", partial(_check_routes, rows, ROUTE_MAX_N)),
+        ("routes/odd_closed_form", partial(_check_odd_closed, ROUTE_MAX_N + 1)),
+        ("eval/at_one", partial(_check_eval, 1, ROUTE_MAX_N)),
+        ("eval/at_minus_one", partial(_check_eval, -1, ROUTE_MAX_N + 1)),
+        ("eval/q_catalan_sum", partial(_check_q_catalan_sum, rows, ROUTE_MAX_N)),
     ]
     for identity in gfun.ALL_IDENTITIES:
         checks.append((f"identity/{identity}", partial(_check_identity, identity, order)))
@@ -252,13 +245,13 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     extract = cache(partial(_extract, depth=DEFAULT_CFRAC_DEPTH))
     tags = _CFRAC_FAMILIES.values()
     for tag in tags:
-        checks.append((f"cfrac/{tag}/closed_forms", partial(_check_cfrac_closed, extract, tag)))
+        checks.append((f"cfrac/{tag}/closed_forms", partial(_check_cfrac_closed, extract, tag, DEFAULT_CFRAC_DEPTH)))
     for tag in tags:
         checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, table, tag, 6)))
     checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
-    checks.append(("oracle/valley_major", partial(_check_oracle_qt, q_max_n)))
+    checks.append(("oracle/valley_major", partial(_check_oracle_qt, rows, q_max_n)))
     checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, sym_max_n)))
-    checks.append(("oracle/counts", _check_oracle_counts))
+    checks.append(("oracle/counts", partial(_check_oracle_counts, q_max_n, sym_max_n)))
     return tuple(checks)
 
 

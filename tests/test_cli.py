@@ -186,12 +186,23 @@ class TestVerifyVerb:
 
 
 class TestOracleVerb:
-    def test_small_run(self, capsys):
+    def test_small_run(self, capsys, monkeypatch):
+        # every oracle check walks paths to the flags' bounds and no further
+        walked = {"enumerate_dyck": [], "enumerate_symmetric": []}
+        for name, sizes in walked.items():
+            def recorded(n, enumerate_paths=getattr(dyckoracle, name), sizes=sizes):
+                sizes.append(n)
+                return enumerate_paths(n)
+            monkeypatch.setattr(dyckoracle, name, recorded)
         assert main(["oracle", "--q-max-n", "4", "--sym-max-n", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS oracle/valley_major" in out
-        assert "PASS oracle/symmetric_valleys" in out
-        assert "PASS oracle/counts" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS oracle/valley_major (n<=4)",
+            "PASS oracle/symmetric_valleys (n<=6)",
+            "PASS oracle/counts (path<=4, symmetric<=6)",
+            "3/3 checks passed",
+        ]
+        assert max(walked["enumerate_dyck"]) == 4
+        assert max(walked["enumerate_symmetric"]) == 6
 
 
 class TestRegistry:
@@ -275,7 +286,7 @@ class TestFaultInjection:
         assert "FAIL cfrac/smallg/closed_forms" in out
 
     def test_crashing_check_is_reported_as_failure(self, capsys, monkeypatch):
-        def boom():
+        def boom(*bounds):
             raise RuntimeError("injected")
 
         monkeypatch.setattr(cli, "_check_routes", boom)
@@ -383,11 +394,13 @@ class TestCheckReportsItsOwnDiff:
         (["verify"], narayana, "narayana_poly", _plus_at((2,), T),
          "FAIL routes/c_three_ways (n=5: recursion gives 1+2t+4t^2+t^3+t^4, closed form 1+2t+4t^2+2t^3+t^4)"),
         (["verify"], qcomb, "q_narayana_coeff", _plus_at((2, 0), Q),
-         "FAIL routes/c_three_ways (n=2: q-row starts with 1+q, expected 1)"),
+         "FAIL eval/q_catalan_sum (n=2: q-row starts with 1+q, expected 1)"),
         (["verify"], qcomb, "q_narayana_coeff", _plus_at((3, 1), -Q ** 5),
-         "FAIL routes/c_three_ways (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)"),
+         "FAIL eval/q_catalan_sum (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)"),
         (["verify"], qcomb, "q_narayana_coeff", _plus_at((4, 1), Polynomial.one("q")),
-         "FAIL routes/c_three_ways (n=4: q-row sums to "),
+         "FAIL eval/q_catalan_sum (n=4: q-row sums to "),
+        (["verify"], qcomb, "q_narayana_coeff", _plus_at((15, 3), Q),
+         "FAIL eval/q_catalan_sum (n=15: q-row sums to "),
         (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T),
          "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
         (["oracle"], dyckoracle, "path_stats", _maj_plus_one_on_udud,
@@ -417,7 +430,8 @@ class TestCheckReportsItsOwnDiff:
          "FAIL cfrac/smallg/closed_forms (s_9: extracted (-1-t^8-t^9)/(t^8), stored -1-t)"),
         (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17),
          "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
-    ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "odd-closed-form",
+    ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
+            "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "identity", "hankel", "eval-at-one",
             "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
             "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
@@ -576,6 +590,49 @@ class TestSharedHankelTables:
         assert sorted(dims) == sorted(list(range(1, cli.DEFAULT_HANKEL_MAX_N + 1)) * 4)
         assert sorted(tables) == [(family, shift, cli.DEFAULT_HANKEL_MAX_N)
                                   for family in sorted(hankel.TABLE_FAMILIES) for shift in (0, 1)]
+
+
+class TestSharedQRows:
+    """One registry builds each q-Narayana row once, and the next registry builds it afresh."""
+
+    def test_verify_all_builds_each_row_once(self, capsys, monkeypatch):
+        built = []
+        q_narayana_row = qcomb.q_narayana_row
+
+        def counted_row(n):
+            built.append(n)
+            return q_narayana_row(n)
+
+        monkeypatch.setattr(qcomb, "q_narayana_row", counted_row)
+        assert main(["verify", "--all"]) == 0
+        assert sorted(built) == list(range(cli.ROUTE_MAX_N + 1))
+        assert main(["verify", "--all"]) == 0
+        capsys.readouterr()
+        assert sorted(built) == sorted(list(range(cli.ROUTE_MAX_N + 1)) * 2)
+
+
+class TestReadmeCapTable:
+    """README's table of size caps states the caps the parser enforces."""
+
+    CAPS = {
+        "poly --n": cli.MAX_POLY_N,
+        "hankel --max-n": cli.MAX_HANKEL_N,
+        "cfrac --depth": cli.MAX_CFRAC_DEPTH,
+        "verify --order": cli.MAX_ORDER,
+        "oracle --q-max-n": dyckoracle.MAX_QT,
+        "oracle --sym-max-n": dyckoracle.MAX_SYMMETRIC,
+    }
+
+    def test_range_column_matches_the_caps(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| option | range |"))
+        ranges = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            option, span = (cell.strip() for cell in line.strip("|").split("|")[:2])
+            ranges[option.strip("`")] = span
+        assert {option: int(span.split("..")[1]) for option, span in ranges.items()} == self.CAPS
 
 
 class TestBenchmarkTracer:
