@@ -5,10 +5,12 @@ argparse does all of the parsing: each size option states its range once,
 through one ``type=`` validator, and each verb's parser names the function
 that runs it (``set_defaults(run=...)``).  The check registry
 (``build_registry``) names every check once and passes it the bounds it
-loops over and reports; within one registry run each q-Narayana row is
-built once, each cfrac tag's J-fraction is extracted once and each
-(family, shift) Hankel table is computed once, and every check that needs
-it reads it.
+loops over and reports.  Within one registry run each q-Narayana row is
+built once, each cfrac tag's J-fraction is extracted once, each
+(family, shift) Hankel table is computed once, and each Dyck and symmetric
+path distribution is built once, so every path set is walked once; every
+check that needs one of these reads it.  The c_n and N_n rows are built
+once per process (``narayana`` memoizes them).
 
 Exit codes: 0 when every executed check passes, 1 on any mismatch or
 internal error, 2 on usage errors.  Output goes to stdout, diagnostics to
@@ -175,9 +177,9 @@ def _check_cfrac_roundtrip(extract, depth: int) -> tuple[bool, str]:
     return True, f"depth={depth}"
 
 
-def _check_oracle_qt(rows, max_n: int) -> tuple[bool, str]:
+def _check_oracle_qt(rows, qt, max_n: int) -> tuple[bool, str]:
     for n in range(max_n + 1):
-        table = dyckoracle.qt_distribution(n)
+        table = qt(n)
         row = rows(n)
         if len(table) != len(row):
             return False, f"n={n}: {len(table)} valley classes, expected {len(row)}"
@@ -187,9 +189,9 @@ def _check_oracle_qt(rows, max_n: int) -> tuple[bool, str]:
     return True, f"n<={max_n}"
 
 
-def _check_oracle_symmetric(max_n: int) -> tuple[bool, str]:
+def _check_oracle_symmetric(symmetric, max_n: int) -> tuple[bool, str]:
     for n in range(max_n + 1):
-        table = dyckoracle.symmetric_valley_distribution(n)
+        table = symmetric(n)
         for k, count in table.items():
             want = 1 if n == 0 else narayana.v_coeff(n, k)
             if count != want:
@@ -197,13 +199,14 @@ def _check_oracle_symmetric(max_n: int) -> tuple[bool, str]:
     return True, f"n<={max_n}"
 
 
-def _check_oracle_counts(path_max_n: int, sym_max_n: int) -> tuple[bool, str]:
+def _check_oracle_counts(qt, symmetric, path_max_n: int, sym_max_n: int) -> tuple[bool, str]:
+    """The size of each path set, read as the sum of its distribution: sum_k table_k(1) for Dyck paths."""
     for n in range(path_max_n + 1):
-        count = sum(1 for _ in dyckoracle.enumerate_dyck(n))
+        count = sum(poly(1) for poly in qt(n).values())
         if count != narayana.catalan_number(n):
             return False, f"n={n}: {count} paths, expected Catalan"
     for n in range(sym_max_n + 1):
-        count = sum(1 for _ in dyckoracle.enumerate_symmetric(n))
+        count = sum(symmetric(n).values())
         if count != narayana.binomial(n, n // 2):
             return False, f"n={n}: {count} symmetric paths, expected central binomial"
     return True, f"path<={path_max_n}, symmetric<={sym_max_n}"
@@ -249,9 +252,13 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     for tag in tags:
         checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, table, tag, 6)))
     checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
-    checks.append(("oracle/valley_major", partial(_check_oracle_qt, rows, q_max_n)))
-    checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, sym_max_n)))
-    checks.append(("oracle/counts", partial(_check_oracle_counts, q_max_n, sym_max_n)))
+    # One distribution per n serves the oracle checks, so each path set is
+    # walked once; made here for the same reason as rows.
+    qt = cache(dyckoracle.qt_distribution)
+    symmetric = cache(dyckoracle.symmetric_valley_distribution)
+    checks.append(("oracle/valley_major", partial(_check_oracle_qt, rows, qt, q_max_n)))
+    checks.append(("oracle/symmetric_valleys", partial(_check_oracle_symmetric, symmetric, sym_max_n)))
+    checks.append(("oracle/counts", partial(_check_oracle_counts, qt, symmetric, q_max_n, sym_max_n)))
     return tuple(checks)
 
 

@@ -16,13 +16,18 @@ extends a prefix that never has more D than U, keeps the U branches still
 to try on an explicit stack, and streams words in ascending ASCII order, so
 goldens are deterministic.  A Dyck path of semi-length n is such a word of
 length 2n with n U; a symmetric one is such a word of length n followed by
-its reverse-complement.  The stack holds at most n prefixes; no list of
-paths is built.  The guards on n keep worst-case runtime at desk scale;
-this module exists to validate small cases, not to scale.
+its mirror, the half reversed with U and D swapped.  The stack holds at
+most n prefixes; no list of paths is built.  Each path set's size is the
+sum of its distribution table (``qt_distribution`` at q = 1,
+``symmetric_valley_distribution``), so a caller that keeps the tables, as
+the CLI registry does for one run, walks each set once.  The guards on n
+keep worst-case runtime at desk scale; this module exists to validate
+small cases, not to scale.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .exactalg import Polynomial, ring_to_json
@@ -120,18 +125,12 @@ def qt_distribution(n: int) -> dict[int, Polynomial]:
     """
     if n > MAX_QT:
         raise ValueError(f"semi-length {n} exceeds the distribution guard {MAX_QT}")
-    counts: dict[int, dict[int, int]] = {k: {} for k in range(max(n - 1, 0) + 1)}
-    for path in enumerate_dyck(n):
-        stats = path_stats(path)
-        by_maj = counts[stats.valleys]
-        by_maj[stats.maj] = by_maj.get(stats.maj, 0) + 1
-    table = {}
-    for k, by_maj in counts.items():
-        coeffs = [0] * (max(by_maj) + 1 if by_maj else 0)
-        for maj, count in by_maj.items():
-            coeffs[maj] = count
-        table[k] = Polynomial(QVAR, coeffs)
-    return table
+    coeffs: dict[int, list[int]] = {k: [] for k in range(max(n - 1, 0) + 1)}
+    for (valleys, maj), count in Counter(map(path_stats, enumerate_dyck(n))).items():
+        row = coeffs[valleys]
+        row.extend([0] * (maj + 1 - len(row)))
+        row[maj] = count
+    return {k: Polynomial(QVAR, row) for k, row in coeffs.items()}
 
 
 def distribution_to_json(table: dict) -> dict:
@@ -149,7 +148,8 @@ def enumerate_symmetric(n: int) -> Iterator[str]:
         raise ValueError("semi-length must be >= 0")
     if n > MAX_SYMMETRIC:
         raise ValueError(f"semi-length {n} exceeds the symmetric guard {MAX_SYMMETRIC}")
-    return (half + reverse_complement(half) for half in _ballot_words(n, n))
+    # The walker makes only U/D words, so the mirror skips reverse_complement's validation.
+    return (half + half[::-1].translate(_SWAP) for half in _ballot_words(n, n))
 
 
 def symmetric_valley_distribution(n: int) -> dict[int, int]:

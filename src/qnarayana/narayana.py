@@ -11,6 +11,7 @@ between routes is a named check of the `verify --all` registry in :mod:`cli`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .exactalg import Polynomial
@@ -67,11 +68,13 @@ def _row_by_ratio(length: int, step) -> list[int]:
     return row
 
 
+@functools.cache
 def narayana_poly(n: int) -> Polynomial:
     """Row polynomial with Narayana-number coefficients; 1 for n = 0.
 
     Built by N(n,k+1) = N(n,k)(n-k)(n-k-1)/((k+1)(k+2)); narayana_number
-    is the closed form of a single entry.
+    is the closed form of a single entry.  Memoized: each row is built once
+    per process and every caller shares it.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
@@ -99,6 +102,7 @@ def v_coeff(n: int, k: int) -> int:
     return binomial((n - 1) // 2, k // 2) * binomial(n // 2, (k + 1) // 2)
 
 
+@functools.cache
 def c_poly(n: int) -> Polynomial:
     """c_n(t) with the closed-form coefficients v_coeff(n, k); 1 for n = 0.
 
@@ -106,6 +110,7 @@ def c_poly(n: int) -> Polynomial:
     the two binomials of v_coeff by one step: the second, binom(n//2, j),
     from an even k = 2j, and the first, binom((n-1)//2, j), from an odd
     k = 2j+1.  So the row is built by ratio, each step (m - j)/(j + 1).
+    Memoized like narayana_poly.
     """
     if n < 0:
         raise ValueError("index must be >= 0")

@@ -81,10 +81,3 @@ def q_narayana_row(n: int) -> tuple[Polynomial, ...]:
     if n == 0:
         return (_ONE,)
     return tuple(q_narayana_coeff(n, k) for k in range(n))
-
-
-def specialize_row(n: int, q0: int) -> tuple[int, ...]:
-    """Evaluate row n at an integer q0 (q0 = -1 and q0 = 1 are the cases of interest)."""
-    if n < 1:
-        raise ValueError("row specialization needs n >= 1")
-    return tuple(p(q0) for p in q_narayana_row(n))

@@ -32,7 +32,7 @@ from qnarayana.narayana import (
     poly_sequence,
     v_coeff,
 )
-from qnarayana.qcomb import QVAR, q_catalan, q_narayana_coeff, q_narayana_row, specialize_row
+from qnarayana.qcomb import QVAR, q_catalan, q_narayana_coeff, q_narayana_row
 from qnarayana.dyckoracle import enumerate_dyck, enumerate_symmetric, qt_distribution, symmetric_valley_distribution
 
 ACCEPTANCE_IDENTITIES = (
@@ -58,7 +58,7 @@ def test_criterion_2_route_equivalence():
         closed = c_poly(n)
         assert c_poly_recursive(n) == closed
         if n >= 1:
-            assert closed.coeffs == specialize_row(n, -1)
+            assert closed.coeffs == tuple(p(-1) for p in q_narayana_row(n))
     for m in range(11):  # odd indices 2m+1 <= 21
         assert c_odd_closed(m) == c_poly(2 * m + 1)
     _report("criterion-2 route-equivalence", "closed form, recursion, q-specialization agree for n <= 20; odd closed form to index 21")

@@ -185,15 +185,21 @@ class TestVerifyVerb:
         assert {"name": "identity/eq15", "status": "pass", "detail": "order=6"} in payload["checks"]
 
 
+def _record_walks(monkeypatch):
+    """Record the semi-length of every Dyck and symmetric path set walked, by enumerator name."""
+    walked = {"enumerate_dyck": [], "enumerate_symmetric": []}
+    for name, sizes in walked.items():
+        def recorded(n, enumerate_paths=getattr(dyckoracle, name), sizes=sizes):
+            sizes.append(n)
+            return enumerate_paths(n)
+        monkeypatch.setattr(dyckoracle, name, recorded)
+    return walked
+
+
 class TestOracleVerb:
     def test_small_run(self, capsys, monkeypatch):
         # every oracle check walks paths to the flags' bounds and no further
-        walked = {"enumerate_dyck": [], "enumerate_symmetric": []}
-        for name, sizes in walked.items():
-            def recorded(n, enumerate_paths=getattr(dyckoracle, name), sizes=sizes):
-                sizes.append(n)
-                return enumerate_paths(n)
-            monkeypatch.setattr(dyckoracle, name, recorded)
+        walked = _record_walks(monkeypatch)
         assert main(["oracle", "--q-max-n", "4", "--sym-max-n", "6"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "PASS oracle/valley_major (n<=4)",
@@ -409,6 +415,8 @@ class TestCheckReportsItsOwnDiff:
          "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)"),
         (["oracle"], dyckoracle, "enumerate_dyck", _first_path_twice_at(3),
          "FAIL oracle/counts (n=3: 6 paths, expected Catalan)"),
+        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(5),
+         "FAIL oracle/counts (n=5: 11 symmetric paths, expected central binomial)"),
         (["verify"], gfun, "_IDENTITY_BUILDERS", _rhs_plus_t("eq25", 3),
          "FAIL identity/eq25 (power=3: 0 vs t)"),
         (["verify", "--all"], hankel, "expected_hankel", _plus_at(("small_c", 1, 3), T),
@@ -432,8 +440,8 @@ class TestCheckReportsItsOwnDiff:
          "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
             "odd-closed-form",
-            "valley-major", "symmetric-valleys", "oracle-counts", "identity", "hankel", "eval-at-one",
-            "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
+            "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity", "hankel",
+            "eval-at-one", "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
             "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
@@ -609,6 +617,44 @@ class TestSharedQRows:
         assert main(["verify", "--all"]) == 0
         capsys.readouterr()
         assert sorted(built) == sorted(list(range(cli.ROUTE_MAX_N + 1)) * 2)
+
+
+class TestSharedPathSets:
+    """One registry walks each Dyck and symmetric path set once, and the next registry walks it afresh."""
+
+    @pytest.mark.parametrize("argv, q_max_n, sym_max_n", [
+        (["oracle", "--q-max-n", "6", "--sym-max-n", "9"], 6, 9),
+        (["verify", "--all"], cli.DEFAULT_QT_MAX_N, cli.DEFAULT_SYM_MAX_N),
+    ], ids=["oracle", "verify-all"])
+    def test_each_path_set_is_walked_once(self, capsys, monkeypatch, argv, q_max_n, sym_max_n):
+        walked = _record_walks(monkeypatch)
+        for runs in (1, 2):
+            assert main(argv) == 0
+            assert sorted(walked["enumerate_dyck"]) == sorted(list(range(q_max_n + 1)) * runs)
+            assert sorted(walked["enumerate_symmetric"]) == sorted(list(range(sym_max_n + 1)) * runs)
+        capsys.readouterr()
+
+
+class TestSharedFamilyRows:
+    """Each c_n and N_n row is built once per process, whichever layer asks for it."""
+
+    def test_verify_all_builds_each_row_once(self, capsys, monkeypatch):
+        built = []
+        row_by_ratio = narayana._row_by_ratio
+
+        def counted(length, step):
+            built.append((step.__qualname__.split(".")[0], length))
+            return row_by_ratio(length, step)
+
+        monkeypatch.setattr(narayana, "_row_by_ratio", counted)
+        narayana.c_poly.cache_clear()
+        narayana.narayana_poly.cache_clear()
+        for _ in range(2):  # the second run builds none
+            assert main(["verify", "--all"]) == 0
+        capsys.readouterr()
+        rows = [(name, length) for name, length in built if name in ("c_poly", "narayana_poly")]
+        assert len(rows) == len(set(rows))
+        assert {length for name, length in rows if name == "c_poly"} >= set(range(1, cli.ROUTE_MAX_N + 2))
 
 
 class TestReadmeCapTable:

@@ -18,7 +18,7 @@ from qnarayana.narayana import (
     special_values,
     v_coeff,
 )
-from qnarayana.qcomb import specialize_row
+from qnarayana.qcomb import q_narayana_row
 
 
 def P(*coeffs):
@@ -87,7 +87,7 @@ class TestSignedFamily:
         for n in range(21):
             assert c_poly_recursive(n) == c_poly(n)
             if n >= 1:
-                assert c_poly(n).coeffs == specialize_row(n, -1)
+                assert c_poly(n).coeffs == tuple(p(-1) for p in q_narayana_row(n))
 
     def test_odd_closed_examples(self):
         assert c_odd_closed(0) == P(1)
