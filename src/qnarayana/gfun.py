@@ -15,13 +15,17 @@ arithmetic has no radicals); they are certified indirectly, through the
 quadratic functional equations they solve (identifiers eq15 and eq20).
 
 Identity identifiers are stable registry keys (eq15, eq16, ... g_at_m1).
-Each side builder is registered with its key and its statement in one
-``@_identity`` line, which fills both ``_IDENTITY_BUILDERS`` and
-``IDENTITY_DESCRIPTIONS``.
+``IDENTITY_DESCRIPTIONS`` states each identity once: ``verify_identity``
+parses and evaluates a series statement's own text (grammar at
+``_Statement``), and compares the two integer checks, g_at_1 and g_at_m1,
+against their closed forms.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import accumulate
+from math import prod
 from typing import NamedTuple
 
 from .exactalg import Polynomial, TruncatedSeries, ring_to_json
@@ -35,11 +39,6 @@ TAG_FAMILIES = {
     "smallg": ("small_c", 1),
 }
 
-_T = Polynomial.gen(TVAR)
-_ONE = Polynomial.one(TVAR)
-_ONE_PLUS_T = Polynomial(TVAR, (1, 1))
-_T_MINUS_1 = Polynomial(TVAR, (-1, 1))
-
 
 def build_series(tag: str, order: int) -> TruncatedSeries:
     """Prefix of one of the four families at the given truncation order."""
@@ -52,129 +51,163 @@ def build_series(tag: str, order: int) -> TruncatedSeries:
     return TruncatedSeries([build(n + shift) for n in range(order + 1)], order)
 
 
-def _one(order):
-    return TruncatedSeries.constant(_ONE, order)
+# identity key -> its statement, in report order; each series statement is the text verify_identity evaluates
+IDENTITY_DESCRIPTIONS = {
+    "eq15": "C = 1 - z(t-1)C + tzC^2",
+    "eq16": "1/C = 1 + (t-1)z - tzC",
+    "eq18": "G = (C - 1)/z",
+    "eq19": "G = 1/(1 - (1+t)z - tz^2 G)",
+    "eq20": "G = 1 + (1+t)zG + tz^2 G^2",
+    "eq23": "(1 - (1+t)z)c = 1 - tzC(t^2,z^2)",
+    "eq24": "(1 - (1+t)z)c = 1 - tz c(-t,-z)c(t,z)",
+    "eq25": "c(t,z)c(-t,-z) = C(t^2,z^2)",
+    "eq27": "g = 1 + (1+t)zg - tz^2 G(t^2,z^2)",
+    "eq28": "g(t,z)g(t,-z) = G(t^2,z^2)",
+    "g_at_1": "g(1,z) has central-binomial coefficients",
+    "g_at_m1": "g(-1,z) = C(1,z^2)",
+}
+ALL_IDENTITIES = tuple(IDENTITY_DESCRIPTIONS)
+
+# ^k, a generator with its argument, an integer, any other character; compiled
+# on first use (re caches it), so an import that evaluates no statement skips it
+_TOKEN = r"\^[1-9]\d*|[CGcg](?:\([^()]*\))?|\d+|\S"
+_GENERATORS = {"C": "bigC", "G": "bigG", "c": "smallc", "g": "smallg"}
+# generator argument -> the map from the generator at (t,z) to its value there
+_ARGUMENTS = {
+    "(t,z)": lambda f: f,
+    "(-t,-z)": lambda f: f.map_coeffs(Polynomial.subs_neg).subs_neg_z(),
+    "(t,-z)": TruncatedSeries.subs_neg_z,
+    "(t^2,z^2)": lambda f: f.map_coeffs(Polynomial.subs_square).subs_z_squared(),
+}
 
 
-def _z_times(p, order, power=1):
-    # the single term p * z^power as a series
-    return TruncatedSeries.from_coeffs([Polynomial.zero(TVAR)] * power + [p], order)
+def _lift(value, order):
+    """A t-polynomial as a constant series; a series as it is."""
+    return TruncatedSeries.constant(value, order) if isinstance(value, Polynomial) else value
 
 
-def _sub_t_neg(series):
-    return series.map_coeffs(lambda p: p.subs_neg())
+class _Statement:
+    """One series statement, evaluated by recursive descent as it is parsed.
+
+    Grammar: integers, ``t``, ``z``, ``+``, ``-``, juxtaposition as product,
+    ``^k`` and parentheses; ``1/X``, the series inverse; ``(X)/z``, X taken
+    one order longer so that no power is lost; the generators ``C``, ``G``,
+    ``c``, ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or
+    ``(t^2,z^2)``.  A factor's value is a t-polynomial, a series, or the int 1
+    for z.  A term multiplies its series factors first, then applies its z^k
+    and its t-polynomial as ``shift_up`` and ``scale``.
+    """
+
+    def __init__(self, identity, text):
+        self.identity, self.text = identity, text
+        self.tokens = [(m.group(), m.start()) for m in re.finditer(_TOKEN, text)] + [(None, len(text))]
+        self.at, self.built = 0, {}  # the next token; (tag, order) -> each generator, built once
+        # the nesting depth after each token: a "(" is closed by the first later token below its depth
+        self.depth = list(accumulate((token == "(") - (token == ")") for token, _ in self.tokens))
+
+    def fail(self, what, at=None):
+        position = self.tokens[self.at if at is None else at][1]
+        raise ValueError(f"identity {self.identity}: {what} at position {position} of {self.text!r}")
+
+    def peek(self, *tokens):
+        return self.tokens[self.at][0] in tokens
+
+    def take(self, expected=None):
+        token = self.tokens[self.at][0]
+        if token is None or expected not in (None, token):
+            self.fail(f"expected {repr(expected) if expected else 'more'}, found {token or 'the end'}")
+        self.at += 1
+        return token
+
+    def power(self):
+        """The k of a following ^k, else 1."""
+        token = self.tokens[self.at][0]
+        return int(self.take()[1:]) if token and token[0] == "^" and token[1:] else 1
+
+    def sides(self, order):
+        lhs = _lift(self.sum(order), order)
+        self.take("=")
+        rhs = _lift(self.sum(order), order)
+        if not self.peek(None):
+            self.fail("trailing tokens")
+        return lhs, rhs
+
+    def sum(self, order):
+        """A t-polynomial if every term is one, else a series."""
+        total = self.term(order)
+        while self.peek("+", "-"):
+            sign, term = self.take(), self.term(order)
+            if isinstance(total, TruncatedSeries) or isinstance(term, TruncatedSeries):
+                total, term = _lift(total, order), _lift(term, order)
+            total = total + term if sign == "+" else total - term
+        return total
+
+    def term(self, order):
+        values = []
+        while not values or not self.peek(None, "+", "-", "=", ")"):
+            value = self.factor(order)
+            values += [value] * self.power()  # C^2 is one object twice, so its product is a square
+        series = [value for value in values if isinstance(value, TruncatedSeries)]
+        polys = [value for value in values if isinstance(value, Polynomial)]
+        poly = prod(polys[1:], start=polys[0]) if polys else Polynomial.one(TVAR)
+        shift = sum(value for value in values if isinstance(value, int))
+        if not series:
+            return TruncatedSeries.from_coeffs([Polynomial.zero(TVAR)] * shift + [poly], order) if shift else poly
+        product = prod(series[1:], start=series[0])
+        product = product.shift_up(shift) if shift else product
+        return product.scale(poly) if polys else product
+
+    def factor(self, order):
+        start, token = self.at, self.take()
+        if token == "t":
+            return Polynomial.gen(TVAR)
+        if token == "z":
+            return 1
+        if token == "1" and self.peek("/"):
+            self.take()
+            return self.series(self.factor(order), start).invert()
+        if token.isdigit():
+            return Polynomial.constant(TVAR, int(token))
+        if token[0] in _GENERATORS:
+            tag, argument = _GENERATORS[token[0]], token[1:] or "(t,z)"
+            if argument not in _ARGUMENTS:
+                self.fail(f"unknown argument {argument}", start)
+            if (tag, order) not in self.built:
+                self.built[tag, order] = build_series(tag, order)
+            return _ARGUMENTS[argument](self.built[tag, order])
+        if token != "(":
+            self.fail(f"unexpected {token!r}", start)
+        # (X)/z takes X one order longer, so that no power is lost
+        closing = [i for i in range(start, len(self.tokens)) if self.depth[i] < self.depth[start]]
+        longer = bool(closing) and self.tokens[closing[0] + 1][0] == "/"
+        value = self.sum(order + longer)
+        self.take(")")
+        if not longer:
+            return value
+        self.take("/")
+        self.take("z")
+        return self.series(value, start).shift_down(1)
+
+    def series(self, value, at):
+        if not isinstance(value, TruncatedSeries):
+            self.fail("expected a series", at)
+        return value
 
 
-def _at_t2_z2(tag, order):
-    # the family of tag with t -> t^2 and z -> z^2, still at the same order
-    return build_series(tag, order).map_coeffs(Polynomial.subs_square).subs_z_squared()
+# the integer checks: identity key -> (t, closed form of coefficient n of g(t,z))
+_INTEGER_CHECKS = {
+    "g_at_1": (1, lambda n: binomial(n + 1, (n + 1) // 2)),
+    "g_at_m1": (-1, lambda n: catalan_number(n // 2) if n % 2 == 0 else 0),
+}
 
 
-# identity key -> the function building both sides' coefficients, and key ->
-# the statement it checks; both filled by @_identity, in report order
-_IDENTITY_BUILDERS = {}
-IDENTITY_DESCRIPTIONS = {}
-
-
-def _identity(key: str, statement: str):
-    """Register the decorated side builder as identity key, which states statement."""
-    def register(build):
-        _IDENTITY_BUILDERS[key] = build
-        IDENTITY_DESCRIPTIONS[key] = statement
-        return build
-    return register
-
-
-@_identity("eq15", "C = 1 - z(t-1)C + tzC^2")
-def _sides_eq15(order):
-    C = build_series("bigC", order)
-    rhs = _one(order) - C.shift_up(1).scale(_T_MINUS_1) + (C * C).shift_up(1).scale(_T)
-    return C.coeffs, rhs.coeffs
-
-
-@_identity("eq16", "1/C = 1 + (t-1)z - tzC")
-def _sides_eq16(order):
-    C = build_series("bigC", order)
-    lhs = C.invert()
-    rhs = _one(order) + _z_times(_T_MINUS_1, order) - C.shift_up(1).scale(_T)
+def _sides(identity, order):
+    """The coefficients of both sides of a registered identity at the order."""
+    if identity in _INTEGER_CHECKS:
+        at, closed_form = _INTEGER_CHECKS[identity]
+        return [p(at) for p in build_series("smallg", order).coeffs], [closed_form(n) for n in range(order + 1)]
+    lhs, rhs = _Statement(identity, IDENTITY_DESCRIPTIONS[identity]).sides(order)
     return lhs.coeffs, rhs.coeffs
-
-
-@_identity("eq18", "G = (C - 1)/z")
-def _sides_eq18(order):
-    # checked from a one-order-longer C prefix, so the shift down keeps every power
-    lhs = build_series("bigG", order)
-    C = build_series("bigC", order + 1)
-    rhs = (C - _one(order + 1)).shift_down(1)
-    return lhs.coeffs, rhs.coeffs
-
-
-@_identity("eq19", "G = 1/(1 - (1+t)z - tz^2 G)")
-def _sides_eq19(order):
-    G = build_series("bigG", order)
-    denom = _one(order) - _z_times(_ONE_PLUS_T, order) - G.shift_up(2).scale(_T)
-    return G.coeffs, denom.invert().coeffs
-
-
-@_identity("eq20", "G = 1 + (1+t)zG + tz^2 G^2")
-def _sides_eq20(order):
-    G = build_series("bigG", order)
-    rhs = _one(order) + G.shift_up(1).scale(_ONE_PLUS_T) + (G * G).shift_up(2).scale(_T)
-    return G.coeffs, rhs.coeffs
-
-
-@_identity("eq23", "(1 - (1+t)z)c = 1 - tzC(t^2,z^2)")
-def _sides_eq23(order):
-    c = build_series("smallc", order)
-    lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
-    rhs = _one(order) - _at_t2_z2("bigC", order).shift_up(1).scale(_T)
-    return lhs.coeffs, rhs.coeffs
-
-
-@_identity("eq24", "(1 - (1+t)z)c = 1 - tz c(-t,-z)c(t,z)")
-def _sides_eq24(order):
-    c = build_series("smallc", order)
-    c_neg = _sub_t_neg(c).subs_neg_z()
-    lhs = (_one(order) - _z_times(_ONE_PLUS_T, order)) * c
-    rhs = _one(order) - (c_neg * c).shift_up(1).scale(_T)
-    return lhs.coeffs, rhs.coeffs
-
-
-@_identity("eq25", "c(t,z)c(-t,-z) = C(t^2,z^2)")
-def _sides_eq25(order):
-    c = build_series("smallc", order)
-    c_neg = _sub_t_neg(c).subs_neg_z()
-    return (c * c_neg).coeffs, _at_t2_z2("bigC", order).coeffs
-
-
-@_identity("eq27", "g = 1 + (1+t)zg - tz^2 G(t^2,z^2)")
-def _sides_eq27(order):
-    g = build_series("smallg", order)
-    rhs = _one(order) + g.shift_up(1).scale(_ONE_PLUS_T) - _at_t2_z2("bigG", order).shift_up(2).scale(_T)
-    return g.coeffs, rhs.coeffs
-
-
-@_identity("eq28", "g(t,z)g(t,-z) = G(t^2,z^2)")
-def _sides_eq28(order):
-    g = build_series("smallg", order)
-    return (g * g.subs_neg_z()).coeffs, _at_t2_z2("bigG", order).coeffs
-
-
-@_identity("g_at_1", "g(1,z) has central-binomial coefficients")
-def _sides_g_at_1(order):
-    lhs = [p(1) for p in build_series("smallg", order).coeffs]
-    rhs = [binomial(n + 1, (n + 1) // 2) for n in range(order + 1)]
-    return lhs, rhs
-
-
-@_identity("g_at_m1", "g(-1,z) = C(1,z^2)")
-def _sides_g_at_m1(order):
-    lhs = [p(-1) for p in build_series("smallg", order).coeffs]
-    rhs = [catalan_number(n // 2) if n % 2 == 0 else 0 for n in range(order + 1)]
-    return lhs, rhs
-
-
-ALL_IDENTITIES = tuple(_IDENTITY_BUILDERS)
 
 
 class IdentityReport(NamedTuple):
@@ -201,12 +234,12 @@ class IdentityReport(NamedTuple):
 
 
 def verify_identity(identity: str, order: int) -> IdentityReport:
-    """Build both sides of one registered identity and compare every coefficient."""
-    if identity not in _IDENTITY_BUILDERS:
+    """Evaluate both sides of one registered identity and compare every coefficient."""
+    if identity not in IDENTITY_DESCRIPTIONS:
         raise ValueError(f"unknown identity {identity!r} (expected one of {ALL_IDENTITIES})")
     if order < 2:
         raise ValueError("identity checks need order >= 2")
-    lhs, rhs = _IDENTITY_BUILDERS[identity](order)
+    lhs, rhs = _sides(identity, order)
     for power, (a, b) in enumerate(zip(lhs, rhs)):
         if a != b:
             return IdentityReport(identity, order, "fail", power, a, b)

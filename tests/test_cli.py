@@ -337,14 +337,16 @@ def _special_value_plus_one(at, which):
 
 
 def _rhs_plus_t(identity, power):
-    """Perturb the identity table: coefficient `power` of the right-hand side of `identity` gets t added."""
-    def perturb(builders):
-        build = builders[identity]
+    """Perturb the identity table: the right-hand side of `identity` gets t*z^power added."""
+    def perturb(statements):
+        return {**statements, identity: f"{statements[identity]} + tz^{power}"}
+    return perturb
 
-        def perturbed(order):
-            lhs, rhs = build(order)
-            return lhs, rhs[:power] + (rhs[power] + T,) + rhs[power + 1:]
-        return {**builders, identity: perturbed}
+
+def _statement_edit(identity, old, new):
+    """Perturb the identity table: `old` in the statement of `identity` becomes `new`."""
+    def perturb(statements):
+        return {**statements, identity: statements[identity].replace(old, new)}
     return perturb
 
 
@@ -417,8 +419,10 @@ class TestCheckReportsItsOwnDiff:
          "FAIL oracle/counts (n=3: 6 paths, expected Catalan)"),
         (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(5),
          "FAIL oracle/counts (n=5: 11 symmetric paths, expected central binomial)"),
-        (["verify"], gfun, "_IDENTITY_BUILDERS", _rhs_plus_t("eq25", 3),
+        (["verify"], gfun, "IDENTITY_DESCRIPTIONS", _rhs_plus_t("eq25", 3),
          "FAIL identity/eq25 (power=3: 0 vs t)"),
+        (["verify"], gfun, "IDENTITY_DESCRIPTIONS", _statement_edit("eq25", "c(-t,-z)", "c(t,-z)"),
+         "FAIL identity/eq25 (power=2: 1+2t vs 1)"),
         (["verify", "--all"], hankel, "expected_hankel", _plus_at(("small_c", 1, 3), T),
          "FAIL hankel/small_c/shift1 (n=3: det -t^3, expected t-t^3)"),
         (["verify"], narayana, "special_values", _special_value_plus_one(5, 0),
@@ -440,7 +444,8 @@ class TestCheckReportsItsOwnDiff:
          "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
             "odd-closed-form",
-            "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity", "hankel",
+            "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity",
+            "identity-statement", "hankel",
             "eval-at-one", "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
             "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):

@@ -1,12 +1,15 @@
+import re
 from pathlib import Path
 
 import pytest
 
-from qnarayana.exactalg import Polynomial
+from qnarayana.exactalg import Polynomial, TruncatedSeries
 from qnarayana.gfun import (
     ALL_IDENTITIES,
     IDENTITY_DESCRIPTIONS,
     IdentityReport,
+    _INTEGER_CHECKS,
+    _sides,
     build_series,
     verify_identity,
 )
@@ -70,15 +73,8 @@ class TestVerifyIdentity:
         assert lhs == rhs
 
     def test_failure_report_pinpoints_power(self, monkeypatch):
-        import qnarayana.gfun as gfun_module
-
-        def broken(order):
-            good = [P(1)] * (order + 1)
-            bad = [P(1)] * (order + 1)
-            bad[3] = P(1, 1)
-            return good, bad
-
-        monkeypatch.setitem(gfun_module._IDENTITY_BUILDERS, "eq15", broken)
+        # both sides are 1/(1-z), all ones, but the right-hand side's z^3 coefficient gets t added
+        monkeypatch.setitem(IDENTITY_DESCRIPTIONS, "eq15", "1/(1 - z) = 1/(1 - z) + tz^3")
         report = verify_identity("eq15", 8)
         assert not report.passed
         assert report.power == 3
@@ -90,10 +86,16 @@ class TestVerifyIdentity:
         assert blob["lhs"] == {"var": "t", "coeffs": ["1"]}
 
     def test_stability_under_truncation(self):
-        # passing at order N implies passing at every lower order: the
-        # builders are prefix-compatible, so spot-check a few orders
-        for order in (2, 5, 11):
-            for identity in ("eq15", "eq25", "eq28"):
+        # the sides at order N are the prefixes of the sides at order N+5, so
+        # passing at order N implies passing at every lower order; eq18's
+        # numerator, taken one order longer, still gives every power 0..N
+        for identity in ALL_IDENTITIES:
+            for order in (2, 5, 11):
+                lhs, rhs = _sides(identity, order)
+                longer_lhs, longer_rhs = _sides(identity, order + 5)
+                assert len(lhs) == len(rhs) == order + 1, identity
+                assert tuple(lhs) == tuple(longer_lhs[:order + 1]), identity
+                assert tuple(rhs) == tuple(longer_rhs[:order + 1]), identity
                 assert verify_identity(identity, order).passed
 
     def test_g_at_minus_one_interleaves_catalans(self):
@@ -104,3 +106,65 @@ class TestVerifyIdentity:
         report = IdentityReport("eq15", 4, "pass")
         with pytest.raises(AttributeError):
             report.status = "fail"
+
+
+# one textual mutation per series statement: (identity, text replaced, replacement)
+STATEMENT_MUTATIONS = [
+    ("eq15", "- z(t-1)C", "+ z(t-1)C"),
+    ("eq16", " - tzC", ""),
+    ("eq18", "(C - 1)/z", "(C - 1 - z)/z"),
+    ("eq19", "- tz^2 G", "+ tz^2 G"),
+    ("eq20", "G^2", "G"),
+    ("eq23", "(1 - (1+t)z)", "(1 + (1+t)z)"),
+    ("eq24", "c(-t,-z)c(t,z)", "c(t,z)c(t,z)"),
+    ("eq25", "c(-t,-z)", "c(t,-z)"),
+    ("eq27", " - tz^2 G(t^2,z^2)", ""),
+    ("eq28", "g(t,-z)", "g(t,z)"),
+]
+
+
+class TestStatements:
+    """verify_identity evaluates the registered statement text itself."""
+
+    def test_every_series_statement_has_a_mutation(self):
+        series = [key for key in ALL_IDENTITIES if key not in _INTEGER_CHECKS]
+        assert [identity for identity, _, _ in STATEMENT_MUTATIONS] == series
+
+    @pytest.mark.parametrize("identity, old, new", STATEMENT_MUTATIONS, ids=[m[0] for m in STATEMENT_MUTATIONS])
+    def test_a_mutated_statement_fails_its_identity_and_no_other(self, monkeypatch, identity, old, new):
+        assert IDENTITY_DESCRIPTIONS[identity].count(old) == 1
+        monkeypatch.setitem(IDENTITY_DESCRIPTIONS, identity, IDENTITY_DESCRIPTIONS[identity].replace(old, new))
+        failed = [key for key in ALL_IDENTITIES if not verify_identity(key, 8).passed]
+        assert failed == [identity]
+
+    @pytest.mark.parametrize("statement, what, position", [
+        ("C = 1 + Q", "unexpected 'Q'", 8),
+        ("C = (1", "expected ')'", 6),
+        ("C + 1", "expected '='", 5),
+        ("C == 1", "unexpected '='", 3),
+        ("C = c(t,t)", "unknown argument", 4),
+        ("C = 1 )", "trailing tokens", 6),
+        ("C = 1/t", "expected a series", 4),
+    ], ids=["unknown-symbol", "unbalanced", "missing-equals", "doubled-equals", "unknown-argument", "trailing",
+            "inverse-of-a-polynomial"])
+    def test_malformed_statement_is_refused(self, monkeypatch, statement, what, position):
+        monkeypatch.setitem(IDENTITY_DESCRIPTIONS, "eq15", statement)
+        with pytest.raises(ValueError, match=rf"^identity eq15: {re.escape(what)}.* at position {position} of "):
+            verify_identity("eq15", 4)
+
+    def test_squares_are_one_object_and_no_product_has_a_single_term_operand(self, monkeypatch):
+        products = []
+        multiply = TruncatedSeries.__mul__
+
+        def recording(a, b):
+            products.append((a is b, sum(map(bool, a.coeffs)), sum(map(bool, b.coeffs))))
+            return multiply(a, b)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+        squares = {}
+        for identity in ALL_IDENTITIES:
+            products.clear()
+            verify_identity(identity, 8)
+            assert all(a_terms > 1 and b_terms > 1 for _, a_terms, b_terms in products), identity
+            squares[identity] = sum(square for square, _, _ in products)
+        assert squares == {key: 1 if key in ("eq15", "eq20") else 0 for key in ALL_IDENTITIES}
