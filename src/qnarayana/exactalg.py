@@ -31,15 +31,17 @@ quotient is accepted only with remainder 0 and every coefficient within a
 caller's bound that the slot was sized for.
 
 Polynomial product and exact division skip zero low blocks and take a
-single term in one pass, structure that fraction-free elimination produces
-in bulk (entries t^v times a short polynomial, pivots c*t^v): the product's
-inner loop starts at the inner operand's lowest nonzero coefficient, and an
-inner operand with one term there scales the outer one in a single list;
-exact division splits var^v off the divisor first, and a divisor left with
-one term c is a slice of the dividend (c = +-1) or one list of ``divmod``
-(see ``poly_exact_div``).  A series squared (``f * f``, the same object) packs
-once and computes each symmetric pair of its convolution once (see
-``_convolve``).
+single term in one pass: the product's inner loop starts at the inner
+operand's lowest nonzero coefficient, and an inner operand with one term
+there scales the outer one in a single list; exact division splits var^v off
+the divisor first, and a divisor left with one term c is a slice of the
+dividend (c = +-1) or one list of ``divmod`` (see ``poly_exact_div``).
+Fraction-free elimination produces that structure in bulk (entries t^v times
+a short polynomial, pivots c*t^v), and its entry update x*p - y*z is built in
+one list with no intermediate polynomial (see ``_cross``); it shares the one
+product loop, ``_add_products``, with ``Polynomial.__mul__``.  A series
+squared (``f * f``, the same object) packs once and computes each symmetric
+pair of its convolution once (see ``_convolve``).
 
 There is no floating point anywhere and no tolerance anywhere: all
 arithmetic is exact, all equality is structural.
@@ -221,15 +223,11 @@ class Polynomial:
             return Polynomial._trusted(self.var, [])
         low = _valuation(other)
         inner = other.coeffs[low:]
-        if len(inner) == 1:  # other = c * var^low
+        if len(inner) == 1:  # other = c * var^low, as cfrac's products by t_k are
             c = inner[0]
             return Polynomial._trusted(self.var, [0] * low + [a * c for a in self.coeffs])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs, low):
-            if a == 0:
-                continue
-            for j, b in enumerate(inner, i):
-                out[j] += a * b
+        _add_products(out, self.coeffs, inner, low)
         return Polynomial._trusted(self.var, out)
 
     __rmul__ = __mul__
@@ -368,6 +366,42 @@ def _pseudo_rem(a, b):
         shift = len(r.coeffs) - 1 - db
         r = r * lead - b * Polynomial.monomial(b.var, shift, r.coeffs[-1])
     return r
+
+
+def _cross(x, p, y, z):
+    """x*p - y*z in one list: the fraction-free entry update before its exact division.
+
+    When p is c*var^e after its zero low block (every pivot of the Narayana
+    and c Hankel tables is +-t^C(k,2)), x*p is x's coefficients written at
+    offset e, copied for c = 1 and scaled by c otherwise; y*z is then
+    subtracted from that list over the nonzero tails of y and z, both zero
+    low blocks skipped.  Any other p takes ``x * p - y * z``.
+    """
+    if not x.var == p.var == y.var == z.var:
+        raise ValueError(f"variable mismatch: {x.var!r}, {p.var!r}, {y.var!r}, {z.var!r}")
+    out = []
+    if p.coeffs:
+        e = _valuation(p)
+        if len(p.coeffs) - e > 1:
+            return x * p - y * z
+        c = p.coeffs[e]
+        out = [0] * e + (list(x.coeffs) if c == 1 else [a * c for a in x.coeffs])
+    if y.coeffs and z.coeffs:
+        ylow, zlow = _valuation(y), _valuation(z)
+        size = len(y.coeffs) + len(z.coeffs) - 1
+        if len(out) < size:
+            out += [0] * (size - len(out))
+        _add_products(out, [-b for b in y.coeffs[ylow:]], z.coeffs[zlow:], ylow + zlow)
+    return Polynomial._trusted(x.var, out)
+
+
+def _add_products(out, a, b, low):
+    # the one polynomial product loop: adds a*b into out, shifted up by low
+    # places; zero coefficients of the outer run a are skipped
+    for i, x in enumerate(a, low):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
 
 
 def _valuation(p):

@@ -2,16 +2,19 @@
 
 The determinant engine is the classical fraction-free elimination over an
 integral domain: cross-multiply, then divide by the previous pivot, every
-division provably exact in Z[t].  A symmetric matrix, which every Hankel
-matrix is, stays symmetric under that update, so until a zero pivot forces
-a row swap only the upper triangle is computed and mirrored; a swap breaks
-the symmetry and the rest of the elimination computes every entry.  A
-cofactor-expansion determinant is kept alongside as an independent oracle
-for small dimensions, and the two are never merged.  ``hankel_table`` is
-the one loop of ``det_bareiss`` over dimensions n = 1..max_n, for the
-``TABLE_FAMILIES`` that have predictions.  The CLI writes its rows out, and
-its check registry computes each (family, shift) table once per run: the
-Hankel checks read every row and the product-formula checks the first six.
+division provably exact in Z[t].  The cross-multiplication x*pivot - y*z is
+one list (``exactalg._cross``, one pass for the single-term pivots of the
+Narayana and c families) and the division is ``poly_exact_div``.  A
+symmetric matrix, which every Hankel matrix is, stays symmetric under that
+update, so until a zero pivot forces a row swap only the upper triangle is
+computed and mirrored; a swap breaks the symmetry and the rest of the
+elimination computes every entry.  A cofactor-expansion determinant is kept
+alongside as an independent oracle for small dimensions, and the two are
+never merged.  ``hankel_table`` is the one loop of ``det_bareiss`` over
+dimensions n = 1..max_n, for the ``TABLE_FAMILIES`` that have predictions.
+The CLI writes its rows out, and its check registry computes each (family,
+shift) table once per run: the Hankel checks read every row and the
+product-formula checks the first six.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
@@ -36,6 +39,7 @@ from .exactalg import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    _cross,
     poly_exact_div,
     ring_one_like,
 )
@@ -100,10 +104,13 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
     symmetry of the remaining block, so from the first swap on every entry
     is computed, exactly as for a non-symmetric input.
 
-    The pivot is the right operand of its product, ``row_i[j] * pivot``:
-    ``Polynomial.__mul__`` takes an inner operand with one term after its
-    zero low block in a single pass, and every pivot is a leading principal
-    minor, for the Narayana and c families +-t^C(k,2), a single term.
+    Each entry update is ``_cross(row_i[j], pivot, row_i[k], row_k[j])``,
+    row_i[j]*pivot - row_i[k]*row_k[j] in one list, then the exact division
+    by the previous pivot.  Every pivot is a leading principal minor, for the
+    Narayana and c families +-t^C(k,2), a single term: the kernel writes
+    row_i[j] at the pivot's offset and subtracts the other product over the
+    nonzero tails of its operands, so no step builds a ``Polynomial``
+    product or difference.
     """
     n = m.dim
     var = m.entries[0][0].var
@@ -125,7 +132,7 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
         for i in range(k + 1, n):
             row_i = a[i]
             for j in range(i if symmetric else k + 1, n):
-                row_i[j] = poly_exact_div(row_i[j] * pivot - row_i[k] * row_k[j], prev)
+                row_i[j] = poly_exact_div(_cross(row_i[j], pivot, row_i[k], row_k[j]), prev)
                 if symmetric:
                     a[j][i] = row_i[j]
         prev = pivot
@@ -171,6 +178,10 @@ def expected_hankel(family: str, shift: int, n: int) -> Polynomial:
     """The predicted determinant: t^binom(n,2), signed for the shifted c family."""
     if family not in TABLE_FAMILIES:
         raise ValueError(f"no expected values for family {family!r}")
+    if shift not in (0, 1):
+        raise ValueError("shift must be 0 or 1")
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     e = binomial(n, 2)
     coeff = -1 if family == "small_c" and shift == 1 and e % 2 else 1
     return Polynomial.monomial(TVAR, e, coeff)

@@ -354,6 +354,20 @@ def _det_plus_t_at_dim_4(det_bareiss):
     return lambda m: det_bareiss(m) + T if m.dim == 4 else det_bareiss(m)
 
 
+def _yz_added_beside_negative_pivots(cross):
+    """Perturb the Bareiss entry update x*p - y*z: beside a pivot p = -t^v the y*z term is added.
+
+    Beside a single-term pivot either sign is divisible by the previous
+    pivot, so the table is computed to the end and its check reports a
+    determinant, not an error.
+    """
+    def perturbed(x, p, y, z):
+        if p and not any(p.coeffs[:-1]) and p.coeffs[-1] == -1:
+            return cross(x, p, -y, z)
+        return cross(x, p, y, z)
+    return perturbed
+
+
 def _top_coefficient_plus_one(jfraction_to_series):
     def perturbed(jf, order):
         f = jfraction_to_series(jf, order)
@@ -432,6 +446,8 @@ class TestCheckReportsItsOwnDiff:
         (["verify"], qcomb, "q_catalan", _plus_at((4,), Q),
          "FAIL eval/q_catalan_sum (n=4: q-row sums to 1+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12, "
          "q-Catalan quotient 1+q+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12)"),
+        (["verify", "--all"], hankel, "_cross", _yz_added_beside_negative_pivots,
+         "FAIL hankel/small_c/shift1 (n=4: det 2t^4-2t^5+t^6-2t^7+2t^8, expected t^6)"),
         (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
          "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant t+t^6)"),
         (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
@@ -445,7 +461,7 @@ class TestCheckReportsItsOwnDiff:
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
             "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity",
-            "identity-statement", "hankel",
+            "identity-statement", "hankel", "hankel-entry-update",
             "eval-at-one", "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
             "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):

@@ -6,6 +6,7 @@ from qnarayana import hankel
 from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 from qnarayana.hankel import (
     JFraction,
+    TABLE_FAMILIES,
     PolyMatrix,
     det_bareiss,
     det_cofactor,
@@ -165,6 +166,33 @@ class TestDeterminants:
                     m = PolyMatrix(tuple(map(tuple, rows)))
                     assert det_bareiss(m) == det_cofactor(m), (dim, zero_step, rows)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_oracle_agreement_single_term_minors(self, monkeypatch, symmetric):
+        # M = L D U with L unit lower and U unit upper triangular over Z[t]
+        # (U = L^T for a symmetric M) and D = diag(c_k t^e_k): the leading
+        # principal minors, the pivots, are the single terms d_1...d_k with
+        # coefficients other than +-1 and positive valuation.
+        rng = random.Random(90210)
+        divisors, divide = [], hankel.poly_exact_div
+        monkeypatch.setattr(hankel, "poly_exact_div", lambda a, b: divisors.append(b) or divide(a, b))
+        for dim in range(1, 7):
+            for _ in range(3):
+                d = [Polynomial.monomial(TVAR, rng.randint(1, 3), rng.choice((2, -2, 3, -5, 7))) for _ in range(dim)]
+                lower = [[rand_poly(rng) if j < i else P(int(i == j)) for j in range(dim)] for i in range(dim)]
+                upper = ([list(col) for col in zip(*lower)] if symmetric else
+                         [[rand_poly(rng) if j > i else P(int(i == j)) for j in range(dim)] for i in range(dim)])
+                rows = tuple(tuple(sum((lower[i][k] * d[k] * upper[k][j] for k in range(dim)), P(0))
+                                   for j in range(dim)) for i in range(dim))
+                m = PolyMatrix(rows)
+                minors = [P(1)]
+                for dk in d[:-1]:
+                    minors.append(minors[-1] * dk)
+                divisors.clear()
+                det = det_bareiss(m)
+                assert det == det_cofactor(m), (symmetric, rows)
+                assert set(divisors) == set(minors[:dim - 1]), (symmetric, rows)
+                assert all(abs(p.coeffs[-1]) > 1 and not any(p.coeffs[:-1]) for p in minors[1:])
+
     def test_one_asymmetric_entry(self):
         # symmetric except for one entry below the diagonal, at every position:
         # the symmetry test must read the whole matrix
@@ -212,6 +240,37 @@ class TestHankelTable:
         assert expected_hankel("small_c", 1, 3) == P(0, 0, 0, -1)
         assert expected_hankel("small_c", 0, 3) == P(0, 0, 0, 1)
         assert expected_hankel("narayana_poly", 1, 4) == Polynomial.monomial(TVAR, 6)
+
+    def test_expected_values_refuse_what_they_do_not_predict(self):
+        with pytest.raises(ValueError, match="shift must be 0 or 1"):
+            expected_hankel("small_c", 7, 3)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            expected_hankel("small_c", 0, -2)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            expected_hankel("narayana_poly", 1, 0)
+
+    @pytest.mark.parametrize("family", TABLE_FAMILIES)
+    def test_entry_updates_build_no_product_and_divide_once(self, monkeypatch, family):
+        # every pivot is +-t^C(k,2), so each entry update is one pass of the
+        # kernel, no Polynomial product, and one exact division
+        max_n = 8
+        for shift in (0, 1):
+            poly_sequence(family, 2 * max_n - 1 + shift)  # the family rows are built once per process
+        divisions, divide = [], hankel.poly_exact_div
+
+        def no_product(*args):
+            raise AssertionError("Polynomial.__mul__ called")
+
+        monkeypatch.setattr(hankel, "poly_exact_div", lambda a, b: divisions.append(b) or divide(a, b))
+        monkeypatch.setattr(Polynomial, "__mul__", no_product)
+        monkeypatch.setattr(Polynomial, "__rmul__", no_product)
+        # step k of an n x n symmetric elimination updates the upper triangle
+        # of the trailing (n-1-k) x (n-1-k) block, and no pivot is zero
+        updates = sum(m * (m + 1) // 2 for n in range(1, max_n + 1) for m in range(1, n))
+        for shift in (0, 1):
+            divisions.clear()
+            assert all(row.match for row in hankel_table(family, shift, max_n))
+            assert len(divisions) == updates, (family, shift)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from qnarayana.exactalg import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    _cross,
     poly_exact_div,
     poly_gcd,
 )
@@ -594,6 +596,54 @@ def test_single_term_division_refuses_what_is_not_a_multiple():
             if abs(c) > 1:
                 with pytest.raises(NotDivisibleError):
                     poly_exact_div(P(*([0] * v + [c, c + 1])), m)
+
+
+# The fraction-free entry update: _cross(x, p, y, z) is x*p - y*z in one
+# list, with x written at the offset of a single-term p and y*z subtracted
+# over the nonzero tails; any other p falls back to the operators.  The
+# oracle is the schoolbook double loop, which shares no code with either.
+
+low_block_polys = st.tuples(st.integers(0, 4), coeff_lists).map(lambda vc: Polynomial("t", [0] * vc[0] + vc[1]))
+single_terms = st.builds(lambda c, e: Polynomial.monomial("t", e, c), st.sampled_from(SINGLE_TERM_COEFFS),
+                         st.integers(0, 6))
+multi_terms = low_block_polys.filter(lambda p: sum(map(bool, p.coeffs)) > 1)
+
+
+def no_polynomial_product(*args):
+    raise AssertionError("Polynomial.__mul__ called")
+
+
+@given(low_block_polys, st.one_of(single_terms, st.just(Polynomial.zero("t")), multi_terms),
+       low_block_polys, low_block_polys)
+@settings(max_examples=300)
+def test_cross_is_x_times_p_minus_y_times_z(x, p, y, z):
+    want = schoolbook(x, p) - schoolbook(y, z)
+    assert want == x * p - y * z
+    if sum(map(bool, p.coeffs)) <= 1:  # a single-term or zero pivot builds no product
+        with mock.patch.object(Polynomial, "__mul__", no_polynomial_product):
+            got = _cross(x, p, y, z)
+    else:
+        got = _cross(x, p, y, z)
+    assert got == want, (x, p, y, z)
+    assert got.coeffs[-1:] != (0,)
+
+
+def test_cross_zero_operands():
+    zero, x, p = Polynomial.zero("t"), P(0, 3, -1), Polynomial.monomial("t", 2, -5)
+    assert _cross(zero, p, zero, x) == zero
+    assert _cross(x, zero, zero, zero) == zero
+    assert _cross(zero, zero, x, x) == -(x * x)
+    assert _cross(x, p, x, p) == zero
+    assert _cross(x, p, zero, x) == x * p
+
+
+def test_cross_refuses_a_variable_mismatch():
+    t = P(0, 1)
+    for p in (Polynomial.monomial("t", 2, 3), P(1, 1)):  # a single-term pivot, then a sum of two
+        q, p_in_q = Polynomial("q", t.coeffs), Polynomial("q", p.coeffs)
+        for args in ((q, p, t, t), (t, p_in_q, t, t), (t, p, q, t), (t, p, t, q)):
+            with pytest.raises(ValueError, match="variable mismatch"):
+                _cross(*args)
 
 
 # Squares: f * f (one object on both sides) packs once and _convolve computes
