@@ -105,7 +105,7 @@ def _check_q_catalan_sum(rows, max_n: int) -> tuple[bool, str]:
         if row[0] != one:
             return False, f"n={n}: q-row starts with {row[0]}, expected 1"
         for k, entry in enumerate(row):
-            if any(c < 0 for c in entry.coeffs):
+            if min(entry.coeffs, default=0) < 0:
                 return False, f"n={n}, k={k}: negative coefficient in q-row entry {entry}"
         total, catalan = sum(row, zero), qcomb.q_catalan(n)
         if total != catalan:

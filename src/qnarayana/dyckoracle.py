@@ -20,7 +20,9 @@ its mirror, the half reversed with U and D swapped.  The stack holds at
 most n prefixes; no list of paths is built.  Each path set's size is the
 sum of its distribution table (``qt_distribution`` at q = 1,
 ``symmetric_valley_distribution``), so a caller that keeps the tables, as
-the CLI registry does for one run, walks each set once.  The guards on n
+the CLI registry does for one run, walks each set once.  The symmetric table
+needs only the valley count, one ``str.count("DU")`` scan per path; the
+q, t table takes both statistics from ``path_stats``.  The guards on n
 keep worst-case runtime at desk scale; this module exists to validate
 small cases, not to scale.
 """
@@ -153,9 +155,13 @@ def enumerate_symmetric(n: int) -> Iterator[str]:
 
 
 def symmetric_valley_distribution(n: int) -> dict[int, int]:
-    """Number of symmetric paths per valley count."""
+    """Number of symmetric paths per valley count.
+
+    Two valleys never overlap (a "DU" cannot start at the U of another), so a
+    path's valley count is ``path.count("DU")``; the major index is not needed.
+    """
     paths = enumerate_symmetric(n)  # refuses an n out of range before the table is sized
     table = {k: 0 for k in range(max(n - 1, 0) + 1)}
     for path in paths:
-        table[path_stats(path).valleys] += 1
+        table[path.count("DU")] += 1
     return table

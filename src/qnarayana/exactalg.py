@@ -20,15 +20,11 @@ polynomial is replaced by its value at t = 2**w and read back once as its
 balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism, so
 every packed value is exact; the digits are the coefficients as long as each
 is below 2**(w-1) in absolute value, and w is a whole number of bytes taken
-from a bound on every coefficient.  The codec has three users.  The series
-product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the only
-series loops, on the packed coefficients instead of the polynomials (see
-``TruncatedSeries`` for the bound); a series of rational functions whose
-denominators are all 1 lies in Z[t] too and packs its numerators.
-``_bounded_quotient`` divides packed values and certifies the quotient: an
-integer division can be exact where the polynomial one is not, so a
-quotient is accepted only with remainder 0 and every coefficient within a
-caller's bound that the slot was sized for.
+from a bound on every coefficient.  The codec has two users, the series
+product and inverse over Z[t]: they run ``_convolve`` and ``_inverse``, the
+only series loops, on the packed coefficients instead of the polynomials
+(see ``TruncatedSeries`` for the bound); a series of rational functions
+whose denominators are all 1 lies in Z[t] too and packs its numerators.
 
 Polynomial product and exact division skip zero low blocks and take a
 single term in one pass: the product's inner loop starts at the inner
@@ -735,28 +731,6 @@ def _inverse(a, inv0):
     for m in range(1, len(a)):
         out.append(-(inv0 * reduce(add, map(mul, a[1:m + 1], out[m - 1::-1]))))
     return out
-
-
-def _bounded_quotient(a, b, d, bound):
-    """a*b/d in Z[var], accepted only if every |coefficient| <= bound; NotDivisibleError otherwise.
-
-    The slot holds |d|_1 * bound + |a|_1 * |b|_1 plus a sign bit, and
-    every input's l1 norm whatever the bound.  The packed product is divided
-    by the packed divisor and the quotient Q' unpacked once.  With remainder
-    0 and every |Q'_i| <= bound, each coefficient of Q'*d - a*b is at most
-    |d|_1 * bound + |a|_1 * |b|_1, so below 2**(w-1) in absolute value, and
-    Q'*d - a*b vanishes at 2**w; balanced digits are unique, so it is zero
-    and Q' is exact.  This holds for any divisor and any bound: a bound
-    below the true quotient's coefficients raises, never returns a wrong
-    value.
-    """
-    norm_a, norm_b, norm_d = _norms((a, b, d))
-    nbytes = _slot_bytes(max(norm_a, norm_b, norm_d, norm_d * bound + norm_a * norm_b))
-    packed, rem = divmod(_pack(a, nbytes) * _pack(b, nbytes), _pack(d, nbytes))
-    quotient = _unpack(packed, nbytes, a.var)
-    if rem or _max_coeff((quotient,)) > bound:
-        raise NotDivisibleError(a * b, d)
-    return quotient
 
 
 def ring_to_json(c):

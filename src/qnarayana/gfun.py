@@ -91,7 +91,8 @@ class _Statement:
 
     Grammar: integers, ``t``, ``z``, ``+``, ``-``, juxtaposition as product,
     ``^k`` and parentheses; ``1/X``, the series inverse; ``(X)/z``, X taken
-    one order longer so that no power is lost; the generators ``C``, ``G``,
+    one order longer so that no power is lost, and refused when X has a
+    nonzero constant term; the generators ``C``, ``G``,
     ``c``, ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or
     ``(t^2,z^2)``.  A factor's value is a t-polynomial, a series, or the int 1
     for z.  A term multiplies its series factors first, then applies its z^k
@@ -186,7 +187,10 @@ class _Statement:
             return value
         self.take("/")
         self.take("z")
-        return self.series(value, start).shift_down(1)
+        value = self.series(value, start)
+        if value.coeffs[0]:
+            self.fail("(X)/z of an X with a nonzero constant term", start)
+        return value.shift_down(1)
 
     def series(self, value, at):
         if not isinstance(value, TruncatedSeries):

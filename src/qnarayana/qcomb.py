@@ -3,24 +3,32 @@
 Everything lives in Z[q].  Out-of-range indices yield the zero polynomial
 so that summation loops can run over a uniform range.
 
-Each q-Narayana coefficient q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1]
-comes from ``exactalg._bounded_quotient``, one packed product and one
-packed division certified against a bound on the true quotient.  With N
-the product of the two binomials and A the product of their l1 norms, the
-quotient Q = N(1 - q) / (1 - q^(k+1)) has every |Q_i| <= |N(1 - q)|_1 <= 2A,
-since Q_i sums coefficients of N(1 - q) at positions k+1 apart.  The
-binomials' coefficients are nonnegative, so A is the product of their
-coefficient sums a(1) * b(1).  A faulty negative coefficient only makes
-that bound stricter, so it can raise ``NotDivisibleError`` but never
-return a wrong value.  ``q_catalan`` keeps ``poly_exact_div``, so the row
-sums it is checked against do not share the packed kernel.
+Row n of the q-Narayana family has entries
+N_q(n,k) = q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1], 0 <= k < n.
+``q_narayana_row`` builds it by ratio, in the style of the t-rows of
+:mod:`narayana`: from N_q(n,0) = 1 each entry is the previous one times
+
+    N_q(n,k+1) / N_q(n,k) = q^(2k+2) [n-k][n-k-1] / ([k+1][k+2])
+                          = q^(2k+2) (1-q^(n-k))(1-q^(n-k-1)) / ((1-q^(k+1))(1-q^(k+2))),
+
+which follows from the Fürlinger-Hofbauer product formula (q-Catalan
+numbers, JCTA 40, 1985).  A step works on plain int lists: it multiplies by
+the two factors (1 - q^a), divides by the two factors (1 - q^m) with a
+checked exact division (``_over_one_minus_power``), and shifts by
+q^(2k+2).  After the first division the partial quotient is
+q^-(2k+2) * N_q(n,k+1) * (1 - q^(k+2)), so every division of a correct step
+is exact; one that is not raises ``NotDivisibleError``.  ``q_catalan`` keeps
+its own route, the q-binomial divided by [n+1] through ``poly_exact_div``,
+so the row sums it is checked against share no code with the rows.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
+from operator import add, sub
 
-from .exactalg import Polynomial, _bounded_quotient, poly_exact_div
+from .exactalg import NotDivisibleError, Polynomial, poly_exact_div
 
 QVAR = "q"
 
@@ -40,31 +48,79 @@ def q_binomial(n: int, k: int) -> Polynomial:
     """Gaussian binomial coefficient via the q-Pascal recurrence.
 
     qbinom(n,k) = qbinom(n-1,k-1) + q^k * qbinom(n-1,k), the product by q^k
-    taken as a shift of the coefficients.  Memoized; zero polynomial
-    outside 0 <= k <= n.
+    taken as a shift of the coefficients: the sum is the first k
+    coefficients of qbinom(n-1,k-1), then the overlap added pairwise, then
+    the rest of q^k * qbinom(n-1,k), whose degree k(n-k) is n - k above the
+    other's.  Memoized; zero polynomial outside 0 <= k <= n.
     """
     if k < 0 or n < 0 or k > n:
         return _ZERO
     if k == 0 or k == n:
         return _ONE
-    return q_binomial(n - 1, k - 1) + Polynomial._trusted(QVAR, [0] * k + list(q_binomial(n - 1, k).coeffs))
+    low, high = q_binomial(n - 1, k - 1).coeffs, q_binomial(n - 1, k).coeffs
+    return Polynomial._trusted(QVAR, [*low[:k], *map(add, low[k:], high), *high[len(low) - k:]])
+
+
+def _times_one_minus_power(p: list[int], a: int) -> list[int]:
+    """Coefficients of p * (1 - q^a), a >= 1, in one pass."""
+    pad = [0] * a
+    return list(map(sub, p + pad, pad + p))
+
+
+def _over_one_minus_power(p: list[int], m: int) -> list[int]:
+    """Coefficients of p / (1 - q^m), m >= 1; NotDivisibleError unless exact.
+
+    The quotient's coefficient i is p_i + p_(i-m) + p_(i-2m) + ...: one
+    running sum per residue class mod m.  Run over all of p, the sums at the
+    top m positions are what is left over, so they must all be zero.
+    """
+    out = [0] * len(p)
+    for r in range(m):
+        out[r::m] = accumulate(p[r::m])
+    if any(out[-m:]):
+        divisor = Polynomial._trusted(QVAR, [1] + [0] * (m - 1) + [-1])
+        raise NotDivisibleError(Polynomial._trusted(QVAR, list(p)), divisor)
+    del out[-m:]
+    return out
+
+
+def _ratio_step(low: int, core: list[int], n: int, k: int) -> tuple[int, list[int]]:
+    """N_q(n,k+1) from N_q(n,k) = q^low * core, returned in the same form.
+
+    core * (1-q^(n-k))(1-q^(n-k-1)) / ((1-q^(k+1))(1-q^(k+2))), shifted by q^(2k+2).
+    """
+    core = _times_one_minus_power(_times_one_minus_power(core, n - k), n - k - 1)
+    core = _over_one_minus_power(_over_one_minus_power(core, k + 1), k + 2)
+    return low + 2 * k + 2, core
+
+
+def q_narayana_row(n: int) -> tuple[Polynomial, ...]:
+    """Row n of the q-Narayana family: entry k is the coefficient of t^k.
+
+    Built by the ratio of the module docstring; the power of q an entry
+    starts with is kept apart from its coefficients, so each step runs on
+    the nonzero part only.
+    """
+    if n < 0:
+        raise ValueError("row index must be >= 0")
+    low, core = 0, [1]
+    row = [_ONE]
+    for k in range(n - 1):
+        low, core = _ratio_step(low, core, n, k)
+        row.append(Polynomial._trusted(QVAR, [0] * low + core))
+    return tuple(row)
 
 
 def q_narayana_coeff(n: int, k: int) -> Polynomial:
-    """q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1], the division exact.
+    """q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1]: entry k of ``q_narayana_row(n)``.
 
-    The quotient is ``_bounded_quotient`` with the bound 2A of the module
-    docstring, so its slot holds (2k+3) * A plus a sign bit; a quotient
-    that is not exact in Z[q] raises NotDivisibleError.  Zero polynomial
-    for k < 0 or k >= n.
+    Zero polynomial for k < 0 or k >= n.
     """
     if n < 1:
         raise ValueError("q-Narayana coefficients need n >= 1")
     if k < 0 or k >= n:
         return _ZERO
-    a, b = q_binomial(n, k), q_binomial(n - 1, k)
-    quotient = _bounded_quotient(a, b, q_int(k + 1), 2 * sum(a.coeffs) * sum(b.coeffs))
-    return Polynomial._trusted(QVAR, [0] * (k * k + k) + list(quotient.coeffs))
+    return q_narayana_row(n)[k]
 
 
 def q_catalan(n: int) -> Polynomial:
@@ -72,12 +128,3 @@ def q_catalan(n: int) -> Polynomial:
     if n < 0:
         raise ValueError("q-Catalan needs n >= 0")
     return poly_exact_div(q_binomial(2 * n, n), q_int(n + 1))
-
-
-def q_narayana_row(n: int) -> tuple[Polynomial, ...]:
-    """Row n of the q-Narayana family: entry k is the coefficient of t^k."""
-    if n < 0:
-        raise ValueError("row index must be >= 0")
-    if n == 0:
-        return (_ONE,)
-    return tuple(q_narayana_coeff(n, k) for k in range(n))

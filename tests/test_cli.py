@@ -307,6 +307,24 @@ def _plus_at(at, extra):
     return perturb
 
 
+def _row_entry_plus_at(n, k, extra):
+    """Perturb qcomb.q_narayana_row: entry k of row n gets `extra` added."""
+    def perturb(q_narayana_row):
+        def perturbed(m):
+            row = q_narayana_row(m)
+            return row[:k] + (row[k] + extra,) + row[k + 1:] if m == n else row
+        return perturbed
+    return perturb
+
+
+def _first_step_shifted_one_less(ratio_step):
+    """Perturb qcomb._ratio_step: the step from entry 0 to entry 1 shifts by q^(2k+1), not q^(2k+2)."""
+    def perturbed(low, core, n, k):
+        low, core = ratio_step(low, core, n, k)
+        return (low - 1 if k == 0 else low), core
+    return perturbed
+
+
 def _maj_plus_one_on_udud(path_stats):
     def perturbed(word):
         stats = path_stats(word)
@@ -415,14 +433,18 @@ class TestCheckReportsItsOwnDiff:
     @pytest.mark.parametrize("argv, module, attr, perturb, line", [
         (["verify"], narayana, "narayana_poly", _plus_at((2,), T),
          "FAIL routes/c_three_ways (n=5: recursion gives 1+2t+4t^2+t^3+t^4, closed form 1+2t+4t^2+2t^3+t^4)"),
-        (["verify"], qcomb, "q_narayana_coeff", _plus_at((2, 0), Q),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(2, 0, Q),
          "FAIL eval/q_catalan_sum (n=2: q-row starts with 1+q, expected 1)"),
-        (["verify"], qcomb, "q_narayana_coeff", _plus_at((3, 1), -Q ** 5),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(3, 1, -Q ** 5),
          "FAIL eval/q_catalan_sum (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)"),
-        (["verify"], qcomb, "q_narayana_coeff", _plus_at((4, 1), Polynomial.one("q")),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(4, 1, Polynomial.one("q")),
          "FAIL eval/q_catalan_sum (n=4: q-row sums to "),
-        (["verify"], qcomb, "q_narayana_coeff", _plus_at((15, 3), Q),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(15, 3, Q),
          "FAIL eval/q_catalan_sum (n=15: q-row sums to "),
+        (["verify"], qcomb, "_ratio_step", _first_step_shifted_one_less,
+         "FAIL eval/q_catalan_sum (n=2: q-row sums to 1+q, q-Catalan quotient 1+q^2)"),
+        (["oracle"], qcomb, "_ratio_step", _first_step_shifted_one_less,
+         "FAIL oracle/valley_major (n=2, k=1: enumerated q^2, algebraic q)"),
         (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T),
          "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
         (["oracle"], dyckoracle, "path_stats", _maj_plus_one_on_udud,
@@ -459,7 +481,7 @@ class TestCheckReportsItsOwnDiff:
         (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17),
          "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
-            "odd-closed-form",
+            "q-row-ratio-step", "q-row-ratio-step-oracle", "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity",
             "identity-statement", "hankel", "hankel-entry-update",
             "eval-at-one", "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",

@@ -92,6 +92,13 @@ class TestAgainstPerStepReference:
         for word in _words():
             assert path_stats(word) == PathStats(*_reference_stats(word)), word
 
+    def test_valleys_are_the_du_factors(self):
+        # symmetric_valley_distribution counts valleys as path.count("DU")
+        paths = [path for n in range(11) for path in enumerate_dyck(n)]
+        paths += [path for n in range(15) for path in enumerate_symmetric(n)]
+        for path in paths:
+            assert path.count("DU") == path_stats(path).valleys, path
+
     def test_reverse_complement(self):
         for word in _words():
             assert reverse_complement(word) == _reference_reverse_complement(word), word

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qnarayana.exactalg import (
@@ -13,7 +13,6 @@ from qnarayana.exactalg import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    _bounded_quotient,
     poly_exact_div,
     poly_gcd,
 )
@@ -208,32 +207,6 @@ def test_exact_div_with_zero_low_blocks_matches_schoolbook(a, b, noise):
             poly_exact_div(dividend, b)
     else:
         assert poly_exact_div(dividend, b) == Polynomial("t", expected)
-
-
-# nonzero factors for the packed quotient: zero and negative middle
-# coefficients, and magnitudes across several byte boundaries
-nonzero_lists = st.lists(st.integers(-9, 9) | st.integers(-(2 ** 17), 2 ** 17), min_size=1, max_size=6).filter(any)
-
-
-@given(nonzero_lists, nonzero_lists, nonzero_lists)
-def test_bounded_quotient_accepts_exactly_the_true_bound(d, x, y):
-    # a = d*x and b = y, so a*b/d = x*y; the bound one below its largest coefficient must raise
-    d, y = P(*d), P(*y)
-    a = P(*schoolbook_product(d.coeffs, x))
-    want = P(*schoolbook_product(x, y.coeffs))
-    bound = max(map(abs, want.coeffs))
-    assert _bounded_quotient(a, y, d, bound) == want
-    with pytest.raises(NotDivisibleError):
-        _bounded_quotient(a, y, d, bound - 1)
-
-
-@given(nonzero_lists, nonzero_lists, nonzero_lists)
-def test_bounded_quotient_raises_when_d_does_not_divide(a, b, d):
-    a, b, d = P(*a), P(*b), P(*d)
-    assume(schoolbook_quotient(schoolbook_product(a.coeffs, b.coeffs), d.coeffs) is None)
-    for bound in (0, sum(map(abs, a.coeffs)) * sum(map(abs, b.coeffs)), 2 ** 200):
-        with pytest.raises(NotDivisibleError):
-            _bounded_quotient(a, b, d, bound)
 
 
 class TestSubstitution:

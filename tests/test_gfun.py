@@ -145,8 +145,9 @@ class TestStatements:
         ("C = c(t,t)", "unknown argument", 4),
         ("C = 1 )", "trailing tokens", 6),
         ("C = 1/t", "expected a series", 4),
+        ("C = (C)/z", "(X)/z of an X with a nonzero constant term", 4),
     ], ids=["unknown-symbol", "unbalanced", "missing-equals", "doubled-equals", "unknown-argument", "trailing",
-            "inverse-of-a-polynomial"])
+            "inverse-of-a-polynomial", "division-by-z-of-a-unit"])
     def test_malformed_statement_is_refused(self, monkeypatch, statement, what, position):
         monkeypatch.setitem(IDENTITY_DESCRIPTIONS, "eq15", statement)
         with pytest.raises(ValueError, match=rf"^identity eq15: {re.escape(what)}.* at position {position} of "):

@@ -383,7 +383,6 @@ def pinned_series_bound(case):
 
 def test_slot_bounds_are_pinned(monkeypatch):
     from qnarayana import exactalg
-    from qnarayana.qcomb import q_binomial, q_narayana_coeff
 
     width, seen = exactalg._slot_bytes, []
     monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: seen.append(bound) or width(bound))
@@ -397,11 +396,6 @@ def test_slot_bounds_are_pinned(monkeypatch):
         seen.clear()
         kernel(case)
         assert seen == [pinned_series_bound(case)], case
-    for n in range(1, 31):
-        for k in range(n):
-            seen.clear()
-            q_narayana_coeff(n, k)
-            assert seen == [(2 * k + 3) * l1(q_binomial(n, k)) * l1(q_binomial(n - 1, k))], (n, k)
 
 
 def test_slot_one_byte_narrower_is_caught(monkeypatch):
@@ -681,3 +675,29 @@ def test_square_slot_bound_is_pinned(monkeypatch):
             seen.clear()
             square * square
             assert seen == [pinned_series_bound((f, f))], f
+
+
+# The q-row's checked division by (1 - q^m): p * (1 - q^m) divides back to p,
+# and a dividend changed in one coefficient is never divisible, since c*q^i
+# (c != 0) does not vanish at q = 1 and 1 - q^m does.
+
+@given(coeff_lists, st.integers(1, 12))
+def test_division_by_one_minus_power_undoes_the_product(p, m):
+    from qnarayana.qcomb import QVAR, _over_one_minus_power, _times_one_minus_power
+
+    p = list(Polynomial(QVAR, p).coeffs)
+    product = _times_one_minus_power(p, m)
+    assert Polynomial(QVAR, product) == Polynomial(QVAR, p) * Polynomial(QVAR, [1] + [0] * (m - 1) + [-1])
+    assert _over_one_minus_power(product, m) == p
+
+
+@given(coeff_lists, st.integers(1, 12), st.data())
+def test_division_by_one_minus_power_refuses_a_perturbed_dividend(p, m, data):
+    from qnarayana.qcomb import _over_one_minus_power, _times_one_minus_power
+
+    product = _times_one_minus_power(p, m)
+    at = data.draw(st.integers(0, len(product) + 2))
+    product += [0] * (at + 1 - len(product))
+    product[at] += data.draw(st.integers(-9, 9).filter(bool))
+    with pytest.raises(NotDivisibleError):
+        _over_one_minus_power(product, m)

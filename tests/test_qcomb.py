@@ -1,6 +1,6 @@
 import pytest
 
-from qnarayana import exactalg, qcomb
+from qnarayana import qcomb
 from qnarayana.exactalg import NotDivisibleError, Polynomial, poly_exact_div
 from qnarayana.narayana import narayana_number, v_coeff
 from qnarayana.qcomb import (
@@ -112,31 +112,17 @@ class TestQNarayana:
 
 
 class TestPackedKernel:
+    """The row kernel: q_narayana_row steps along the row by the exact q-ratio."""
+
     def test_matches_schoolbook_formula(self):
         assert list(kernel_mismatches(30)) == []
 
-    # one byte narrower breaks the smallest entries; one-byte slots give wrong values further out
-    @pytest.mark.parametrize("narrow", [lambda nbytes: nbytes - 1, lambda nbytes: 1],
-                             ids=["one-byte-narrower", "one-byte-slots"])
-    def test_narrower_slot_is_caught(self, monkeypatch, narrow):
-        slot_bytes = exactalg._slot_bytes
-        monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: narrow(slot_bytes(bound)))
-        assert next(kernel_mismatches(30), None) is not None
-
     def test_non_dividing_divisor_raises(self, monkeypatch):
-        monkeypatch.setattr(qcomb, "q_int", lambda m: Q(2))
-        # (1+q+q^2)(1+q) = 1+2q+2q^2+q^3 has odd coefficients
-        with pytest.raises(NotDivisibleError):
-            poly_exact_div(q_binomial(3, 1) * q_binomial(2, 1), qcomb.q_int(2))
+        # a step that skips its multiply by (1 - q^(n-k-1)) leaves a quotient outside Z[q]
+        times = qcomb._times_one_minus_power
+        monkeypatch.setattr(qcomb, "_times_one_minus_power", lambda p, a: p if a == 2 else times(p, a))
         with pytest.raises(NotDivisibleError):
             q_narayana_coeff(3, 1)
-
-    def test_integer_exact_polynomial_inexact_raises(self, monkeypatch):
-        # 97 divides 2^24 + 1, the value of 1+q in 3-byte slots, but not 1+q in Z[q]
-        monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: 3)
-        assert (2 ** 24 + 1) % 97 == 0
-        with pytest.raises(NotDivisibleError):
-            exactalg._bounded_quotient(Q(1, 1), Q(1), Q(97), 2)
 
 
 class TestQCatalan:
