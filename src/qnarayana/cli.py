@@ -253,7 +253,8 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
         checks.append((f"cfrac/{tag}/product_formula", partial(_check_cfrac_product, extract, table, tag, 6)))
     checks.append(("cfrac/roundtrip", partial(_check_cfrac_roundtrip, extract, 8)))
     # One distribution per n serves the oracle checks, so each path set is
-    # walked once; made here for the same reason as rows.
+    # walked once (the Dyck paths by their statistics, the symmetric ones as
+    # words); made here for the same reason as rows.
     qt = cache(dyckoracle.qt_distribution)
     symmetric = cache(dyckoracle.symmetric_valley_distribution)
     checks.append(("oracle/valley_major", partial(_check_oracle_qt, rows, qt, q_max_n)))

@@ -21,10 +21,13 @@ most n prefixes; no list of paths is built.  Each path set's size is the
 sum of its distribution table (``qt_distribution`` at q = 1,
 ``symmetric_valley_distribution``), so a caller that keeps the tables, as
 the CLI registry does for one run, walks each set once.  The symmetric table
-needs only the valley count, one ``str.count("DU")`` scan per path; the
-q, t table takes both statistics from ``path_stats``.  The guards on n
-keep worst-case runtime at desk scale; this module exists to validate
-small cases, not to scale.
+needs only the valley count, one ``str.count("DU")`` scan per path.  The
+q, t table builds no words: ``_valley_major_walk`` is the same walk with
+(ups, downs, valleys, maj) on its stack in place of the prefix, tallying
+each valley as the U that closes it is placed.  ``path_stats`` stays the
+word-level definition of both statistics, which the tests hold the walk
+to, path by path.  The guards on n keep worst-case runtime at desk scale;
+this module exists to validate small cases, not to scale.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .exactalg import Polynomial, ring_to_json
 from .qcomb import QVAR
 
 MAX_ENUM = 12
-MAX_QT = 10
+MAX_QT = 12
 MAX_SYMMETRIC = 14
 
 
@@ -109,7 +112,11 @@ class PathStats(NamedTuple):
 
 
 def path_stats(word: str) -> PathStats:
-    """Valley count and major index of a valid path."""
+    """Valley count and major index of a valid path.
+
+    The reference definition of both statistics on a word; ``qt_distribution``
+    tallies them along its walk instead and is tested against this.
+    """
     valleys = 0
     maj = 0
     i = word.find("DU")
@@ -120,15 +127,51 @@ def path_stats(word: str) -> PathStats:
     return PathStats(valleys, maj)
 
 
+def _valley_major_walk(n: int) -> Iterator[tuple[int, int]]:
+    """(valleys, maj) of every Dyck path of semi-length n, in the ASCII order
+    of ``enumerate_dyck``, without building the words.
+
+    The same depth-first walk as ``_ballot_words``, carrying the statistics
+    instead of the prefix: a U right after a D closes a valley whose D sits
+    at 1-based position ups + downs.  A popped branch ends in U, and so does
+    the walked part of each leaf (its closing D steps add nothing), so the
+    after-D flag is clear at every pop.
+    """
+    pending: list[tuple[int, int, int, int]] = []
+    ups = downs = valleys = maj = 0
+    after_d = False
+    while True:
+        while ups < n:
+            if downs < ups:
+                if after_d:
+                    pending.append((ups + 1, downs, valleys + 1, maj + ups + downs))
+                else:
+                    pending.append((ups + 1, downs, valleys, maj))
+                downs += 1
+                after_d = True
+            else:
+                if after_d:
+                    valleys += 1
+                    maj += ups + downs
+                    after_d = False
+                ups += 1
+        yield valleys, maj
+        if not pending:
+            return
+        ups, downs, valleys, maj = pending.pop()
+
+
 def qt_distribution(n: int) -> dict[int, Polynomial]:
     """Major-index generating function per valley count, from full enumeration.
 
     Entry k sums q^maj over all paths with k valleys.
     """
+    if n < 0:
+        raise ValueError("semi-length must be >= 0")
     if n > MAX_QT:
         raise ValueError(f"semi-length {n} exceeds the distribution guard {MAX_QT}")
     coeffs: dict[int, list[int]] = {k: [] for k in range(max(n - 1, 0) + 1)}
-    for (valleys, maj), count in Counter(map(path_stats, enumerate_dyck(n))).items():
+    for (valleys, maj), count in Counter(_valley_major_walk(n)).items():
         row = coeffs[valleys]
         row.extend([0] * (maj + 1 - len(row)))
         row[maj] = count

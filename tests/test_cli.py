@@ -53,7 +53,7 @@ class TestParseArgs:
         assert main(["verify", "--all", "--identity", "eq15"]) == 2
 
     def test_oracle_guard(self):
-        assert main(["oracle", "--q-max-n", "11"]) == 2
+        assert main(["oracle", "--q-max-n", str(dyckoracle.MAX_QT + 1)]) == 2
 
     @pytest.mark.parametrize("alias", sorted(cli._POLY_FAMILIES) + ["X"])
     def test_hankel_families_are_the_table_families(self, capsys, alias):
@@ -186,8 +186,11 @@ class TestVerifyVerb:
 
 
 def _record_walks(monkeypatch):
-    """Record the semi-length of every Dyck and symmetric path set walked, by enumerator name."""
-    walked = {"enumerate_dyck": [], "enumerate_symmetric": []}
+    """Record the semi-length of every Dyck and symmetric path set walked, by walker name.
+
+    Dyck paths are walked by their statistics (`_valley_major_walk`), symmetric ones as words.
+    """
+    walked = {"_valley_major_walk": [], "enumerate_symmetric": []}
     for name, sizes in walked.items():
         def recorded(n, enumerate_paths=getattr(dyckoracle, name), sizes=sizes):
             sizes.append(n)
@@ -207,7 +210,7 @@ class TestOracleVerb:
             "PASS oracle/counts (path<=4, symmetric<=6)",
             "3/3 checks passed",
         ]
-        assert max(walked["enumerate_dyck"]) == 4
+        assert max(walked["_valley_major_walk"]) == 4
         assert max(walked["enumerate_symmetric"]) == 6
 
 
@@ -325,15 +328,15 @@ def _first_step_shifted_one_less(ratio_step):
     return perturbed
 
 
-def _maj_plus_one_on_udud(path_stats):
-    def perturbed(word):
-        stats = path_stats(word)
-        return dyckoracle.PathStats(stats.valleys, stats.maj + 1) if word == "UDUD" else stats
+def _maj_plus_one_on_udud(valley_major_walk):
+    """Perturb the statistics walk: the path UDUD, (valleys, maj) = (1, 2) at n = 2, gets maj 3."""
+    def perturbed(n):
+        return ((1, 3) if n == 2 and leaf == (1, 2) else leaf for leaf in valley_major_walk(n))
     return perturbed
 
 
 def _first_path_twice_at(at):
-    """Perturb an enumerator: at semi-length `at` its first path comes twice."""
+    """Perturb a path walker: at semi-length `at` its first path (word or statistics) comes twice."""
     def perturb(enumerate_paths):
         def perturbed(n):
             paths = list(enumerate_paths(n))
@@ -447,11 +450,11 @@ class TestCheckReportsItsOwnDiff:
          "FAIL oracle/valley_major (n=2, k=1: enumerated q^2, algebraic q)"),
         (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T),
          "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
-        (["oracle"], dyckoracle, "path_stats", _maj_plus_one_on_udud,
+        (["oracle"], dyckoracle, "_valley_major_walk", _maj_plus_one_on_udud,
          "FAIL oracle/valley_major (n=2, k=1: enumerated q^3, algebraic q^2)"),
         (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(4),
          "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)"),
-        (["oracle"], dyckoracle, "enumerate_dyck", _first_path_twice_at(3),
+        (["oracle"], dyckoracle, "_valley_major_walk", _first_path_twice_at(3),
          "FAIL oracle/counts (n=3: 6 paths, expected Catalan)"),
         (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(5),
          "FAIL oracle/counts (n=5: 11 symmetric paths, expected central binomial)"),
@@ -673,7 +676,7 @@ class TestSharedPathSets:
         walked = _record_walks(monkeypatch)
         for runs in (1, 2):
             assert main(argv) == 0
-            assert sorted(walked["enumerate_dyck"]) == sorted(list(range(q_max_n + 1)) * runs)
+            assert sorted(walked["_valley_major_walk"]) == sorted(list(range(q_max_n + 1)) * runs)
             assert sorted(walked["enumerate_symmetric"]) == sorted(list(range(sym_max_n + 1)) * runs)
         capsys.readouterr()
 

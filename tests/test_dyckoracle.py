@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -124,9 +125,19 @@ class TestQtDistribution:
             for k, poly in table.items():
                 assert poly(1) == narayana_number(n, k)
 
+    def test_equals_the_binned_path_stats(self):
+        # the walk's tallies against path_stats on every word, at every n the guard allows
+        for n in range(MAX_QT + 1):
+            rows = {k: [0] * (n * n + 1) for k in range(max(n - 1, 0) + 1)}
+            for (valleys, maj), count in Counter(map(path_stats, enumerate_dyck(n))).items():
+                rows[valleys][maj] = count
+            assert qt_distribution(n) == {k: Q(*row) for k, row in rows.items()}, n
+
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
             qt_distribution(MAX_QT + 1)
+        with pytest.raises(ValueError):
+            qt_distribution(-1)
 
 
 class TestSymmetric:
