@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache, partial
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import dyckoracle, fixtures, gfun, hankel, narayana, qcomb
@@ -99,7 +100,7 @@ def _check_eval(point: int, max_n: int) -> tuple[bool, str]:
 
 def _check_q_catalan_sum(rows, max_n: int) -> tuple[bool, str]:
     """Each q-Narayana row has constant term 1, no negative coefficient, and sums to the q-Catalan quotient."""
-    one, zero = Polynomial.one(qcomb.QVAR), Polynomial.zero(qcomb.QVAR)
+    one = Polynomial.one(qcomb.QVAR)
     for n in range(max_n + 1):
         row = rows(n)
         if row[0] != one:
@@ -107,7 +108,8 @@ def _check_q_catalan_sum(rows, max_n: int) -> tuple[bool, str]:
         for k, entry in enumerate(row):
             if min(entry.coeffs, default=0) < 0:
                 return False, f"n={n}, k={k}: negative coefficient in q-row entry {entry}"
-        total, catalan = sum(row, zero), qcomb.q_catalan(n)
+        total = Polynomial(qcomb.QVAR, map(sum, zip_longest(*(entry.coeffs for entry in row), fillvalue=0)))
+        catalan = qcomb.q_catalan(n)
         if total != catalan:
             return False, f"n={n}: q-row sums to {total}, q-Catalan quotient {catalan}"
     return True, f"n<={max_n}"

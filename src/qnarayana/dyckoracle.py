@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .exactalg import Polynomial, ring_to_json
+from .exactalg import Polynomial
 from .qcomb import QVAR
 
 MAX_ENUM = 12
@@ -176,11 +176,6 @@ def qt_distribution(n: int) -> dict[int, Polynomial]:
         row.extend([0] * (maj + 1 - len(row)))
         row[maj] = count
     return {k: Polynomial(QVAR, row) for k, row in coeffs.items()}
-
-
-def distribution_to_json(table: dict) -> dict:
-    """Wire form of a distribution table: keyed by k, polynomial or count values."""
-    return {str(k): ring_to_json(v) for k, v in table.items()}
 
 
 def enumerate_symmetric(n: int) -> Iterator[str]:

@@ -241,7 +241,11 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        """Evaluate at an integer point (Horner)."""
+        """Evaluate at an integer point: a plain or alternating sum at x = +-1, Horner elsewhere."""
+        if x == 1:
+            return sum(self.coeffs)
+        if x == -1:
+            return sum(self.coeffs[0::2]) - sum(self.coeffs[1::2])
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

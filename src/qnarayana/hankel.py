@@ -20,15 +20,18 @@ J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
 because a level's division by t_k may leave Z[t].  For smallc and smallg,
 the two families the CLI extracts, it does not: every t_k is +-t, so every
-level's series has denominator 1 throughout, and each level's inverse, like
-every inverse of ``jfraction_to_series``, runs on the packed Z[t] kernel of
-``TruncatedSeries``; only the division by t_k goes through the field's gcd.
-A level whose series leaves Z[t] falls back to the coefficient loop over
-the field, with the same result.  A ``JFraction``
-holding diagonal coefficients s_0..s_d and subdiagonal coefficients
-t_0..t_{d-1} reconstructs the series exactly through order 2d+1; the
-subdiagonal coefficients alone determine every Hankel determinant through
-the double product ``hankel_product_formula``.
+level's series has denominator 1 throughout, and each level's inverse runs
+on the packed Z[t] kernel of ``TruncatedSeries``; only the division by t_k
+goes through the field's gcd.  A level whose series leaves Z[t] falls back
+to the coefficient loop over the field, with the same result.  A
+``JFraction`` holding diagonal coefficients s_0..s_d and subdiagonal
+coefficients t_0..t_{d-1} reconstructs the series exactly through order
+2d+1: ``jfraction_to_series`` builds the convergent N_0/D_0 bottom-up by
+the fundamental recurrence of its numerators and denominators, polynomials
+in z of degree at most d+1, and then takes one series inverse and one
+product for the whole fraction.  The subdiagonal coefficients alone
+determine every Hankel determinant through the double product
+``hankel_product_formula``.
 """
 
 from __future__ import annotations
@@ -278,10 +281,17 @@ def jfraction_extract(series: TruncatedSeries, depth: int) -> JFraction:
 
 
 def jfraction_to_series(jf: JFraction, order: int) -> TruncatedSeries:
-    """Evaluate the nested fraction bottom-up, truncated at the given order.
+    """Evaluate the fraction bottom-up by its convergents, truncated at the given order.
 
-    With depth d the result agrees with the source series through z^(2d+1);
-    an empty fraction is the constant series 1.
+    With depth d the fraction is N_0/D_0, for polynomials in z of degree at
+    most d+1 built by the fundamental recurrence: N_d = 1, D_d = 1 - s_d z,
+    and for k = d-1 down to 0, N_k = D_{k+1} and
+    D_k = (1 - s_k z) D_{k+1} - t_k z^2 N_{k+1}.  The recurrence uses only
+    +, - and *, so it is exact over any coefficient ring; the one series
+    inverse, of D_0 (constant term 1), and the one product with N_0 take the
+    packed Z[t] kernel when every coefficient lies in Z[t].  The result
+    agrees with the source series through z^(2d+1); an empty fraction is the
+    constant series 1.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -289,12 +299,16 @@ def jfraction_to_series(jf: JFraction, order: int) -> TruncatedSeries:
         return TruncatedSeries.constant(RationalFunction.one(TVAR), order)
     one = ring_one_like(jf.s[0])
     zero = one - one
-    ones = TruncatedSeries.constant(one, order)
-    f = (ones - TruncatedSeries.from_coeffs([zero, jf.s[-1]], order)).invert()
-    for k in range(len(jf.t_coeffs) - 1, -1, -1):
-        level = ones - TruncatedSeries.from_coeffs([zero, jf.s[k]], order) - f.shift_up(2).scale(jf.t_coeffs[k])
-        f = level.invert()
-    return f
+    num, den = [one], [one, -jf.s[-1]]
+    for s_k, t_k in zip(jf.s[-2::-1], jf.t_coeffs[::-1]):
+        # (1 - s_k z) den - t_k z^2 num; num is one shorter than den
+        nxt = den + [zero]
+        for i, c in enumerate(den):
+            nxt[i + 1] = nxt[i + 1] - s_k * c
+        for i, c in enumerate(num):
+            nxt[i + 2] = nxt[i + 2] - t_k * c
+        num, den = den, nxt
+    return TruncatedSeries.from_coeffs(num, order) * TruncatedSeries.from_coeffs(den, order).invert()
 
 
 def hankel_product_formula(t_seq, n: int):

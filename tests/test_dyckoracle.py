@@ -8,7 +8,6 @@ from qnarayana.dyckoracle import (
     MAX_QT,
     MAX_SYMMETRIC,
     PathStats,
-    distribution_to_json,
     enumerate_dyck,
     enumerate_symmetric,
     is_dyck_path,
@@ -184,12 +183,3 @@ class TestSymmetric:
         with pytest.raises(ValueError, match="guard"):
             symmetric_valley_distribution(MAX_SYMMETRIC + 1)
 
-
-class TestSerialization:
-    def test_qt_table_json(self):
-        blob = distribution_to_json(qt_distribution(2))
-        assert blob == {"0": {"var": "q", "coeffs": ["1"]}, "1": {"var": "q", "coeffs": ["0", "0", "1"]}}
-
-    def test_count_table_json(self):
-        blob = distribution_to_json(symmetric_valley_distribution(3))
-        assert blob == {"0": "1", "1": "1", "2": "1"}

@@ -349,7 +349,7 @@ class TestJFraction:
 
     def test_roundtrip(self):
         for tag in ("smallc", "smallg"):
-            for depth in (1, 3, 5):
+            for depth in (0, 1, 3, 5, 12):
                 series = ratfun_series(tag, 2 * depth + 2)
                 jf = jfraction_extract(series, depth)
                 rebuilt = jfraction_to_series(jf, 2 * depth + 1)

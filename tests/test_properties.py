@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnarayana.exactalg import (
@@ -16,7 +16,9 @@ from qnarayana.exactalg import (
     _cross,
     poly_exact_div,
     poly_gcd,
+    ring_one_like,
 )
+from qnarayana.hankel import JFraction, jfraction_extract, jfraction_to_series
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=9)
 
@@ -201,6 +203,17 @@ def test_square_substitution_spreads_coefficients(a):
     q = p.subs_square()
     assert all(q.coefficient(2 * i + 1) == 0 for i in range(len(a)))
     assert all(q.coefficient(2 * i) == p.coefficient(i) for i in range(len(a)))
+
+
+@given(st.lists(st.integers(), max_size=12), st.sampled_from((1, -1)))
+@example([], 1)
+@example([], -1)
+def test_evaluation_at_plus_minus_one_matches_horner(coeffs, x):
+    p = Polynomial("t", coeffs)
+    horner = 0
+    for c in reversed(p.coeffs):
+        horner = horner * x + c
+    assert p(x) == horner
 
 
 @given(st.lists(st.one_of(st.integers(), st.booleans()), max_size=9))
@@ -701,3 +714,51 @@ def test_division_by_one_minus_power_refuses_a_perturbed_dividend(p, m, data):
     product[at] += data.draw(st.integers(-9, 9).filter(bool))
     with pytest.raises(NotDivisibleError):
         _over_one_minus_power(product, m)
+
+
+# J-fractions: jfraction_to_series evaluates by the convergent recurrence.  The
+# reference below is the level-by-level evaluation, one series inverse per
+# level: f_d = 1/(1 - s_d z), f_k = 1/(1 - s_k z - t_k z^2 f_(k+1)).
+
+def levelwise_jfraction_to_series(jf, order):
+    if not jf.s:
+        return TruncatedSeries.constant(RationalFunction.one("t"), order)
+    one = ring_one_like(jf.s[0])
+    zero = one - one
+    ones = TruncatedSeries.constant(one, order)
+    f = (ones - TruncatedSeries.from_coeffs([zero, jf.s[-1]], order)).invert()
+    for k in range(len(jf.t_coeffs) - 1, -1, -1):
+        level = ones - TruncatedSeries.from_coeffs([zero, jf.s[k]], order) - f.shift_up(2).scale(jf.t_coeffs[k])
+        f = level.invert()
+    return f
+
+
+small_polys = st.lists(st.integers(-3, 3), max_size=3).map(lambda coeffs: Polynomial("t", coeffs))
+# denominators 1, 1+t, t, 2 and (1-t)^2: t_k = 1/(1+t) and the like leave Z[t]
+small_ratfuns = st.builds(RationalFunction, small_polys,
+                          st.sampled_from([(1,), (1, 1), (0, 1), (2,), (1, -2, 1)]).map(lambda c: Polynomial("t", c)))
+
+
+def jfractions(ring, max_depth=3):
+    return st.integers(0, max_depth).flatmap(lambda d: st.builds(
+        JFraction, st.tuples(*[ring] * (d + 1)), st.tuples(*[ring.filter(bool)] * d)))
+
+
+@given(st.one_of(jfractions(small_polys), jfractions(small_ratfuns)), st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+@example(JFraction((), ()), 3)
+def test_convergent_evaluation_matches_levelwise(jf, order):
+    got = jfraction_to_series(jf, order)
+    assert spelled(got.coeffs) == spelled(levelwise_jfraction_to_series(jf, order).coeffs), jf
+
+
+@given(jfractions(small_ratfuns, max_depth=2), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_terminated_fraction_reproduces_its_series(jf, extra):
+    # a finite fraction of depth d is its own expansion: extraction one level
+    # deeper stops there with terminated set, and evaluates back exactly
+    order = 2 * jf.depth + 4 + extra
+    series = levelwise_jfraction_to_series(jf, order)
+    got = jfraction_extract(series, jf.depth + 1)
+    assert got == jf._replace(terminated=True)
+    assert jfraction_to_series(got, order) == series
