@@ -33,9 +33,13 @@ there scales the outer one in a single list; exact division splits var^v off
 the divisor first, and a divisor left with one term c is a slice of the
 dividend (c = +-1) or one list of ``divmod`` (see ``poly_exact_div``).
 Fraction-free elimination produces that structure in bulk (entries t^v times
-a short polynomial, pivots c*t^v), and its entry update x*p - y*z is built in
-one list with no intermediate polynomial (see ``_cross``); it shares the one
-product loop, ``_add_products``, with ``Polynomial.__mul__``.  A series
+a short polynomial, pivots c*t^v), so its entry update works on (valuation,
+tail) pairs (v, T) for t^v * T with T(0) != 0 and never builds a zero low
+block: ``_cross`` adds x*p - y*z into one list from the tails at their
+offsets, reads the valuation off it, and divides by the previous pivot
+t^f * D as t^(m-f) * (W / D), exact iff f <= m and D divides W, with
+``poly_exact_div`` unless D is 1.  It shares the one product loop,
+``_add_products``, with ``Polynomial.__mul__``.  A series
 squared (``f * f``, the same object) packs once and computes each symmetric
 pair of its convolution once (see ``_convolve``).
 
@@ -368,31 +372,71 @@ def _pseudo_rem(a, b):
     return r
 
 
-def _cross(x, p, y, z):
-    """x*p - y*z in one list: the fraction-free entry update before its exact division.
+def _cross(x, p, y, z, prev, var):
+    """(x*p - y*z) / prev on (valuation, tail) pairs: the fraction-free entry update.
 
-    When p is c*var^e after its zero low block (every pivot of the Narayana
-    and c Hankel tables is +-t^C(k,2)), x*p is x's coefficients written at
-    offset e, copied for c = 1 and scaled by c otherwise; y*z is then
-    subtracted from that list over the nonzero tails of y and z, both zero
-    low blocks skipped.  Any other p takes ``x * p - y * z``.
+    Each operand is a pair (v, T) for var^v * T, where T is a tuple of
+    coefficients with T[0] != 0, or the pair (0, ()) for zero (see
+    ``_split``).  Both products are added into one list from the tails, each
+    written at its valuation above the lower of the two: a single-term p
+    scales x's tail into one slice and every other product runs
+    ``_add_products``, so no zero low block is built, copied or scanned.
+    The cross x*p - y*z is var^m * W with W(0) != 0, m read off that list.
+    With prev = var^f * D and D(0) != 0, var divides neither D nor W, so the
+    division is exact iff f <= m and D divides W in Z[var]; the quotient is
+    var^(m-f) * (W / D), W / D by ``poly_exact_div``, and only a D of 1
+    skips that call.  A division that is not exact raises NotDivisibleError.
     """
-    if not x.var == p.var == y.var == z.var:
-        raise ValueError(f"variable mismatch: {x.var!r}, {p.var!r}, {y.var!r}, {z.var!r}")
-    out = []
-    if p.coeffs:
-        e = _valuation(p)
-        if len(p.coeffs) - e > 1:
-            return x * p - y * z
-        c = p.coeffs[e]
-        out = [0] * e + (list(x.coeffs) if c == 1 else [a * c for a in x.coeffs])
-    if y.coeffs and z.coeffs:
-        ylow, zlow = _valuation(y), _valuation(z)
-        size = len(y.coeffs) + len(z.coeffs) - 1
-        if len(out) < size:
-            out += [0] * (size - len(out))
-        _add_products(out, [-b for b in y.coeffs[ylow:]], z.coeffs[zlow:], ylow + zlow)
-    return Polynomial._trusted(x.var, out)
+    (xv, xt), (pv, pt), (yv, yt), (zv, zt) = x, p, y, z
+    u, w = xv + pv, yv + zv
+    if not (xt and pt):
+        if not (yt and zt):
+            return 0, ()
+        xt, pt, u = (), (), w  # no x*p term
+    elif not (yt and zt):
+        yt, zt, w = (), (), u  # no y*z term
+    low = u if u < w else w
+    u -= low
+    w -= low
+    out = [0] * (max(u + len(xt) + len(pt), w + len(yt) + len(zt)) - 1)
+    if len(pt) == 1:
+        c = pt[0]
+        out[u:u + len(xt)] = xt if c == 1 else [a * c for a in xt]
+    elif xt:
+        _add_products(out, xt, pt, u)
+    if yt:
+        _add_products(out, [-b for b in yt], zt, w)
+    i = 0
+    if not out[0]:
+        first = next(filter(None, out), 0)
+        if not first:
+            return 0, ()
+        i = out.index(first)
+    while not out[-1]:
+        out.pop()
+    f, d = prev
+    m = low + i
+    if m < f:
+        raise NotDivisibleError(_unsplit(var, (m, out[i:])), _unsplit(var, prev))
+    if i:
+        del out[:i]
+    if d == (1,):
+        return m - f, tuple(out)
+    return m - f, poly_exact_div(Polynomial._trusted(var, out), Polynomial._trusted(var, list(d))).coeffs
+
+
+def _split(p):
+    """The pair (v, T) of ``_cross``, p = var^v * T with T[0] != 0; (0, ()) for zero."""
+    if not p.coeffs:
+        return 0, ()
+    v = _valuation(p)
+    return v, p.coeffs[v:]
+
+
+def _unsplit(var, pair):
+    """The polynomial var^v * T of a pair (v, T) from ``_split`` or ``_cross``."""
+    v, tail = pair
+    return Polynomial._trusted(var, [0] * v + list(tail) if tail else [])
 
 
 def _add_products(out, a, b, low):

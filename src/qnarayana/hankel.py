@@ -2,10 +2,16 @@
 
 The determinant engine is the classical fraction-free elimination over an
 integral domain: cross-multiply, then divide by the previous pivot, every
-division provably exact in Z[t].  The cross-multiplication x*pivot - y*z is
-one list (``exactalg._cross``, one pass for the single-term pivots of the
-Narayana and c families) and the division is ``poly_exact_div``.  A
-symmetric matrix, which every Hankel matrix is, stays symmetric under that
+division provably exact in Z[t].  A step-k entry is a (k+1)-minor divisible
+by a high power of t, so during the elimination each entry is held as a
+pair (v, T) for t^v * T, with T(0) != 0, and the update
+(x*pivot - y*z) / prev is ``exactalg._cross`` on those pairs: the cross is
+built from the tails at their offsets, and the division by prev = t^f * D
+is exact iff f is at most the cross's valuation and D divides its tail, the
+tail division going through ``poly_exact_div`` unless D is 1 (every pivot of
+the Narayana and c tables is +-t^C(k,2), so only the shifted c table's
+pivots -t^v divide at all).  No zero low block is built, copied or scanned.
+A symmetric matrix, which every Hankel matrix is, stays symmetric under that
 update, so until a zero pivot forces a row swap only the upper triangle is
 computed and mirrored; a swap breaks the symmetry and the rest of the
 elimination computes every entry.  A cofactor-expansion determinant is kept
@@ -43,7 +49,8 @@ from .exactalg import (
     RationalFunction,
     TruncatedSeries,
     _cross,
-    poly_exact_div,
+    _split,
+    _unsplit,
     ring_one_like,
 )
 from .gfun import build_series
@@ -63,10 +70,14 @@ class PolyMatrix(_PolyMatrixFields):
         n = len(entries)
         if n == 0:
             raise ValueError("empty matrix")
+        if any(len(row) != n for row in entries):
+            raise ValueError("matrix is not square")
+        for row in entries:
+            for p in row:
+                if not isinstance(p, Polynomial):
+                    raise TypeError(f"matrix entries must be polynomials, got {type(p).__name__}")
         var = entries[0][0].var
         for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
             for p in row:
                 if p.var != var:
                     raise ValueError("matrix entries must share one variable")
@@ -107,24 +118,31 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
     symmetry of the remaining block, so from the first swap on every entry
     is computed, exactly as for a non-symmetric input.
 
-    Each entry update is ``_cross(row_i[j], pivot, row_i[k], row_k[j])``,
-    row_i[j]*pivot - row_i[k]*row_k[j] in one list, then the exact division
-    by the previous pivot.  Every pivot is a leading principal minor, for the
-    Narayana and c families +-t^C(k,2), a single term: the kernel writes
-    row_i[j] at the pivot's offset and subtracts the other product over the
-    nonzero tails of its operands, so no step builds a ``Polynomial``
-    product or difference.
+    Each entry is held as a pair (v, T) for var^v * T with T(0) != 0 (zero
+    is (0, ())), split once from the input and joined back for the result.
+    The update of entry (i, j) at step k is one call
+    ``_cross(row_i[j], pivot, row_i[k], row_k[j], prev, var)``: the cross
+    row_i[j]*pivot - row_i[k]*row_k[j] is var^m * W, built from the tails
+    at their offsets with W(0) != 0, and the previous pivot is var^f * D
+    with D(0) != 0.  Since var divides neither D nor W, var^f * D divides
+    var^m * W iff f <= m and D divides W, which is ``poly_exact_div(W, D)``,
+    skipped only when D is 1; the quotient is var^(m-f) * (W / D).  A
+    division that is not exact raises NotDivisibleError.  Every pivot is a
+    leading principal minor, for the Narayana and c families +-t^C(k,2), so
+    their tables divide only beside the pivots -t^v of the shifted c table,
+    and no step builds a ``Polynomial`` product, difference or zero low
+    block.
     """
     n = m.dim
     var = m.entries[0][0].var
-    a = [list(row) for row in m.entries]
+    a = [[_split(p) for p in row] for row in m.entries]
     symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     sign = 1
-    prev = Polynomial.one(var)
+    prev = (0, (1,))
     for k in range(n - 1):
-        if not a[k][k]:
+        if not a[k][k][1]:
             for i in range(k + 1, n):
-                if a[i][k]:
+                if a[i][k][1]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     symmetric = False
@@ -134,12 +152,14 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
         pivot, row_k = a[k][k], a[k]
         for i in range(k + 1, n):
             row_i = a[i]
+            y = row_i[k]
             for j in range(i if symmetric else k + 1, n):
-                row_i[j] = poly_exact_div(_cross(row_i[j], pivot, row_i[k], row_k[j]), prev)
+                row_i[j] = _cross(row_i[j], pivot, y, row_k[j], prev, var)
                 if symmetric:
                     a[j][i] = row_i[j]
         prev = pivot
-    return a[n - 1][n - 1] if sign == 1 else -a[n - 1][n - 1]
+    det = _unsplit(var, a[n - 1][n - 1])
+    return det if sign == 1 else -det
 
 
 _COFACTOR_DIM_LIMIT = 6

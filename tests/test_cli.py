@@ -262,6 +262,8 @@ GOLDEN = {
     "oracle_q10_sym14.out": ["oracle", "--q-max-n", "10", "--sym-max-n", "14"],
     "hankel_c_shift1_json.out": ["hankel", "--family", "c", "--shift", "1", "--json"],
     "verify_eq25_order80_json.out": ["verify", "--identity", "eq25", "--order", "80", "--json"],
+    "hankel_C_shift1_n20.out": ["hankel", "--family", "C", "--shift", "1", "--max-n", "20"],
+    "hankel_c_shift1_n20_csv.out": ["hankel", "--family", "c", "--shift", "1", "--max-n", "20", "--csv"],
 }
 
 
@@ -277,6 +279,12 @@ class TestGoldenStdout:
         assert main(GOLDEN[name]) == 0
         expected = (Path(__file__).parent / "data" / name).read_bytes()
         assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_unchanged_under_optimize(self, name):
+        run = _python("-O", "-m", "qnarayana.cli", *GOLDEN[name])
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == (Path(__file__).parent / "data" / name).read_bytes()
 
 
 class TestFaultInjection:
@@ -376,16 +384,16 @@ def _det_plus_t_at_dim_4(det_bareiss):
 
 
 def _yz_added_beside_negative_pivots(cross):
-    """Perturb the Bareiss entry update x*p - y*z: beside a pivot p = -t^v the y*z term is added.
+    """Perturb the Bareiss entry update (x*p - y*z)/prev: beside a pivot p = -t^v, the pair (v, (-1,)), y*z is added.
 
     Beside a single-term pivot either sign is divisible by the previous
     pivot, so the table is computed to the end and its check reports a
     determinant, not an error.
     """
-    def perturbed(x, p, y, z):
-        if p and not any(p.coeffs[:-1]) and p.coeffs[-1] == -1:
-            return cross(x, p, -y, z)
-        return cross(x, p, y, z)
+    def perturbed(x, p, y, z, prev, var):
+        if p[1] == (-1,):
+            y = (y[0], tuple(-c for c in y[1]))
+        return cross(x, p, y, z, prev, var)
     return perturbed
 
 
@@ -486,8 +494,8 @@ class TestCheckReportsItsOwnDiff:
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
             "q-row-ratio-step", "q-row-ratio-step-oracle", "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity",
-            "identity-statement", "hankel", "hankel-entry-update",
-            "eval-at-one", "eval-at-minus-one", "q-catalan-sum", "product-formula-smallg", "product-formula-smallc",
+            "identity-statement", "hankel", "eval-at-one", "eval-at-minus-one", "q-catalan-sum",
+            "hankel-entry-update", "product-formula-smallg", "product-formula-smallc",
             "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
@@ -501,8 +509,9 @@ class TestCheckReportsItsOwnDiff:
     @pytest.mark.parametrize("modules, attr, perturb, failed", [
         ((exactalg,), "_convolve", _square_without_doubling,
          ["FAIL identity/eq15", "FAIL identity/eq20"]),
-        # hankel binds poly_exact_div at import, and only the small_c shift-1 table has pivots -t^v
-        ((exactalg, hankel), "poly_exact_div", _minus_one_divisor_not_negated,
+        # the Bareiss kernel divides by every previous pivot tail other than 1, and only the
+        # small_c shift-1 table has pivots -t^v
+        ((exactalg,), "poly_exact_div", _minus_one_divisor_not_negated,
          ["FAIL hankel/small_c/shift1", "FAIL cfrac/smallg/product_formula"]),
     ], ids=["square-doubling", "minus-one-divisor"])
     def test_injected_kernel_fault(self, capsys, monkeypatch, modules, attr, perturb, failed):
@@ -811,6 +820,16 @@ class TestRecords:
             hankel.PolyMatrix(((T, T),))
         with pytest.raises(ValueError, match="^matrix entries must share one variable$"):
             hankel.PolyMatrix(((T, Q), (T, T)))
+
+    def test_poly_matrix_refuses_entries_that_are_not_polynomials(self):
+        with pytest.raises(TypeError, match="^matrix entries must be polynomials, got int$"):
+            hankel.PolyMatrix(((1,),))
+        with pytest.raises(TypeError, match="^matrix entries must be polynomials, got str$"):
+            hankel.PolyMatrix(((T, T), (T, "t")))
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            hankel.PolyMatrix(((),))
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            hankel.PolyMatrix(((T, T), ()))
 
     def test_make_and_replace_run_the_checks(self):
         one = RationalFunction.one("t")

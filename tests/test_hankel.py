@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qnarayana import hankel
+from qnarayana import exactalg, hankel
 from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 from qnarayana.hankel import (
     JFraction,
@@ -43,6 +43,38 @@ def rand_symmetric(rng, dim):
         for j in range(i, dim):
             rows[i][j] = rows[j][i] = rand_poly(rng)
     return rows
+
+
+def tail(p):
+    """p with its zero low block taken off: the T of p = t^v * T, T(0) != 0."""
+    return Polynomial(TVAR, p.coeffs[next(i for i, c in enumerate(p.coeffs) if c):])
+
+
+def ldu_matrix(rng, d, symmetric):
+    """L diag(d) U with L unit lower and U unit upper triangular over Z[t] (U = L^T if symmetric).
+
+    Its leading principal minors, the Bareiss pivots, are d_1, d_1 d_2, ...
+    """
+    dim = len(d)
+    lower = [[rand_poly(rng) if j < i else P(int(i == j)) for j in range(dim)] for i in range(dim)]
+    upper = ([list(col) for col in zip(*lower)] if symmetric else
+             [[rand_poly(rng) if j > i else P(int(i == j)) for j in range(dim)] for i in range(dim)])
+    return PolyMatrix(tuple(tuple(sum((lower[i][k] * d[k] * upper[k][j] for k in range(dim)), P(0))
+                                  for j in range(dim)) for i in range(dim)))
+
+
+def with_zero_pivot(rng, rows, zero_step):
+    """Make the leading (s+1) x (s+1) block, s = zero_step, a sum of s rank-one blocks v v^T.
+
+    That leading minor, the pivot of step s, is then zero, so the
+    elimination must swap rows there.
+    """
+    size = zero_step + 1
+    vecs = [[rand_poly(rng) for _ in range(size)] for _ in range(zero_step)]
+    for i in range(size):
+        for j in range(size):
+            rows[i][j] = sum((v[i] * v[j] for v in vecs), P(0))
+    assert det_cofactor(PolyMatrix(tuple(tuple(row[:size]) for row in rows[:size]))) == P(0)
 
 
 def sympy_det(sympy, coeffs):
@@ -146,52 +178,83 @@ class TestDeterminants:
             assert det_bareiss(PolyMatrix(tuple(map(tuple, rows)))) == sympy_det(sympy, coeffs), coeffs
 
     def test_symmetric_with_zero_pivot(self):
-        # With s = zero_step, the leading (s+1) x (s+1) block is a sum of s
-        # rank-one blocks v v^T, so that leading minor, the pivot of step s, is
-        # zero: the elimination runs symmetric for s steps, then swaps rows and
-        # computes every entry of the remaining block.
+        # the pivot of step zero_step is zero: the elimination runs symmetric
+        # for that many steps, then swaps rows and computes every entry of the
+        # remaining block
         rng = random.Random(8081)
         for dim in range(1, 7):
             for zero_step in (None, *range(dim - 1)):
                 for _ in range(4):
                     rows = rand_symmetric(rng, dim)
                     if zero_step is not None:
-                        size = zero_step + 1
-                        vecs = [[rand_poly(rng) for _ in range(size)] for _ in range(zero_step)]
-                        for i in range(size):
-                            for j in range(size):
-                                rows[i][j] = sum((v[i] * v[j] for v in vecs), P(0))
-                        lead = PolyMatrix(tuple(tuple(row[:size]) for row in rows[:size]))
-                        assert det_cofactor(lead) == P(0)
+                        with_zero_pivot(rng, rows, zero_step)
                     m = PolyMatrix(tuple(map(tuple, rows)))
                     assert det_bareiss(m) == det_cofactor(m), (dim, zero_step, rows)
 
     @pytest.mark.parametrize("symmetric", [True, False])
+    def test_oracle_agreement_scaled_by_powers_of_t(self, symmetric):
+        # Row i scaled by t^r_i and column j by t^c_j (c = r keeps a symmetric
+        # matrix symmetric): every entry and every pivot carries a high
+        # valuation, and the determinant is t^(sum r + sum c) times the
+        # unscaled one.  Some matrices also have a zero pivot, forcing a swap.
+        rng = random.Random(5150)
+        for dim in range(1, 7):
+            for zero_step in (None, *range(dim - 1)):
+                for _ in range(3):
+                    rows = (rand_symmetric(rng, dim) if symmetric else
+                            [[rand_poly(rng) for _ in range(dim)] for _ in range(dim)])
+                    if zero_step is not None:
+                        with_zero_pivot(rng, rows, zero_step)
+                    r = [rng.randint(0, 9) for _ in range(dim)]
+                    c = r if symmetric else [rng.randint(0, 9) for _ in range(dim)]
+                    m = PolyMatrix(tuple(tuple(rows[i][j] * Polynomial.monomial(TVAR, r[i] + c[j])
+                                               for j in range(dim)) for i in range(dim)))
+                    det = det_bareiss(m)
+                    assert det == det_cofactor(m), (dim, zero_step, r, c, rows)
+                    unscaled = det_cofactor(PolyMatrix(tuple(map(tuple, rows))))
+                    assert det == unscaled * Polynomial.monomial(TVAR, sum(r) + sum(c)), (dim, zero_step, r, c)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
     def test_oracle_agreement_single_term_minors(self, monkeypatch, symmetric):
-        # M = L D U with L unit lower and U unit upper triangular over Z[t]
-        # (U = L^T for a symmetric M) and D = diag(c_k t^e_k): the leading
-        # principal minors, the pivots, are the single terms d_1...d_k with
-        # coefficients other than +-1 and positive valuation.
+        # diag(c_k t^e_k) in L D U: the leading principal minors, the pivots,
+        # are the single terms d_1...d_k with coefficients other than +-1 and
+        # positive valuation, and the divisors are their tails, the constants
         rng = random.Random(90210)
-        divisors, divide = [], hankel.poly_exact_div
-        monkeypatch.setattr(hankel, "poly_exact_div", lambda a, b: divisors.append(b) or divide(a, b))
+        divisors, divide = [], exactalg.poly_exact_div
+        monkeypatch.setattr(exactalg, "poly_exact_div", lambda a, b: divisors.append(b) or divide(a, b))
         for dim in range(1, 7):
             for _ in range(3):
                 d = [Polynomial.monomial(TVAR, rng.randint(1, 3), rng.choice((2, -2, 3, -5, 7))) for _ in range(dim)]
-                lower = [[rand_poly(rng) if j < i else P(int(i == j)) for j in range(dim)] for i in range(dim)]
-                upper = ([list(col) for col in zip(*lower)] if symmetric else
-                         [[rand_poly(rng) if j > i else P(int(i == j)) for j in range(dim)] for i in range(dim)])
-                rows = tuple(tuple(sum((lower[i][k] * d[k] * upper[k][j] for k in range(dim)), P(0))
-                                   for j in range(dim)) for i in range(dim))
-                m = PolyMatrix(rows)
+                m = ldu_matrix(rng, d, symmetric)
                 minors = [P(1)]
                 for dk in d[:-1]:
                     minors.append(minors[-1] * dk)
                 divisors.clear()
                 det = det_bareiss(m)
-                assert det == det_cofactor(m), (symmetric, rows)
-                assert set(divisors) == set(minors[:dim - 1]), (symmetric, rows)
+                assert det == det_cofactor(m), (symmetric, m)
+                assert set(divisors) == {tail(p) for p in minors[1:dim - 1]}, (symmetric, m)
                 assert all(abs(p.coeffs[-1]) > 1 and not any(p.coeffs[:-1]) for p in minors[1:])
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_oracle_agreement_multi_term_minors(self, monkeypatch, symmetric):
+        # diag(c_k t^e_k (a_k + b_k t)) in L D U: every pivot has two or more
+        # terms, most with a zero low block or a coefficient other than +-1,
+        # and each division is by its tail through long division
+        rng = random.Random(60606)
+        divisors, divide = [], exactalg.poly_exact_div
+        monkeypatch.setattr(exactalg, "poly_exact_div", lambda a, b: divisors.append(b) or divide(a, b))
+        for dim in range(1, 7):
+            for _ in range(3):
+                d = [Polynomial.monomial(TVAR, rng.randint(0, 3), rng.choice((1, -2, 3)))
+                     * P(rng.choice((1, -1, 2)), rng.choice((1, -3, 5))) for _ in range(dim)]
+                m = ldu_matrix(rng, d, symmetric)
+                minors = [P(1)]
+                for dk in d[:-1]:
+                    minors.append(minors[-1] * dk)
+                divisors.clear()
+                assert det_bareiss(m) == det_cofactor(m), (symmetric, m)
+                assert set(divisors) == {tail(p) for p in minors[1:dim - 1]}, (symmetric, m)
+                assert all(sum(map(bool, divisor.coeffs)) > 1 for divisor in divisors)
 
     def test_one_asymmetric_entry(self):
         # symmetric except for one entry below the diagonal, at every position:
@@ -251,26 +314,41 @@ class TestHankelTable:
 
     @pytest.mark.parametrize("family", TABLE_FAMILIES)
     def test_entry_updates_build_no_product_and_divide_once(self, monkeypatch, family):
-        # every pivot is +-t^C(k,2), so each entry update is one pass of the
-        # kernel, no Polynomial product, and one exact division
+        # every pivot is +-t^C(k,2), so each entry update is one call of the
+        # kernel, no Polynomial product, and one exact division when the
+        # previous pivot's tail is -1 rather than 1 and the cross is not zero
         max_n = 8
         for shift in (0, 1):
             poly_sequence(family, 2 * max_n - 1 + shift)  # the family rows are built once per process
-        divisions, divide = [], hankel.poly_exact_div
+        updates, cross = [], hankel._cross
+        divisions, divide = [], exactalg.poly_exact_div
 
         def no_product(*args):
             raise AssertionError("Polynomial.__mul__ called")
 
-        monkeypatch.setattr(hankel, "poly_exact_div", lambda a, b: divisions.append(b) or divide(a, b))
+        def recorded(*args):
+            updates.append((args[4], cross(*args)))  # (previous pivot, quotient)
+            return updates[-1][1]
+
+        monkeypatch.setattr(hankel, "_cross", recorded)
+        monkeypatch.setattr(exactalg, "poly_exact_div", lambda a, b: divisions.append(b) or divide(a, b))
         monkeypatch.setattr(Polynomial, "__mul__", no_product)
         monkeypatch.setattr(Polynomial, "__rmul__", no_product)
-        # step k of an n x n symmetric elimination updates the upper triangle
-        # of the trailing (n-1-k) x (n-1-k) block, and no pivot is zero
-        updates = sum(m * (m + 1) // 2 for n in range(1, max_n + 1) for m in range(1, n))
         for shift in (0, 1):
+            # step k of an n x n symmetric elimination updates the upper
+            # triangle of the trailing (n-1-k) x (n-1-k) block, beside the
+            # previous pivot: 1 at step 0, the leading k x k minor after it
+            steps = [(n - 1 - k, expected_hankel(family, shift, k) if k else P(1))
+                     for n in range(1, max_n + 1) for k in range(n - 1)]
+            updates.clear()
             divisions.clear()
             assert all(row.match for row in hankel_table(family, shift, max_n))
-            assert len(divisions) == updates, (family, shift)
+            assert len(updates) == sum(m * (m + 1) // 2 for m, _ in steps), (family, shift)
+            negative = sum(m * (m + 1) // 2 for m, prev in steps if prev.coeffs[-1] == -1)
+            assert sum(prev[1] == (-1,) for prev, _ in updates) == negative, (family, shift)
+            nonzero = sum(prev[1] == (-1,) and bool(quotient[1]) for prev, quotient in updates)
+            assert divisions == [P(-1)] * nonzero, (family, shift)
+            assert bool(nonzero) == (family == "small_c" and shift == 1)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -408,9 +486,11 @@ class TestTypeBHankel:
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_divisors_are_the_leading_minors(self, monkeypatch, shift):
-        divisors, divide = set(), hankel.poly_exact_div
-        monkeypatch.setattr(hankel, "poly_exact_div", lambda a, b: divisors.add(b) or divide(a, b))
+        # the division of each entry update is by the tail of the previous
+        # pivot, skipped when that tail is 1 (the first step, and n = 1 at shift 0)
+        divisors, divide = set(), exactalg.poly_exact_div
+        monkeypatch.setattr(exactalg, "poly_exact_div", lambda a, b: divisors.add(b) or divide(a, b))
         det_bareiss(hankel_matrix(self.SEQ, 8, shift))
-        assert divisors == {P(1)} | {type_b_closed_form(shift, k) for k in range(1, 7)}
-        terms = {sum(map(bool, d.coeffs)) for d in divisors - {P(1)}}
+        assert divisors == {tail(type_b_closed_form(shift, k)) for k in range(1, 7)} - {P(1)}
+        terms = {sum(map(bool, d.coeffs)) for d in divisors}
         assert terms == ({1} if shift == 0 else {2})

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qnarayana import exactalg
 from qnarayana.exactalg import (
     NotDivisibleError,
     Polynomial,
@@ -605,10 +606,12 @@ def test_single_term_division_refuses_what_is_not_a_multiple():
                     poly_exact_div(P(*([0] * v + [c, c + 1])), m)
 
 
-# The fraction-free entry update: _cross(x, p, y, z) is x*p - y*z in one
-# list, with x written at the offset of a single-term p and y*z subtracted
-# over the nonzero tails; any other p falls back to the operators.  The
-# oracle is the schoolbook double loop, which shares no code with either.
+# The fraction-free entry update: _cross(x, p, y, z, prev, var) is
+# (x*p - y*z)/prev on (valuation, tail) pairs, built from the tails at their
+# offsets with no zero low block and no Polynomial product, and divided by
+# prev's tail through poly_exact_div unless that tail is 1.  The oracle is
+# the schoolbook double loop on whole polynomials, which shares no code with
+# the kernel; x and y are multiplied by prev first, so the quotient is exact.
 
 low_block_polys = st.tuples(st.integers(0, 4), coeff_lists).map(lambda vc: Polynomial("t", [0] * vc[0] + vc[1]))
 single_terms = st.builds(lambda c, e: Polynomial.monomial("t", e, c), st.sampled_from(SINGLE_TERM_COEFFS),
@@ -616,41 +619,66 @@ single_terms = st.builds(lambda c, e: Polynomial.monomial("t", e, c), st.sampled
 multi_terms = low_block_polys.filter(lambda p: sum(map(bool, p.coeffs)) > 1)
 
 
+def as_pair(p):
+    """p as (v, T), p = t^v * T with T[0] != 0, and (0, ()) for zero."""
+    v = next((i for i, c in enumerate(p.coeffs) if c), 0)
+    return v, p.coeffs[v:]
+
+
 def no_polynomial_product(*args):
     raise AssertionError("Polynomial.__mul__ called")
 
 
 @given(low_block_polys, st.one_of(single_terms, st.just(Polynomial.zero("t")), multi_terms),
-       low_block_polys, low_block_polys)
+       low_block_polys, low_block_polys, st.one_of(st.just(Polynomial.one("t")), single_terms, multi_terms))
 @settings(max_examples=300)
-def test_cross_is_x_times_p_minus_y_times_z(x, p, y, z):
+def test_cross_is_x_times_p_minus_y_times_z(x, p, y, z, prev):
     want = schoolbook(x, p) - schoolbook(y, z)
     assert want == x * p - y * z
-    if sum(map(bool, p.coeffs)) <= 1:  # a single-term or zero pivot builds no product
-        with mock.patch.object(Polynomial, "__mul__", no_polynomial_product):
-            got = _cross(x, p, y, z)
-    else:
-        got = _cross(x, p, y, z)
-    assert got == want, (x, p, y, z)
-    assert got.coeffs[-1:] != (0,)
+    divide = exactalg.poly_exact_div
+    divisions = []
+    with mock.patch.object(Polynomial, "__mul__", no_polynomial_product), \
+            mock.patch.object(exactalg, "poly_exact_div", lambda a, b: divisions.append(b) or divide(a, b)):
+        got = _cross(as_pair(schoolbook(x, prev)), as_pair(p), as_pair(schoolbook(y, prev)), as_pair(z),
+                     as_pair(prev), "t")
+    assert got == as_pair(want), (x, p, y, z, prev)
+    assert got[1][:1] != (0,) and got[1][-1:] != (0,)
+    tail = Polynomial("t", as_pair(prev)[1])
+    assert divisions == ([tail] if want and tail != 1 else [])
+    if want:  # a divisor with one more power of t than the cross has
+        with pytest.raises(NotDivisibleError):
+            _cross(as_pair(x), as_pair(p), as_pair(y), as_pair(z), (as_pair(want)[0] + 1, (1,)), "t")
 
 
 def test_cross_zero_operands():
-    zero, x, p = Polynomial.zero("t"), P(0, 3, -1), Polynomial.monomial("t", 2, -5)
-    assert _cross(zero, p, zero, x) == zero
-    assert _cross(x, zero, zero, zero) == zero
-    assert _cross(zero, zero, x, x) == -(x * x)
-    assert _cross(x, p, x, p) == zero
-    assert _cross(x, p, zero, x) == x * p
+    one, zero = (0, (1,)), (0, ())
+    x, p = P(0, 3, -1), Polynomial.monomial("t", 2, -5)
+    px, pp = as_pair(x), as_pair(p)
+    assert _cross(zero, pp, zero, px, one, "t") == zero
+    assert _cross(px, zero, zero, zero, one, "t") == zero
+    assert _cross(zero, zero, px, px, one, "t") == as_pair(-(x * x))
+    assert _cross(px, pp, px, pp, one, "t") == zero
+    assert _cross(px, pp, px, pp, (9, (2, 1)), "t") == zero  # zero is a multiple of every divisor
+    assert _cross(px, pp, zero, px, one, "t") == as_pair(x * p)
 
 
-def test_cross_refuses_a_variable_mismatch():
-    t = P(0, 1)
-    for p in (Polynomial.monomial("t", 2, 3), P(1, 1)):  # a single-term pivot, then a sum of two
-        q, p_in_q = Polynomial("q", t.coeffs), Polynomial("q", p.coeffs)
-        for args in ((q, p, t, t), (t, p_in_q, t, t), (t, p, q, t), (t, p, t, q)):
-            with pytest.raises(ValueError, match="variable mismatch"):
-                _cross(*args)
+def test_cross_refuses_an_inexact_division():
+    one, zero = (0, (1,)), (0, ())
+    # x*p - y*z = t^2 + 2t^3, and t^3 does not divide it: f > m
+    with pytest.raises(NotDivisibleError) as raised:
+        _cross((2, (1, 2)), one, zero, zero, (3, (1,)), "t")
+    assert (raised.value.dividend, raised.value.divisor) == (P(0, 0, 1, 2), P(0, 0, 0, 1))
+    # f <= m, but the tail 1 + 2t is not a multiple of D = 1 + t, nor of D = 3
+    for d in ((1, 1), (3,)):
+        with pytest.raises(NotDivisibleError) as raised:
+            _cross((2, (1, 2)), one, zero, zero, (1, d), "t")
+        assert raised.value.divisor == P(*d)
+    # x*p - y*z = t^3 (1 + 2t + 2t^2) - t^3 = t^4 * 2(1 + t): the lowest terms cancel
+    x, y, z = (3, (1, 2, 2)), (1, (1,)), (2, (1,))
+    assert _cross(x, one, y, z, (2, (1, 1)), "t") == (2, (2,))
+    assert _cross(x, one, y, z, (4, (2,)), "t") == (0, (1, 1))
+    with pytest.raises(NotDivisibleError):
+        _cross(x, one, y, z, (5, (1,)), "t")
 
 
 # Squares: f * f (one object on both sides) packs once and _convolve computes
