@@ -20,18 +20,22 @@ polynomial is replaced by its value at t = 2**w and read back once as its
 balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism, so
 every packed value is exact; the digits are the coefficients as long as each
 is below 2**(w-1) in absolute value, and w is a whole number of bytes taken
-from a bound on every coefficient.  The codec has two users, the series
-product and inverse over Z[t]: they run ``_convolve`` and ``_inverse``, the
+from a bound on every coefficient.  The codec has two kinds of user.  The
+series product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the
 only series loops, on the packed coefficients instead of the polynomials
 (see ``TruncatedSeries`` for the bound); a series of rational functions
 whose denominators are all 1 lies in Z[t] too and packs its numerators.
+Exact division by a divisor of two or more terms is one ``divmod`` of the
+packed dividend by the packed divisor, whose digits are checked against a
+bound afterwards and the slot widened when they miss it (see
+``poly_exact_div``).
 
 Polynomial product and exact division skip zero low blocks and take a
 single term in one pass: the product's inner loop starts at the inner
 operand's lowest nonzero coefficient, and an inner operand with one term
 there scales the outer one in a single list; exact division splits var^v off
 the divisor first, and a divisor left with one term c is a slice of the
-dividend (c = +-1) or one list of ``divmod`` (see ``poly_exact_div``).
+dividend (c = +-1) or one list of ``divmod``.
 Fraction-free elimination produces that structure in bulk (entries t^v times
 a short polynomial, pivots c*t^v), so its entry update works on (valuation,
 tail) pairs (v, T) for t^v * T with T(0) != 0 and never builds a zero low
@@ -314,11 +318,24 @@ def poly_exact_div(a, b):
     """Quotient q with a = q*b exactly in Z[var]; NotDivisibleError otherwise.
 
     A divisor var^v * b' with b'(0) != 0 needs the dividend's v lowest
-    coefficients to be zero; the rest of the dividend is then divided by b'
-    alone.  A single-term b' = c takes one pass: for c = +-1 the quotient is
-    that rest of the dividend (negated for -1), for any other c one list of
-    ``divmod``, and a nonzero remainder anywhere raises.  Every b' with two or
-    more terms goes through long division.
+    coefficients to be zero; the rest a' of the dividend is then divided by
+    b' alone.  A single-term b' = c takes one pass: for c = +-1 the quotient
+    is a' (negated for -1), for any other c one list of ``divmod``, and a
+    nonzero remainder anywhere raises.
+
+    A b' with two or more terms is divided in one ``divmod`` of the packed
+    integers a'(2**w) and b'(2**w), on the series kernel's codec.  Evaluation
+    at 2**w is a ring homomorphism, so a' = q*b' forces a zero remainder: a
+    nonzero one raises.  A zero remainder gives the integer quotient Q, and
+    its balanced digits q are the quotient once |q|_inf * |b'|_1 and
+    |a'|_inf are both below 2**(w-1): then every coefficient of q*b' is
+    below 2**(w-1) as well, q*b' and a' have the same value at 2**w, and
+    balanced digits are unique, so q*b' = a'.  The first slot holds
+    |a'|_inf * |b'|_1 plus a sign bit, enough when |q|_inf <= |a'|_inf.
+    Otherwise the slot doubles.  Any true quotient has |q|_inf <=
+    2^deg(a') * ||a'||_2 (Landau-Mignotte; Mignotte 1974), and at a slot
+    past that bound times |b'|_1 it would be the digits found; so a digit
+    check that still fails there means no quotient exists, and it raises.
     """
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
@@ -329,36 +346,33 @@ def poly_exact_div(a, b):
     low = _valuation(b)
     if any(a.coeffs[:low]):
         raise NotDivisibleError(a, b)
-    divisor = b.coeffs[low:]
+    rest, divisor = a.coeffs[low:], b.coeffs[low:]
     if len(divisor) == 1:  # b = c * var^low, and a has a nonzero coefficient from var^low on
         c = divisor[0]
         if c == 1:
-            return Polynomial._trusted(a.var, list(a.coeffs[low:]))
+            return Polynomial._trusted(a.var, list(rest))
         if c == -1:
-            return Polynomial._trusted(a.var, [-x for x in a.coeffs[low:]])
-        pairs = [divmod(x, c) for x in a.coeffs[low:]]
+            return Polynomial._trusted(a.var, [-x for x in rest])
+        pairs = [divmod(x, c) for x in rest]
         if any(r for _, r in pairs):
             raise NotDivisibleError(a, b)
         return Polynomial._trusted(a.var, [q for q, _ in pairs])
-    da, db = len(a.coeffs) - 1 - low, len(divisor) - 1
-    if da < db:
-        raise NotDivisibleError(a, b)
-    rem = list(a.coeffs[low:])
-    quot = [0] * (da - db + 1)
-    lead = divisor[-1]
-    for i in range(da - db, -1, -1):
-        c = rem[i + db]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
+    norm = sum(map(abs, divisor))
+    nbytes = _slot_bytes(max(map(abs, rest)) * norm)
+    stop = None
+    while True:
+        packed, rem = divmod(_pack(rest, nbytes), _pack(divisor, nbytes))
+        if rem:
             raise NotDivisibleError(a, b)
-        quot[i] = q
-        for j, bc in enumerate(divisor):
-            rem[i + j] -= q * bc
-    if any(rem):
-        raise NotDivisibleError(a, b)
-    return Polynomial._trusted(a.var, quot)
+        quot = _unpack(packed, nbytes, a.var)
+        half = 1 << (8 * nbytes - 1)
+        if max(map(abs, quot.coeffs), default=0) * norm < half:
+            return quot
+        if stop is None:  # the Landau-Mignotte bound times |b'|_1, with ||a'||_2 rounded up
+            stop = (1 << (len(rest) - 1)) * (math.isqrt(sum(x * x for x in rest)) + 1) * norm
+        if half > stop:
+            raise NotDivisibleError(a, b)
+        nbytes *= 2
 
 
 def _pseudo_rem(a, b):
@@ -727,11 +741,11 @@ def _slot_bias(nbytes, slots):
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
 
 
-def _pack(p, nbytes):
-    """Value of p at t = 2**(8*nbytes); every |coefficient| < 2**(8*nbytes - 1)."""
+def _pack(coeffs, nbytes):
+    """Value at t = 2**(8*nbytes) of the polynomial with these coefficients; every |coefficient| < 2**(8*nbytes - 1)."""
     half = 1 << (8 * nbytes - 1)
-    biased = b"".join((c + half).to_bytes(nbytes, "little") for c in p.coeffs)
-    return int.from_bytes(biased, "little") - _slot_bias(nbytes, len(p.coeffs))
+    biased = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(biased, "little") - _slot_bias(nbytes, len(coeffs))
 
 
 def _unpack(value, nbytes, var):
@@ -885,8 +899,8 @@ class TruncatedSeries:
         norms_a = _norms(a)
         norms_b = norms_a if square else _norms(b)
         nbytes = _slot_bytes(max(_max_coeff(a + b), *_convolve(norms_a, norms_b)))
-        packed_a = [_pack(p, nbytes) for p in a]
-        packed_b = packed_a if square else [_pack(p, nbytes) for p in b]
+        packed_a = [_pack(p.coeffs, nbytes) for p in a]
+        packed_b = packed_a if square else [_pack(p.coeffs, nbytes) for p in b]
         packed = _convolve(packed_a, packed_b)
         return TruncatedSeries(_lift([_unpack(v, nbytes, var) for v in packed], kind, var), self.order)
 
@@ -931,7 +945,7 @@ class TruncatedSeries:
         var, kind, (a,) = ring
         beta = _inverse([1] + [-n for n in _norms(a[1:])], 1)
         nbytes = _slot_bytes(max(_max_coeff(a), *beta))
-        packed = _inverse([_pack(p, nbytes) for p in a], a[0].coeffs[0])
+        packed = _inverse([_pack(p.coeffs, nbytes) for p in a], a[0].coeffs[0])
         return TruncatedSeries(_lift([_unpack(v, nbytes, var) for v in packed], kind, var), self.order)
 
     def subs_neg_z(self):

@@ -17,9 +17,18 @@ the two factors (1 - q^a), divides by the two factors (1 - q^m) with a
 checked exact division (``_over_one_minus_power``), and shifts by
 q^(2k+2).  After the first division the partial quotient is
 q^-(2k+2) * N_q(n,k+1) * (1 - q^(k+2)), so every division of a correct step
-is exact; one that is not raises ``NotDivisibleError``.  ``q_catalan`` keeps
-its own route, the q-binomial divided by [n+1] through ``poly_exact_div``,
-so the row sums it is checked against share no code with the rows.
+is exact; one that is not raises ``NotDivisibleError``.
+
+Two symmetries halve the work.  qbinom(n,k) = qbinom(n,n-k), so the
+q-binomial memo builds only 2k <= n.  The same formula reads
+
+    N_q(n,k) = q^(k^2+k) * qbinom(n,k) * qbinom(n,k+1) / [n],
+
+and the binomial product is invariant under k <-> n-1-k, so a row mirrors
+itself up to a power of q: N_q(n,n-1-k) = q^(n(n-1-2k)) * N_q(n,k).  A row
+takes ratio steps only up to its middle entry.  ``q_catalan`` keeps its own
+route, the q-binomial divided by [n+1] through ``poly_exact_div``, so the
+row sums it is checked against share no code with the rows.
 """
 
 from __future__ import annotations
@@ -51,12 +60,15 @@ def q_binomial(n: int, k: int) -> Polynomial:
     taken as a shift of the coefficients: the sum is the first k
     coefficients of qbinom(n-1,k-1), then the overlap added pairwise, then
     the rest of q^k * qbinom(n-1,k), whose degree k(n-k) is n - k above the
-    other's.  Memoized; zero polynomial outside 0 <= k <= n.
+    other's.  Only 2k <= n is built; 2k > n is qbinom(n,n-k), the same
+    object.  Memoized; zero polynomial outside 0 <= k <= n.
     """
     if k < 0 or n < 0 or k > n:
         return _ZERO
     if k == 0 or k == n:
         return _ONE
+    if 2 * k > n:
+        return q_binomial(n, n - k)
     low, high = q_binomial(n - 1, k - 1).coeffs, q_binomial(n - 1, k).coeffs
     return Polynomial._trusted(QVAR, [*low[:k], *map(add, low[k:], high), *high[len(low) - k:]])
 
@@ -97,17 +109,20 @@ def _ratio_step(low: int, core: list[int], n: int, k: int) -> tuple[int, list[in
 def q_narayana_row(n: int) -> tuple[Polynomial, ...]:
     """Row n of the q-Narayana family: entry k is the coefficient of t^k.
 
-    Built by the ratio of the module docstring; the power of q an entry
-    starts with is kept apart from its coefficients, so each step runs on
-    the nonzero part only.
+    Entries k <= (n-1)/2 are built by the ratio of the module docstring;
+    the power of q an entry starts with is kept apart from its coefficients,
+    so each step runs on the nonzero part only.  Every later entry n-1-k is
+    entry k shifted by q^(n(n-1-2k)), the row's mirror symmetry.
     """
     if n < 0:
         raise ValueError("row index must be >= 0")
     low, core = 0, [1]
     row = [_ONE]
-    for k in range(n - 1):
+    for k in range((n - 1) // 2):
         low, core = _ratio_step(low, core, n, k)
         row.append(Polynomial._trusted(QVAR, [0] * low + core))
+    for k in range(n - 1 - len(row), -1, -1):  # entry n-1-k, the mirror of entry k
+        row.append(Polynomial._trusted(QVAR, [0] * (n * (n - 1 - 2 * k)) + list(row[k].coeffs)))
     return tuple(row)
 
 

@@ -262,6 +262,7 @@ GOLDEN = {
     "oracle_q10_sym14.out": ["oracle", "--q-max-n", "10", "--sym-max-n", "14"],
     "hankel_c_shift1_json.out": ["hankel", "--family", "c", "--shift", "1", "--json"],
     "verify_eq25_order80_json.out": ["verify", "--identity", "eq25", "--order", "80", "--json"],
+    "verify_order40.out": ["verify", "--order", "40"],
     "hankel_C_shift1_n20.out": ["hankel", "--family", "C", "--shift", "1", "--max-n", "20"],
     "hankel_c_shift1_n20_csv.out": ["hankel", "--family", "c", "--shift", "1", "--max-n", "20", "--csv"],
 }
@@ -452,10 +453,11 @@ class TestCheckReportsItsOwnDiff:
          "FAIL eval/q_catalan_sum (n=4: q-row sums to "),
         (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(15, 3, Q),
          "FAIL eval/q_catalan_sum (n=15: q-row sums to "),
+        # row 2 takes no ratio step (its entry 1 is the mirror of entry 0), so the first failing row is 3
         (["verify"], qcomb, "_ratio_step", _first_step_shifted_one_less,
-         "FAIL eval/q_catalan_sum (n=2: q-row sums to 1+q, q-Catalan quotient 1+q^2)"),
+         "FAIL eval/q_catalan_sum (n=3: q-row sums to 1+q+q^2+q^3+q^6, q-Catalan quotient 1+q^2+q^3+q^4+q^6)"),
         (["oracle"], qcomb, "_ratio_step", _first_step_shifted_one_less,
-         "FAIL oracle/valley_major (n=2, k=1: enumerated q^2, algebraic q)"),
+         "FAIL oracle/valley_major (n=3, k=1: enumerated q^2+q^3+q^4, algebraic q+q^2+q^3)"),
         (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T),
          "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
         (["oracle"], dyckoracle, "_valley_major_walk", _maj_plus_one_on_udud,

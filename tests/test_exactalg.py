@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qnarayana import exactalg
 from qnarayana.exactalg import (
     NEG_INF,
     NotDivisibleError,
@@ -27,6 +28,13 @@ def P(*coeffs, var="t"):
 low_block_lists = st.builds(
     lambda low, rest: [0] * low + rest, st.integers(0, 12), st.lists(st.integers(-9, 9), max_size=8)
 )
+# the same with coefficients up to +-2**80, so that packed divisions run at
+# many slot widths
+wide_coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 80), 2 ** 80))
+wide_block_lists = st.builds(
+    lambda low, rest: [0] * low + rest, st.integers(0, 12), st.lists(wide_coeffs, max_size=8)
+)
+multi_term_lists = wide_block_lists.filter(lambda c: sum(map(bool, c)) >= 2)
 
 
 def schoolbook_product(a, b):
@@ -187,6 +195,44 @@ class TestExactDivision:
         with pytest.raises(NotDivisibleError):
             poly_exact_div(P(*dividend), P(*divisor))
 
+    @staticmethod
+    def slot_widths(monkeypatch):
+        """Record the slot width of each packed division; a width past 64 bytes fails instead of growing on."""
+        pack, widths = exactalg._pack, []
+
+        def recorded(coeffs, nbytes):
+            if nbytes > 64:
+                raise AssertionError(f"slot widened to {nbytes} bytes")
+            if not widths or widths[-1] != nbytes:
+                widths.append(nbytes)
+            return pack(coeffs, nbytes)
+
+        monkeypatch.setattr(exactalg, "_pack", recorded)
+        return widths
+
+    def test_quotient_wider_than_the_first_slot(self, monkeypatch):
+        # |a|_inf = 255 and |b|_1 = 4 give a 2-byte slot, but |q|_inf * |b|_1 = 65536
+        # is not below 2**15, so the slot widens once
+        q = P(*(i * (256 - i) for i in range(257)))
+        b = P(1, -2, 1)
+        a = q * b
+        assert max(map(abs, a.coeffs)) == 255 and max(q.coeffs) == 16384
+        widths = self.slot_widths(monkeypatch)
+        assert poly_exact_div(a, b) == q
+        assert widths == [2, 4]
+
+    @pytest.mark.parametrize("power, widths", [(1, [1]), (10, [1, 2])])
+    def test_widening_stops_at_the_landau_mignotte_bound(self, monkeypatch, power, widths):
+        # (t^p + t^(p+1)) / (2 + 2t) = t^p / 2: at t = 2**w the packed division is
+        # exact, but the digits of 2**(wp - 1) never pass the bound, so the slot
+        # widens until 2**(w-1) exceeds 2^deg(a) * ||a||_2 * |b|_1 and raises
+        a, b = P(*[0] * power, 1, 1), P(2, 2)
+        seen = self.slot_widths(monkeypatch)
+        with pytest.raises(NotDivisibleError) as err:
+            poly_exact_div(a, b)
+        assert (err.value.dividend, err.value.divisor) == (a, b)
+        assert seen == widths
+
 
 @given(low_block_lists, low_block_lists)
 def test_mul_with_zero_low_blocks_matches_schoolbook(a, b):
@@ -194,10 +240,11 @@ def test_mul_with_zero_low_blocks_matches_schoolbook(a, b):
     assert a * b == Polynomial("t", schoolbook_product(a.coeffs, b.coeffs))
 
 
-@given(low_block_lists, low_block_lists.filter(any), low_block_lists)
+@given(wide_block_lists, st.one_of(low_block_lists.filter(any), multi_term_lists), wide_block_lists)
 def test_exact_div_with_zero_low_blocks_matches_schoolbook(a, b, noise):
     # dividend a*b + noise: divisible when noise is zero, and decided by the
-    # reference long division otherwise
+    # reference long division otherwise; coefficients up to +-2**80 on a
+    # multi-term divisor hold several packed slot widths to the reference
     b = P(*b)
     product = schoolbook_product(P(*a).coeffs, b.coeffs)
     dividend = P(*(x + y for x, y in zip_longest(product, noise, fillvalue=0)))

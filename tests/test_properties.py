@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -54,6 +55,32 @@ def test_exact_division_inverts_multiplication():
             continue
         assert poly_exact_div(a * b, b) == a
         checked += 1
+
+
+def test_packed_division_across_slot_widths(monkeypatch):
+    """Multi-term divisors with coefficients of 4 to 80 bits: products divide back, a product
+    changed in one coefficient never does (b = t^v * b' with deg b' >= 1 divides no c*t^i),
+    and the packed division runs at many slot widths."""
+    pack, widths = exactalg._pack, set()
+    monkeypatch.setattr(exactalg, "_pack", lambda coeffs, nbytes: widths.add(nbytes) or pack(coeffs, nbytes))
+    rng = random.Random(2323)
+
+    def wide_poly(terms):
+        bits = rng.randint(4, 80)
+        return Polynomial("t", [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(terms)])
+
+    checked = 0
+    while checked < 300:
+        a, b = wide_poly(rng.randint(1, 9)), Polynomial.monomial("t", rng.randint(0, 3)) * wide_poly(rng.randint(2, 6))
+        if not a or sum(map(bool, b.coeffs)) < 2:
+            continue
+        product = a * b
+        assert poly_exact_div(product, b) == a
+        changed = product + Polynomial.monomial("t", rng.randint(0, len(product.coeffs)), rng.choice((1, -1, 2 ** 40)))
+        with pytest.raises(NotDivisibleError):
+            poly_exact_div(changed, b)
+        checked += 1
+    assert len(widths) >= 6, sorted(widths)
 
 
 def test_gcd_divides_both_operands():
@@ -427,8 +454,13 @@ def test_generic_rings_keep_the_coefficient_loop(monkeypatch):
     """A coefficient outside Z[t], mixed coefficient types or a constant term other than +-1 never packs."""
     from qnarayana import exactalg
 
-    def packed(*args):
-        raise AssertionError("packed kernel used outside Z[t]")
+    pack = exactalg._pack
+
+    def packed(coeffs, nbytes):
+        # exact division shares the codec; any other caller is the series kernel
+        if sys._getframe(1).f_code.co_name != "poly_exact_div":
+            raise AssertionError("packed kernel used outside Z[t]")
+        return pack(coeffs, nbytes)
 
     monkeypatch.setattr(exactalg, "_pack", packed)
     rng = random.Random(60603)

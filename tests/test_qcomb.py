@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from qnarayana import qcomb
@@ -43,6 +45,21 @@ def pascal_triangle(rows):
     return triangle
 
 
+@functools.cache
+def q_pascal_triangle(rows):
+    """Every q-binomial up to n = rows from the q-Pascal rule, each entry built, none by symmetry or memo.
+
+    Row n is [1, qbinom(n-1,k-1) + q^k * qbinom(n-1,k) for 0 < k < n, 1], the
+    product by q^k a polynomial multiply.
+    """
+    triangle = [[Q(1)]]
+    for n in range(1, rows + 1):
+        prev = triangle[-1]
+        inner = [prev[k - 1] + Polynomial.monomial(QVAR, k) * prev[k] for k in range(1, n)]
+        triangle.append([Q(1), *inner, Q(1)])
+    return triangle
+
+
 class TestQInt:
     def test_values(self):
         assert q_int(0) == Polynomial.zero(QVAR)
@@ -67,6 +84,14 @@ class TestQBinomial:
         denominator = q_int(2) * q_int(1)
         assert poly_exact_div(numerator, denominator) == q_binomial(4, 2)
 
+    def test_matches_the_full_q_pascal_triangle(self):
+        # the memo builds only 2k <= n and answers the rest by symmetry; the
+        # triangle builds every entry
+        triangle = q_pascal_triangle(40)
+        for n in range(41):
+            for k in range(n + 1):
+                assert q_binomial(n, k) == triangle[n][k], (n, k)
+
     def test_memo_matches_q_pascal_with_multiply(self):
         for n in range(31):
             assert q_binomial(n, 0) == q_binomial(n, n) == Q(1)
@@ -75,9 +100,11 @@ class TestQBinomial:
                 assert q_binomial(n, k) == pascal, (n, k)
 
     def test_symmetry(self):
+        triangle = q_pascal_triangle(40)
         for n in range(13):
             for k in range(n + 1):
                 assert q_binomial(n, k) == q_binomial(n, n - k)
+                assert triangle[n][k] == triangle[n][n - k]
 
     def test_degree(self):
         for n in range(13):
@@ -115,7 +142,8 @@ class TestPackedKernel:
     """The row kernel: q_narayana_row steps along the row by the exact q-ratio."""
 
     def test_matches_schoolbook_formula(self):
-        assert list(kernel_mismatches(30)) == []
+        # entries past the middle of a row are mirrors, q^(n(n-1-2k)) * N_q(n,k)
+        assert list(kernel_mismatches(40)) == []
 
     def test_non_dividing_divisor_raises(self, monkeypatch):
         # a step that skips its multiply by (1 - q^(n-k-1)) leaves a quotient outside Z[q]
@@ -131,6 +159,14 @@ class TestQCatalan:
         assert q_catalan(2) == Q(1, 0, 1)
         expected = Q(1) + Q(0, 0, 1, 1, 1) + Q(0, 0, 0, 0, 0, 0, 1)
         assert q_catalan(3) == expected
+
+    def test_memo_builds_half_the_triangle(self):
+        # q_catalan(n), n <= 20, reaches qbinom(m,k) for k, m-k <= 20: 231 entries
+        # with 2k <= m are built and the 20 entries qbinom(2n-1,n) answered by symmetry
+        q_binomial.cache_clear()
+        for n in range(21):
+            q_catalan(n)
+        assert q_binomial.cache_info().misses == 251
 
     def test_sum_rule(self):
         for n in range(1, 31):
