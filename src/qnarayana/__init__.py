@@ -42,7 +42,7 @@ from .narayana import (
     special_values,
     v_coeff,
 )
-from .qcomb import q_binomial, q_catalan, q_int, q_narayana_coeff, q_narayana_row
+from .qcomb import q_binomial, q_catalan, q_int, q_narayana_row
 
 __version__ = "0.1.0"
 
@@ -81,6 +81,5 @@ __all__ = [
     "q_binomial",
     "q_catalan",
     "q_int",
-    "q_narayana_coeff",
     "q_narayana_row",
 ]

@@ -209,7 +209,7 @@ def _check_oracle_counts(qt, symmetric, path_max_n: int, sym_max_n: int) -> tupl
             return False, f"n={n}: {count} paths, expected Catalan"
     for n in range(sym_max_n + 1):
         count = sum(symmetric(n).values())
-        if count != narayana.binomial(n, n // 2):
+        if count != narayana.special_values(n)[0]:
             return False, f"n={n}: {count} symmetric paths, expected central binomial"
     return True, f"path<={path_max_n}, symmetric<={sym_max_n}"
 
@@ -240,9 +240,8 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     # One table per (family, shift) serves the hankel checks and, through its
     # first rows, the product-formula checks; the determinants stay Bareiss's.
     table = cache(partial(hankel.hankel_table, max_n=DEFAULT_HANKEL_MAX_N))
-    for family in hankel.TABLE_FAMILIES:
-        for shift in (0, 1):
-            checks.append((f"hankel/{family}/shift{shift}", partial(_check_hankel, table, family, shift)))
+    for family, shift in hankel.HANKEL_SIGNS:
+        checks.append((f"hankel/{family}/shift{shift}", partial(_check_hankel, table, family, shift)))
     # One extraction per tag, at the closed forms' depth, serves every cfrac
     # check: level k depends only on the series through z^(2k+2), so the
     # product formula (t_0..t_4) and the depth-8 round-trip read prefixes of
@@ -417,10 +416,10 @@ def parse_args(argv) -> argparse.Namespace:
 
     p_hankel = sub.add_parser("hankel", help="Hankel determinant table against predictions")
     p_hankel.set_defaults(run=_run_hankel)
+    families, shifts = zip(*hankel.HANKEL_SIGNS)
     p_hankel.add_argument("--family", required=True,
-                          choices=sorted(alias for alias, family in _POLY_FAMILIES.items()
-                                         if family in hankel.TABLE_FAMILIES))
-    p_hankel.add_argument("--shift", type=int, choices=(0, 1), default=0)
+                          choices=sorted(alias for alias, family in _POLY_FAMILIES.items() if family in families))
+    p_hankel.add_argument("--shift", type=int, choices=sorted(set(shifts)), default=0)
     _add_size(p_hankel, "--max-n", 1, MAX_HANKEL_N, "largest dimension", default=DEFAULT_HANKEL_MAX_N)
     fmt = p_hankel.add_mutually_exclusive_group()
     fmt.add_argument("--csv", action="store_true")

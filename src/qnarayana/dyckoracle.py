@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple
 from .exactalg import Polynomial
 from .qcomb import QVAR
 
-MAX_ENUM = 12
 MAX_QT = 12
 MAX_SYMMETRIC = 14
 
@@ -74,8 +73,8 @@ def enumerate_dyck(n: int) -> Iterator[str]:
     """All Dyck paths of semi-length n, each exactly once, in ASCII order."""
     if n < 0:
         raise ValueError("semi-length must be >= 0")
-    if n > MAX_ENUM:
-        raise ValueError(f"semi-length {n} exceeds the enumeration guard {MAX_ENUM}")
+    if n > MAX_QT:
+        raise ValueError(f"semi-length {n} exceeds the enumeration guard {MAX_QT}")
     return _ballot_words(2 * n, n)
 
 

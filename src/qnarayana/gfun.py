@@ -18,7 +18,8 @@ Identity identifiers are stable registry keys (eq15, eq16, ... g_at_m1).
 ``IDENTITY_DESCRIPTIONS`` states each identity once: ``verify_identity``
 parses and evaluates a series statement's own text (grammar at
 ``_Statement``), and compares the two integer checks, g_at_1 and g_at_m1,
-against their closed forms.
+against the closed forms of ``narayana.special_values``, looked up through
+the module so that every reader of them reads the same function.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from itertools import accumulate
 from math import prod
 from typing import NamedTuple
 
+from . import narayana
 from .exactalg import Polynomial, TruncatedSeries, ring_to_json
-from .narayana import FAMILIES, TVAR, binomial, catalan_number
+from .narayana import FAMILIES, TVAR
 
 # series tag -> (family in narayana.FAMILIES, shift): coefficient n is member n + shift
 TAG_FAMILIES = {
@@ -198,18 +200,17 @@ class _Statement:
         return value
 
 
-# the integer checks: identity key -> (t, closed form of coefficient n of g(t,z))
-_INTEGER_CHECKS = {
-    "g_at_1": (1, lambda n: binomial(n + 1, (n + 1) // 2)),
-    "g_at_m1": (-1, lambda n: catalan_number(n // 2) if n % 2 == 0 else 0),
-}
+# the integer checks: identity key -> the t at which coefficient n of g(t,z),
+# c_{n+1}(t), is compared with narayana.special_values(n + 1)
+_INTEGER_CHECKS = {"g_at_1": 1, "g_at_m1": -1}
 
 
 def _sides(identity, order):
     """The coefficients of both sides of a registered identity at the order."""
     if identity in _INTEGER_CHECKS:
-        at, closed_form = _INTEGER_CHECKS[identity]
-        return [p(at) for p in build_series("smallg", order).coeffs], [closed_form(n) for n in range(order + 1)]
+        at = _INTEGER_CHECKS[identity]
+        closed = [narayana.special_values(n + 1)[0 if at == 1 else 1] for n in range(order + 1)]
+        return [p(at) for p in build_series("smallg", order).coeffs], closed
     lhs, rhs = _Statement(identity, IDENTITY_DESCRIPTIONS[identity]).sides(order)
     return lhs.coeffs, rhs.coeffs
 

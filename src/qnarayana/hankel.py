@@ -16,11 +16,13 @@ update, so until a zero pivot forces a row swap only the upper triangle is
 computed and mirrored; a swap breaks the symmetry and the rest of the
 elimination computes every entry.  A cofactor-expansion determinant is kept
 alongside as an independent oracle for small dimensions, and the two are
-never merged.  ``hankel_table`` is the one loop of ``det_bareiss`` over
-dimensions n = 1..max_n, for the ``TABLE_FAMILIES`` that have predictions.
-The CLI writes its rows out, and its check registry computes each (family,
-shift) table once per run: the Hankel checks read every row and the
-product-formula checks the first six.
+never merged.  ``HANKEL_SIGNS`` is the one table of predictions: for each
+(family, shift) it predicts, det H_n = (s*t)^binom(n,2) with its sign s.
+``hankel_table`` is the one loop of ``det_bareiss`` over dimensions
+n = 1..max_n, for a key of that table.  The CLI writes its rows out and
+takes its ``--family`` and ``--shift`` choices from the keys, and its check
+registry computes the table of each key once per run: the Hankel checks
+read every row and the product-formula checks the first six.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
@@ -95,8 +97,8 @@ class PolyMatrix(_PolyMatrixFields):
 
 def hankel_matrix(seq: tuple[Polynomial, ...], n: int, shift: int) -> PolyMatrix:
     """The n x n matrix with entry (i, j) = seq[i + j + shift]."""
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
+    if shift < 0:
+        raise ValueError("shift must be >= 0")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     top = 2 * (n - 1) + shift
@@ -193,37 +195,41 @@ class HankelRow(NamedTuple):
     match: bool
 
 
-# the families expected_hankel has predictions for, in report order
-TABLE_FAMILIES = ("narayana_poly", "small_c")
+# (family, shift) -> s, in report order: det H_n = (s*t)^binom(n,2) for the
+# Hankel matrix H_n = (a_{i+j+shift}) of the family (Cigler-Krattenthaler 2011)
+HANKEL_SIGNS = {
+    ("narayana_poly", 0): 1,
+    ("narayana_poly", 1): 1,
+    ("small_c", 0): 1,
+    ("small_c", 1): -1,
+}
 
 
 def expected_hankel(family: str, shift: int, n: int) -> Polynomial:
-    """The predicted determinant: t^binom(n,2), signed for the shifted c family."""
-    if family not in TABLE_FAMILIES:
-        raise ValueError(f"no expected values for family {family!r}")
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
+    """The predicted determinant (s*t)^binom(n,2), s the sign of (family, shift) in ``HANKEL_SIGNS``."""
+    if (family, shift) not in HANKEL_SIGNS:
+        raise ValueError(f"no Hankel prediction for family {family!r} at shift {shift} "
+                         f"(expected one of {tuple(HANKEL_SIGNS)})")
     if n < 1:
         raise ValueError("dimension must be >= 1")
     e = binomial(n, 2)
-    coeff = -1 if family == "small_c" and shift == 1 and e % 2 else 1
-    return Polynomial.monomial(TVAR, e, coeff)
+    return Polynomial.monomial(TVAR, e, HANKEL_SIGNS[family, shift] ** e)
 
 
 def hankel_table(family: str, shift: int, max_n: int) -> list[HankelRow]:
-    """Determinants against predictions for n = 1..max_n."""
-    if family not in TABLE_FAMILIES:
-        raise ValueError(f"unknown table family {family!r} (expected one of {TABLE_FAMILIES})")
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
+    """Determinants against predictions for n = 1..max_n.
+
+    The predictions come first: ``expected_hankel`` refuses a pair with
+    none before any determinant is computed.
+    """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    expected = [expected_hankel(family, shift, n) for n in range(1, max_n + 1)]
     seq = poly_sequence(family, 2 * max_n - 1 + shift)
     rows = []
-    for n in range(1, max_n + 1):
+    for n, want in enumerate(expected, 1):
         det = det_bareiss(hankel_matrix(seq, n, shift))
-        expected = expected_hankel(family, shift, n)
-        rows.append(HankelRow(n, det, expected, det == expected))
+        rows.append(HankelRow(n, det, want, det == want))
     return rows
 
 

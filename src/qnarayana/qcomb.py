@@ -126,18 +126,6 @@ def q_narayana_row(n: int) -> tuple[Polynomial, ...]:
     return tuple(row)
 
 
-def q_narayana_coeff(n: int, k: int) -> Polynomial:
-    """q^(k^2+k) * qbinom(n,k) * qbinom(n-1,k) / [k+1]: entry k of ``q_narayana_row(n)``.
-
-    Zero polynomial for k < 0 or k >= n.
-    """
-    if n < 1:
-        raise ValueError("q-Narayana coefficients need n >= 1")
-    if k < 0 or k >= n:
-        return _ZERO
-    return q_narayana_row(n)[k]
-
-
 def q_catalan(n: int) -> Polynomial:
     """qbinom(2n,n) / [n+1] by exact division; equals the sum of row n of the q-Narayana family."""
     if n < 0:

@@ -32,7 +32,7 @@ from qnarayana.narayana import (
     poly_sequence,
     v_coeff,
 )
-from qnarayana.qcomb import QVAR, q_catalan, q_narayana_coeff, q_narayana_row
+from qnarayana.qcomb import QVAR, q_catalan, q_narayana_row
 from qnarayana.dyckoracle import enumerate_dyck, enumerate_symmetric, qt_distribution, symmetric_valley_distribution
 
 ACCEPTANCE_IDENTITIES = (
@@ -73,8 +73,8 @@ def test_criterion_3_evaluations():
         assert c_poly(2 * m + 1)(-1) == catalan_number(m)
     for n in range(1, 11):
         total = Polynomial.zero(QVAR)
-        for k in range(n):
-            total = total + q_narayana_coeff(n, k)
+        for entry in q_narayana_row(n):
+            total = total + entry
         assert total == q_catalan(n)
     _report("criterion-3 evaluations", "values at t=1 and t=-1, and the q-sum/quotient identity, hold on the stated ranges")
 

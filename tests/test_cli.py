@@ -58,11 +58,27 @@ class TestParseArgs:
     @pytest.mark.parametrize("alias", sorted(cli._POLY_FAMILIES) + ["X"])
     def test_hankel_families_are_the_table_families(self, capsys, alias):
         argv = ["hankel", "--family", alias]
-        if cli._POLY_FAMILIES.get(alias) in hankel.TABLE_FAMILIES:
+        if any(cli._POLY_FAMILIES.get(alias) == family for family, _ in hankel.HANKEL_SIGNS):
             assert parse_args(argv).family == alias
         else:
             assert main(argv) == 2
             assert "invalid choice" in capsys.readouterr().err
+
+    def test_hankel_choices_are_the_table_keys(self, capsys):
+        accepted = set()
+        for alias in sorted(cli._POLY_FAMILIES) + ["X"]:
+            for shift in range(-1, 4):
+                try:
+                    parse_args(["hankel", "--family", alias, "--shift", str(shift)])
+                except SystemExit as exc:
+                    assert exc.code == 2
+                else:
+                    accepted.add((cli._POLY_FAMILIES[alias], shift))
+        assert accepted == set(hankel.HANKEL_SIGNS)
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            parse_args(["hankel", "--help"])
+        assert "--family {C,c} [--shift {0,1}]" in capsys.readouterr().out
 
     # parsed only, never run: a run at a cap takes seconds
     @pytest.mark.parametrize("argv, option, cap, not_int", [
@@ -264,6 +280,7 @@ GOLDEN = {
     "verify_eq25_order80_json.out": ["verify", "--identity", "eq25", "--order", "80", "--json"],
     "verify_order40.out": ["verify", "--order", "40"],
     "hankel_C_shift1_n20.out": ["hankel", "--family", "C", "--shift", "1", "--max-n", "20"],
+    "hankel_C_shift0_n20.out": ["hankel", "--family", "C", "--shift", "0", "--max-n", "20"],
     "hankel_c_shift1_n20_csv.out": ["hankel", "--family", "c", "--shift", "1", "--max-n", "20", "--csv"],
 }
 
@@ -526,6 +543,40 @@ class TestCheckReportsItsOwnDiff:
         assert [line.split(" (")[0] for line in lines if line.startswith("FAIL")] == failed
         assert lines[-1] == f"{REGISTRY_SIZE - len(failed)}/{REGISTRY_SIZE} checks passed"
 
+    @pytest.mark.parametrize("which, failed", [
+        (0, ["FAIL eval/at_one (n=5: value 10, expected 11)",
+             "FAIL identity/g_at_1 (power=4: 10 vs 11)",
+             "FAIL oracle/counts (n=5: 10 symmetric paths, expected central binomial)"]),
+        (1, ["FAIL eval/at_minus_one (n=5: value 2, expected 3)",
+             "FAIL identity/g_at_m1 (power=4: 2 vs 3)"]),
+    ], ids=["at-one", "at-minus-one"])
+    def test_special_values_reach_every_reader(self, capsys, monkeypatch, which, failed):
+        """c_n(1) and c_n(-1) have one closed form, so perturbing it fails every check that reads it."""
+        monkeypatch.setattr(narayana, "special_values", _special_value_plus_one(5, which)(narayana.special_values))
+        assert main(["verify", "--all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == failed
+        assert lines[-1] == f"{REGISTRY_SIZE - len(failed)}/{REGISTRY_SIZE} checks passed"
+
+    # each key of hankel.HANKEL_SIGNS, and the FAIL line of its check once its sign is flipped
+    SIGN_FLIPS = {
+        ("narayana_poly", 0): "FAIL hankel/narayana_poly/shift0 (n=2: det t, expected -t)",
+        ("narayana_poly", 1): "FAIL hankel/narayana_poly/shift1 (n=2: det t, expected -t)",
+        ("small_c", 0): "FAIL hankel/small_c/shift0 (n=2: det t, expected -t)",
+        ("small_c", 1): "FAIL hankel/small_c/shift1 (n=2: det -t, expected t)",
+    }
+
+    def test_sign_flips_cover_the_table(self):
+        assert list(self.SIGN_FLIPS) == list(hankel.HANKEL_SIGNS)
+
+    @pytest.mark.parametrize("key", list(SIGN_FLIPS), ids="{0[0]}-shift{0[1]}".format)
+    def test_flipped_hankel_sign_fails_exactly_its_check(self, capsys, monkeypatch, key):
+        monkeypatch.setitem(hankel.HANKEL_SIGNS, key, -hankel.HANKEL_SIGNS[key])
+        assert main(["verify", "--all"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [self.SIGN_FLIPS[key]]
+        assert lines[-1] == f"{REGISTRY_SIZE - 1}/{REGISTRY_SIZE} checks passed"
+
     def test_each_run_extracts_afresh(self, capsys, monkeypatch):
         assert main(["verify", "--all"]) == 0
         capsys.readouterr()
@@ -654,7 +705,11 @@ class TestSharedHankelTables:
         assert len(dims) == 28
         assert sorted(dims) == sorted(list(range(1, cli.DEFAULT_HANKEL_MAX_N + 1)) * 4)
         assert sorted(tables) == [(family, shift, cli.DEFAULT_HANKEL_MAX_N)
-                                  for family in sorted(hankel.TABLE_FAMILIES) for shift in (0, 1)]
+                                  for family, shift in sorted(hankel.HANKEL_SIGNS)]
+
+    def test_registry_has_one_hankel_check_per_key(self):
+        names = [name for name, _ in build_registry() if name.startswith("hankel/")]
+        assert names == [f"hankel/{family}/shift{shift}" for family, shift in hankel.HANKEL_SIGNS]
 
 
 class TestSharedQRows:

@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from qnarayana.dyckoracle import (
-    MAX_ENUM,
     MAX_QT,
     MAX_SYMMETRIC,
     PathStats,
@@ -45,7 +44,7 @@ class TestEnumeration:
 
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            next(enumerate_dyck(MAX_ENUM + 1))
+            next(enumerate_dyck(MAX_QT + 1))
         with pytest.raises(ValueError):
             next(enumerate_dyck(-1))
 

@@ -5,8 +5,8 @@ import pytest
 from qnarayana import exactalg, hankel
 from qnarayana.exactalg import Polynomial, RationalFunction, TruncatedSeries
 from qnarayana.hankel import (
+    HANKEL_SIGNS,
     JFraction,
-    TABLE_FAMILIES,
     PolyMatrix,
     det_bareiss,
     det_cofactor,
@@ -109,8 +109,17 @@ class TestHankelMatrix:
 
     def test_bad_shift(self):
         seq = poly_sequence("small_c", 5)
-        with pytest.raises(ValueError):
-            hankel_matrix(seq, 2, 2)
+        with pytest.raises(ValueError, match="shift must be >= 0"):
+            hankel_matrix(seq, 2, -1)
+
+    @pytest.mark.parametrize("family", ["narayana_poly", "small_c"])
+    @pytest.mark.parametrize("shift", [2, 3])
+    def test_shifts_past_the_table(self, family, shift):
+        # shifts with no prediction in HANKEL_SIGNS still build; Bareiss agrees with the cofactor oracle
+        seq = poly_sequence(family, 2 * 6 - 1 + shift)
+        for n in range(1, 7):
+            m = hankel_matrix(seq, n, shift)
+            assert det_bareiss(m) == det_cofactor(m), (family, shift, n)
 
 
 class TestDeterminants:
@@ -284,14 +293,12 @@ class TestHankelTable:
         assert rows[1].match
 
     def test_first_row_trivial(self):
-        for family in ("narayana_poly", "small_c"):
-            for shift in (0, 1):
-                assert hankel_table(family, shift, 1)[0].determinant == P(1)
+        for family, shift in HANKEL_SIGNS:
+            assert hankel_table(family, shift, 1)[0].determinant == P(1)
 
     def test_all_match_to_seven(self):
-        for family in ("narayana_poly", "small_c"):
-            for shift in (0, 1):
-                assert all(row.match for row in hankel_table(family, shift, 7))
+        for family, shift in HANKEL_SIGNS:
+            assert all(row.match for row in hankel_table(family, shift, 7))
 
     @pytest.mark.parametrize("family", ["narayana_poly", "small_c"])
     @pytest.mark.parametrize("shift", [0, 1])
@@ -305,20 +312,23 @@ class TestHankelTable:
         assert expected_hankel("narayana_poly", 1, 4) == Polynomial.monomial(TVAR, 6)
 
     def test_expected_values_refuse_what_they_do_not_predict(self):
-        with pytest.raises(ValueError, match="shift must be 0 or 1"):
+        with pytest.raises(ValueError, match="no Hankel prediction for family 'small_c' at shift 7"):
             expected_hankel("small_c", 7, 3)
+        with pytest.raises(ValueError, match="no Hankel prediction for family 'narayana_B' at shift 0"):
+            expected_hankel("narayana_B", 0, 3)
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             expected_hankel("small_c", 0, -2)
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             expected_hankel("narayana_poly", 1, 0)
 
-    @pytest.mark.parametrize("family", TABLE_FAMILIES)
+    @pytest.mark.parametrize("family", dict.fromkeys(family for family, _ in HANKEL_SIGNS))
     def test_entry_updates_build_no_product_and_divide_once(self, monkeypatch, family):
         # every pivot is +-t^C(k,2), so each entry update is one call of the
         # kernel, no Polynomial product, and one exact division when the
         # previous pivot's tail is -1 rather than 1 and the cross is not zero
         max_n = 8
-        for shift in (0, 1):
+        shifts = [s for f, s in HANKEL_SIGNS if f == family]
+        for shift in shifts:
             poly_sequence(family, 2 * max_n - 1 + shift)  # the family rows are built once per process
         updates, cross = [], hankel._cross
         divisions, divide = [], exactalg.poly_exact_div
@@ -334,7 +344,7 @@ class TestHankelTable:
         monkeypatch.setattr(exactalg, "poly_exact_div", lambda a, b: divisions.append(b) or divide(a, b))
         monkeypatch.setattr(Polynomial, "__mul__", no_product)
         monkeypatch.setattr(Polynomial, "__rmul__", no_product)
-        for shift in (0, 1):
+        for shift in shifts:
             # step k of an n x n symmetric elimination updates the upper
             # triangle of the trailing (n-1-k) x (n-1-k) block, beside the
             # previous pivot: 1 at step 0, the leading k x k minor after it
@@ -351,8 +361,17 @@ class TestHankelTable:
             assert bool(nonzero) == (family == "small_c" and shift == 1)
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no Hankel prediction for family 'narayana_B' at shift 0"):
             hankel_table("narayana_B", 0, 3)
+
+    @pytest.mark.parametrize("family", ["narayana_poly", "small_c", "narayana_B", "catalan_C", "X"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2, 3])
+    def test_accepts_exactly_the_keys(self, family, shift):
+        if (family, shift) in HANKEL_SIGNS:
+            assert len(hankel_table(family, shift, 2)) == 2
+        else:
+            with pytest.raises(ValueError, match=f"no Hankel prediction for family '{family}' at shift {shift} "):
+                hankel_table(family, shift, 2)
 
 
 class TestJFraction:

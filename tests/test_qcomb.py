@@ -10,7 +10,6 @@ from qnarayana.qcomb import (
     q_binomial,
     q_catalan,
     q_int,
-    q_narayana_coeff,
     q_narayana_row,
 )
 
@@ -26,14 +25,16 @@ def schoolbook_coeff(n, k):
 
 
 def kernel_mismatches(max_n):
-    """Yield (n, k), 1 <= n <= max_n, where q_narayana_coeff raises or differs from the schoolbook formula."""
+    """Yield (n, k), 1 <= n <= max_n, where entry k of q_narayana_row(n) differs from the schoolbook
+    formula or is missing or extra; k is None when the row raises."""
     for n in range(1, max_n + 1):
-        for k in range(n):
-            try:
-                if q_narayana_coeff(n, k) != schoolbook_coeff(n, k):
-                    yield n, k
-            except (ArithmeticError, ValueError, OverflowError):
-                yield n, k
+        try:
+            row = q_narayana_row(n)
+        except (ArithmeticError, ValueError, OverflowError):
+            yield n, None
+            continue
+        schoolbook = [schoolbook_coeff(n, k) for k in range(n)]
+        yield from ((n, k) for k in range(max(n, len(row))) if row[k:k + 1] != tuple(schoolbook[k:k + 1]))
 
 
 def pascal_triangle(rows):
@@ -120,22 +121,17 @@ class TestQBinomial:
 
 class TestQNarayana:
     def test_examples(self):
-        assert q_narayana_coeff(2, 1) == Q(0, 0, 1)
-        assert q_narayana_coeff(3, 1) == Q(0, 0, 1, 1, 1)
+        assert q_narayana_row(2)[1] == Q(0, 0, 1)
+        assert q_narayana_row(3)[1] == Q(0, 0, 1, 1, 1)
         for n in (1, 4, 7):
-            assert q_narayana_coeff(n, 0) == Q(1)
-
-    def test_out_of_range(self):
-        assert q_narayana_coeff(3, 3) == Polynomial.zero(QVAR)
-        assert q_narayana_coeff(3, -2) == Polynomial.zero(QVAR)
-        with pytest.raises(ValueError):
-            q_narayana_coeff(0, 0)
+            assert q_narayana_row(n)[0] == Q(1)
 
     def test_top_index_vanishes(self):
-        # the sum bound may safely run past the last nonzero entry
+        # row n has the n entries k = 0..n-1, the last one nonzero
         for n in range(1, 17):
-            assert q_narayana_coeff(n, n) == Polynomial.zero(QVAR)
-            assert q_narayana_coeff(n, n - 1) != Polynomial.zero(QVAR)
+            row = q_narayana_row(n)
+            assert len(row) == n
+            assert row[n - 1] != Polynomial.zero(QVAR)
 
 
 class TestPackedKernel:
@@ -150,7 +146,7 @@ class TestPackedKernel:
         times = qcomb._times_one_minus_power
         monkeypatch.setattr(qcomb, "_times_one_minus_power", lambda p, a: p if a == 2 else times(p, a))
         with pytest.raises(NotDivisibleError):
-            q_narayana_coeff(3, 1)
+            q_narayana_row(3)
 
 
 class TestQCatalan:
@@ -171,8 +167,8 @@ class TestQCatalan:
     def test_sum_rule(self):
         for n in range(1, 31):
             total = Polynomial.zero(QVAR)
-            for k in range(n):
-                total = total + q_narayana_coeff(n, k)
+            for entry in q_narayana_row(n):
+                total = total + entry
             assert total == q_catalan(n)
 
 
