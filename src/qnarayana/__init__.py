@@ -9,7 +9,6 @@ enumeration supplies the combinatorial ground truth.
 """
 
 from .exactalg import (
-    NEG_INF,
     NotDivisibleError,
     NotInvertibleError,
     Polynomial,
@@ -47,7 +46,6 @@ from .qcomb import q_binomial, q_catalan, q_int, q_narayana_row
 __version__ = "0.1.0"
 
 __all__ = [
-    "NEG_INF",
     "NotDivisibleError",
     "NotInvertibleError",
     "Polynomial",

@@ -5,8 +5,7 @@ Three immutable value types built on Python's arbitrary-precision integers:
 * ``Polynomial``: dense univariate polynomial over the integers in a named
   variable ("t" or "q" throughout this package).  ``coeffs[i]`` holds the
   coefficient of the i-th power and the top stored coefficient is nonzero;
-  the zero polynomial stores an empty tuple and its degree is the
-  ``NEG_INF`` sentinel rather than a number.
+  the zero polynomial stores an empty tuple and its degree is -1.
 * ``RationalFunction``: fully reduced quotient of two polynomials with a
   positive leading coefficient in the denominator, so equality is plain
   structural comparison.  Operations whose operands and result have the
@@ -78,36 +77,6 @@ class NotInvertibleError(ArithmeticError):
     """A series constant term is not a unit of its coefficient ring."""
 
 
-class _NegInf:
-    """Degree of the zero polynomial: below every integer, equal only to itself."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __hash__(self):
-        return hash("NEG_INF")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
-
-
 class Polynomial:
     """Dense univariate polynomial with integer coefficients."""
 
@@ -162,17 +131,14 @@ class Polynomial:
         return cls(var, (value,))
 
     def degree(self):
-        """Degree, or the NEG_INF sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def coefficient(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def leading_coefficient(self):
         return self.coeffs[-1] if self.coeffs else 0
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -235,18 +201,6 @@ class Polynomial:
         return Polynomial._trusted(self.var, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __call__(self, x):
         """Evaluate at an integer point: a plain or alternating sum at x = +-1, Horner elsewhere."""
@@ -553,9 +507,6 @@ class RationalFunction:
     def one(cls, var):
         return cls(Polynomial.one(var))
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def is_one(self):
         return self.num.coeffs == (1,) and self.den.coeffs == (1,)
 
@@ -612,22 +563,8 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def reciprocal(self):
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("zero has no reciprocal")
         return RationalFunction(self.den, self.num)
 
@@ -651,13 +588,6 @@ class RationalFunction:
         if self.den.coeffs == (1,):
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
 def ring_zero_like(c):
@@ -691,7 +621,7 @@ def _unit_inverse(c):
             return c
         raise NotInvertibleError(f"{c} is not a unit in the polynomial ring")
     if isinstance(c, RationalFunction):
-        if c.is_zero():
+        if not c:
             raise NotInvertibleError("constant term is zero")
         return c.reciprocal()
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
@@ -801,14 +731,6 @@ def ring_to_json(c):
     return c.to_json()
 
 
-def ring_from_json(obj):
-    if isinstance(obj, str):
-        return int(obj)
-    if "var" in obj:
-        return Polynomial.from_json(obj)
-    return RationalFunction.from_json(obj)
-
-
 class TruncatedSeries:
     """Power series in z truncated at a fixed order.
 
@@ -864,9 +786,6 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, value, order):
         return cls.from_coeffs([value], order)
-
-    def coefficient(self, i):
-        return self.coeffs[i]
 
     def _check_order(self, other):
         if self.order != other.order:
@@ -979,10 +898,3 @@ class TruncatedSeries:
     def __str__(self):
         parts = [f"({c})z^{i}" for i, c in enumerate(self.coeffs)]
         return " + ".join(parts)
-
-    def to_json(self):
-        return {"order": self.order, "coeffs": [ring_to_json(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls([ring_from_json(c) for c in obj["coeffs"]], obj["order"])

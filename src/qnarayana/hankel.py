@@ -259,7 +259,7 @@ class JFraction(_JFractionFields):
                 terminated: bool = False):
         if len(s) != len(t_coeffs) + 1 and (s or t_coeffs):
             raise ValueError("need exactly one more diagonal than subdiagonal coefficient")
-        if any(t.is_zero() for t in t_coeffs):
+        if not all(t_coeffs):
             raise ValueError("subdiagonal coefficients must be nonzero")
         return super().__new__(cls, s, t_coeffs, terminated)
 
@@ -299,7 +299,7 @@ def jfraction_extract(series: TruncatedSeries, depth: int) -> JFraction:
             break
         r = h - TruncatedSeries.from_coeffs([one - one, s_k], f.order)
         t_k = r.coeffs[2]
-        if t_k.is_zero():
+        if not t_k:
             return JFraction(tuple(diag), tuple(sub), terminated=True)
         sub.append(t_k)
         f = r.shift_down(2).scale(t_k.reciprocal())

