@@ -142,10 +142,9 @@ def _cfrac_levels(tag: str, jf):
     A level is (kind, k, extracted, expected, match) with kind "s" or "t".
     """
     levels = []
-    for kind, coeffs, stored in (("s", jf.s, fixtures.expected_jfraction_s),
-                                 ("t", jf.t_coeffs, fixtures.expected_jfraction_t)):
+    for kind, coeffs in (("s", jf.s), ("t", jf.t_coeffs)):
         for k, got in enumerate(coeffs):
-            want = stored(tag, k)
+            want = fixtures.expected_jfraction(tag, kind, k)
             levels.append((kind, k, got, want, got == want))
     return levels
 

@@ -24,17 +24,16 @@ series product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the
 only series loops, on the packed coefficients instead of the polynomials
 (see ``TruncatedSeries`` for the bound); a series of rational functions
 whose denominators are all 1 lies in Z[t] too and packs its numerators.
-Exact division by a divisor of two or more terms is one ``divmod`` of the
+Exact division by any divisor other than +-var^v is one ``divmod`` of the
 packed dividend by the packed divisor, whose digits are checked against a
 bound afterwards and the slot widened when they miss it (see
 ``poly_exact_div``).
 
-Polynomial product and exact division skip zero low blocks and take a
-single term in one pass: the product's inner loop starts at the inner
-operand's lowest nonzero coefficient, and an inner operand with one term
-there scales the outer one in a single list; exact division splits var^v off
-the divisor first, and a divisor left with one term c is a slice of the
-dividend (c = +-1) or one list of ``divmod``.
+Polynomial product and exact division skip zero low blocks: the product's
+inner loop starts at the inner operand's lowest nonzero coefficient, and an
+inner operand with one term there scales the outer one in a single list;
+exact division splits var^v off the divisor first, and a divisor left as
++-1 is a slice of the dividend.
 Fraction-free elimination produces that structure in bulk (entries t^v times
 a short polynomial, pivots c*t^v), so its entry update works on (valuation,
 tail) pairs (v, T) for t^v * T with T(0) != 0 and never builds a zero low
@@ -133,9 +132,6 @@ class Polynomial:
     def degree(self):
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def leading_coefficient(self):
         return self.coeffs[-1] if self.coeffs else 0
@@ -273,11 +269,10 @@ def poly_exact_div(a, b):
 
     A divisor var^v * b' with b'(0) != 0 needs the dividend's v lowest
     coefficients to be zero; the rest a' of the dividend is then divided by
-    b' alone.  A single-term b' = c takes one pass: for c = +-1 the quotient
-    is a' (negated for -1), for any other c one list of ``divmod``, and a
-    nonzero remainder anywhere raises.
+    b' alone.  For b' = +-1 the quotient is a' (negated for -1); any other
+    b', a single term c included, takes the packed division below.
 
-    A b' with two or more terms is divided in one ``divmod`` of the packed
+    Such a b' is divided in one ``divmod`` of the packed
     integers a'(2**w) and b'(2**w), on the series kernel's codec.  Evaluation
     at 2**w is a ring homomorphism, so a' = q*b' forces a zero remainder: a
     nonzero one raises.  A zero remainder gives the integer quotient Q, and
@@ -301,16 +296,10 @@ def poly_exact_div(a, b):
     if any(a.coeffs[:low]):
         raise NotDivisibleError(a, b)
     rest, divisor = a.coeffs[low:], b.coeffs[low:]
-    if len(divisor) == 1:  # b = c * var^low, and a has a nonzero coefficient from var^low on
-        c = divisor[0]
-        if c == 1:
-            return Polynomial._trusted(a.var, list(rest))
-        if c == -1:
-            return Polynomial._trusted(a.var, [-x for x in rest])
-        pairs = [divmod(x, c) for x in rest]
-        if any(r for _, r in pairs):
-            raise NotDivisibleError(a, b)
-        return Polynomial._trusted(a.var, [q for q, _ in pairs])
+    if divisor == (1,):
+        return Polynomial._trusted(a.var, list(rest))
+    if divisor == (-1,):
+        return Polynomial._trusted(a.var, [-x for x in rest])
     norm = sum(map(abs, divisor))
     nbytes = _slot_bytes(max(map(abs, rest)) * norm)
     stop = None
@@ -506,9 +495,6 @@ class RationalFunction:
     @classmethod
     def one(cls, var):
         return cls(Polynomial.one(var))
-
-    def is_one(self):
-        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
 
     def __bool__(self):
         return bool(self.num)

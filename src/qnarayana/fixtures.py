@@ -15,38 +15,22 @@ from .narayana import TVAR
 FIRST_TERMS_SMALL_C = ("1", "1", "1+t", "1+t+t^2", "1+2t+2t^2+t^3", "1+2t+4t^2+2t^3+t^4")
 FIRST_TERMS_NARAYANA = ("1", "1", "1+t", "1+3t+t^2", "1+6t+6t^2+t^3", "1+10t+20t^2+10t^3+t^4")
 
-# J-fraction closed forms, stored as coefficient tuples in t.  The smallg
-# diagonal alternates (-1)^k*(1+t) with subdiagonal -t throughout; the
-# smallc diagonal starts at 1 and then alternates (-1)^k*(1-t) with
-# subdiagonal t throughout.
-SMALLG_S_BASE = (1, 1)
-SMALLG_T_BASE = (0, -1)
-SMALLC_S_FIRST = (1,)
-SMALLC_S_BASE = (1, -1)
-SMALLC_T_BASE = (0, 1)
+# J-fraction closed forms: tag -> kind -> (head, period), each a tuple of
+# coefficient tuples in t.  Level k of a kind reads head[k], and past the
+# head it cycles through period.  The smallg diagonal alternates 1+t, -1-t
+# with subdiagonal -t throughout; the smallc diagonal starts at 1 and then
+# alternates -1+t, 1-t with subdiagonal t throughout.
+JFRACTIONS = {
+    "smallg": {"s": ((), ((1, 1), (-1, -1))), "t": ((), ((0, -1),))},
+    "smallc": {"s": (((1,),), ((-1, 1), (1, -1))), "t": ((), ((0, 1),))},
+}
 
 
-def expected_jfraction_s(tag: str, k: int) -> Polynomial:
-    """Expected diagonal coefficient s_k for the smallc/smallg series."""
+def expected_jfraction(tag: str, kind: str, k: int) -> Polynomial:
+    """Stored coefficient s_k (kind "s", diagonal) or t_k (kind "t", subdiagonal) of tag's J-fraction."""
     if k < 0:
         raise ValueError("level must be >= 0")
-    if tag == "smallg":
-        base = Polynomial(TVAR, SMALLG_S_BASE)
-        return base if k % 2 == 0 else -base
-    if tag == "smallc":
-        if k == 0:
-            return Polynomial(TVAR, SMALLC_S_FIRST)
-        base = Polynomial(TVAR, SMALLC_S_BASE)
-        return base if k % 2 == 0 else -base
-    raise ValueError(f"unknown series tag {tag!r}")
-
-
-def expected_jfraction_t(tag: str, k: int) -> Polynomial:
-    """Expected subdiagonal coefficient t_k for the smallc/smallg series."""
-    if k < 0:
-        raise ValueError("level must be >= 0")
-    if tag == "smallg":
-        return Polynomial(TVAR, SMALLG_T_BASE)
-    if tag == "smallc":
-        return Polynomial(TVAR, SMALLC_T_BASE)
-    raise ValueError(f"unknown series tag {tag!r}")
+    if tag not in JFRACTIONS:
+        raise ValueError(f"unknown series tag {tag!r}")
+    head, period = JFRACTIONS[tag][kind]
+    return Polynomial(TVAR, head[k] if k < len(head) else period[(k - len(head)) % len(period)])

@@ -25,13 +25,15 @@ registry computes the table of each key once per run: the Hankel checks
 read every row and the product-formula checks the first six.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
-via f = 1/(1 - s*z - t*z^2*f'), working over the rational-function field
-because a level's division by t_k may leave Z[t].  For smallc and smallg,
-the two families the CLI extracts, it does not: every t_k is +-t, so every
-level's series has denominator 1 throughout, and each level's inverse runs
-on the packed Z[t] kernel of ``TruncatedSeries``; only the division by t_k
-goes through the field's gcd.  A level whose series leaves Z[t] falls back
-to the coefficient loop over the field, with the same result.  A
+via f = 1/(1 - s*z - t*z^2*f'), each level read off one series inverse:
+g = 1/f gives s = -g_1, t = -g_2 and the next level f' = (g_2, g_3, ...)/g_2.
+The work is over the rational-function field because that division by g_2
+may leave Z[t].  For smallc and smallg, the two families the CLI extracts,
+it does not: every t_k is +-t, so every level's series has denominator 1
+throughout, and each level's inverse runs on the packed Z[t] kernel of
+``TruncatedSeries``; only the division by g_2 goes through the field's gcd.
+A level whose series leaves Z[t] falls back to the coefficient loop over the
+field, with the same result.  A
 ``JFraction`` holding diagonal coefficients s_0..s_d and subdiagonal
 coefficients t_0..t_{d-1} reconstructs the series exactly through order
 2d+1: ``jfraction_to_series`` builds the convergent N_0/D_0 bottom-up by
@@ -276,33 +278,30 @@ class JFraction(_JFractionFields):
 def jfraction_extract(series: TruncatedSeries, depth: int) -> JFraction:
     """Peel depth levels off a series with constant term 1.
 
-    Level k: s_k is the z coefficient of 1 - 1/f, t_k the z^2 coefficient
-    of the remainder, and the next level is (1 - 1/f - s_k z)/(t_k z^2).
+    Level k reads the inverse g = 1/f = 1 - s_k z - t_k z^2 f': s_k = -g_1,
+    t_k = -g_2, and the next level is f' = (g_2, g_3, ...) / g_2.
     Returns s_0..s_depth and t_0..t_{depth-1}; a zero t_k stops early with
     the truncated depth and ``terminated`` set.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     first = series.coeffs[0]
-    if not (isinstance(first, RationalFunction) and first.is_one()):
+    if not (isinstance(first, RationalFunction) and first == 1):
         raise ValueError("series constant term must be the rational function 1")
     if series.order < 2 * depth + 2:
         raise ValueError(f"order {series.order} too small for depth {depth} (need >= {2 * depth + 2})")
-    one = ring_one_like(first)
     diag, sub = [], []
     f = series
     for k in range(depth + 1):
-        h = TruncatedSeries.constant(one, f.order) - f.invert()
-        s_k = h.coeffs[1]
-        diag.append(s_k)
+        g = f.invert()
+        diag.append(-g.coeffs[1])
         if k == depth:
             break
-        r = h - TruncatedSeries.from_coeffs([one - one, s_k], f.order)
-        t_k = r.coeffs[2]
-        if not t_k:
+        g_2 = g.coeffs[2]
+        if not g_2:
             return JFraction(tuple(diag), tuple(sub), terminated=True)
-        sub.append(t_k)
-        f = r.shift_down(2).scale(t_k.reciprocal())
+        sub.append(-g_2)
+        f = TruncatedSeries(g.coeffs[2:], f.order - 2).scale(g_2.reciprocal())
     return JFraction(tuple(diag), tuple(sub))
 
 

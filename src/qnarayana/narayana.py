@@ -41,7 +41,11 @@ def catalan_number(n: int) -> int:
 
 
 def narayana_number(n: int, k: int) -> int:
-    """binom(n,k) * binom(n-1,k) / (k+1); zero outside 0 <= k <= n-1."""
+    """binom(n,k) * binom(n-1,k) / (k+1); zero outside 0 <= k <= n-1.
+
+    The closed form of a single entry: the tests hold the rows of
+    ``narayana_poly``, built by ratio steps, to it.
+    """
     if n < 1:
         raise ValueError("Narayana numbers need n >= 1")
     if k < 0 or k > n - 1:

@@ -125,8 +125,8 @@ def test_criterion_6_jfraction():
         jf = jfraction_extract(ratfun_series(tag, 2 * depth + 2), depth)
         assert jf.depth == depth
         for k in range(depth):
-            assert jf.s[k] == RationalFunction(fixtures.expected_jfraction_s(tag, k))
-            assert jf.t_coeffs[k] == RationalFunction(fixtures.expected_jfraction_t(tag, k))
+            assert jf.s[k] == RationalFunction(fixtures.expected_jfraction(tag, "s", k))
+            assert jf.t_coeffs[k] == RationalFunction(fixtures.expected_jfraction(tag, "t", k))
     for tag, shift in (("smallc", 0), ("smallg", 1)):
         jf = jfraction_extract(ratfun_series(tag, 12), 5)
         seq = poly_sequence("small_c", 12)

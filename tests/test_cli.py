@@ -1,4 +1,5 @@
 import ast
+import fnmatch
 import json
 import os
 import runpy
@@ -342,11 +343,28 @@ class TestFaultInjection:
         out = capsys.readouterr().out
         assert "FAIL first_terms/c" in out
 
-    def test_mutated_cfrac_fixture_flips_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(fixtures, "SMALLG_T_BASE", (0, 1))
+    # (tag, kind, head or period, entry, perturbed coefficients) and the one FAIL line it causes
+    @pytest.mark.parametrize("tag, kind, part, at, coeffs, line", [
+        ("smallg", "t", 1, 0, (0, 1), "FAIL cfrac/smallg/closed_forms (t_0: extracted -t, stored t)"),
+        ("smallc", "s", 0, 0, (2,), "FAIL cfrac/smallc/closed_forms (s_0: extracted 1, stored 2)"),
+        ("smallc", "s", 1, 1, (1, 1), "FAIL cfrac/smallc/closed_forms (s_2: extracted 1-t, stored 1+t)"),
+    ], ids=["smallg-t-period", "smallc-s-head", "smallc-s-period"])
+    def test_mutated_cfrac_fixture_flips_exit_code(self, capsys, monkeypatch, tag, kind, part, at, coeffs, line):
+        entry = [list(entries) for entries in fixtures.JFRACTIONS[tag][kind]]
+        entry[part][at] = coeffs
+        monkeypatch.setitem(fixtures.JFRACTIONS[tag], kind, tuple(map(tuple, entry)))
         assert main(["verify", "--all"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL cfrac/smallg/closed_forms" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [out for out in lines if out.startswith("FAIL")] == [line]
+        assert lines[-1] == f"{REGISTRY_SIZE - 1}/{REGISTRY_SIZE} checks passed"
+
+    def test_cfrac_families_are_the_table_tags(self):
+        assert list(cli._CFRAC_FAMILIES.values()) == list(fixtures.JFRACTIONS)
+
+    @pytest.mark.parametrize("tag, k", [("smallg", -1), ("smallz", 0)])
+    def test_stored_closed_form_refuses_a_bad_level_or_tag(self, tag, k):
+        with pytest.raises(ValueError):
+            fixtures.expected_jfraction(tag, "s", k)
 
     def test_crashing_check_is_reported_as_failure(self, capsys, monkeypatch):
         def boom(*bounds):
@@ -838,15 +856,65 @@ class TestBenchmarkTracer:
 
     ROOT = Path(__file__).resolve().parents[1]
 
-    def traced(self, *argv):
-        """The stdout of a traced run of argv, after checking its exit code and that nothing is unbound."""
+    def trace(self, *argv):
+        """A traced run of argv and its trace, after checking that the run wrote one trace with nothing unbound."""
         run = _python(str(self.ROOT / "perfbench" / "trace_op.py"), *argv)
-        assert run.returncode == 0, run.stderr.decode()
         mark = "perfbench-trace: "
         lines = [line for line in run.stderr.decode().splitlines() if line.startswith(mark)]
-        assert len(lines) == 1
-        assert json.loads(lines[0][len(mark):])["unbound"] == []
+        assert len(lines) == 1, run.stderr.decode()
+        payload = json.loads(lines[0][len(mark):])
+        assert payload["unbound"] == []
+        return run, payload
+
+    def traced(self, *argv):
+        """The stdout of a traced run of argv, after checking its exit code and its trace."""
+        run, _ = self.trace(*argv)
+        assert run.returncode == 0, run.stderr.decode()
         return run.stdout
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        """The namespace of perfbench/run.py, which imports its siblings as top-level modules."""
+        here = str(self.ROOT / "perfbench")
+        sys.path.insert(0, here)
+        try:
+            return runpy.run_path(str(self.ROOT / "perfbench" / "run.py"))
+        finally:
+            sys.path.remove(here)
+            for name in ("workloads", "trace_op"):
+                sys.modules.pop(name, None)
+
+    @staticmethod
+    def block(bench, workload):
+        """A small block of ops per benchmark workload, reaching the layers its traced run pins."""
+        if workload == "gate":
+            return [("verify", "--all"), ("verify", "--all", "--json")]
+        if workload == "cfrac-deep":
+            return [("cfrac", "--family", family, "--depth", "4") for family in ("c", "g")]
+        if workload == "ring-deep":
+            return ([("verify", "--identity", name, "--order", "8", "--json") for name in bench["workloads"].IDENTITIES]
+                    + [("hankel", "--family", family, "--shift", shift, "--max-n", "5")
+                       for family in ("c", "C") for shift in ("0", "1")])
+        return [("verify", "--order", "20"), ("oracle", "--q-max-n", "6", "--sym-max-n", "8")]
+
+    @pytest.mark.parametrize("workload", ["gate", "cfrac-deep", "ring-deep", "routes-oracle"])
+    def test_traced_block_passes_the_benchmark_self_checks(self, bench, workload):
+        """Each traced op prints its known answer, and the summed layers move or stay zero as run.py requires."""
+        spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        payloads = []
+        for op in self.block(bench, workload):
+            run, payload = self.trace(*op)
+            outcome = bench["Outcome"](0.0, run.returncode, run.stdout.decode(), run.stderr.decode())
+            assert bench["verdict"](op, outcome) is None, op
+            payloads.append(payload)
+        names = [m["name"] for m in spec["per_layer"] if m["name"] != "trace.overhead_ratio"]
+        metrics = bench["layer_metrics"](payloads, names)
+        for must_move, patterns in ((True, bench["MUST_MOVE"][workload]),
+                                    (False, bench["MUST_STAY_ZERO"].get(workload, ()))):
+            for pattern in patterns:
+                matched = fnmatch.filter(metrics, pattern)
+                assert matched, pattern
+                assert [name for name in matched if bool(metrics[name]) != must_move] == [], pattern
 
     def test_trace_leaves_stdout_alone_and_binds_every_layer(self):
         assert self.traced("verify", "--all") == (self.ROOT / "tests" / "data" / "verify_all.out").read_bytes()

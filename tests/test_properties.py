@@ -227,10 +227,10 @@ def test_sign_substitution_is_involution(a):
 @given(coeff_lists)
 @settings(max_examples=60)
 def test_square_substitution_spreads_coefficients(a):
-    p = Polynomial("t", a)
-    q = p.subs_square()
-    assert all(q.coefficient(2 * i + 1) == 0 for i in range(len(a)))
-    assert all(q.coefficient(2 * i) == p.coefficient(i) for i in range(len(a)))
+    q = Polynomial("t", a).subs_square()
+    padded = q.coeffs + (0,) * (2 * len(a) - len(q.coeffs))
+    assert padded[0::2] == tuple(a)
+    assert padded[1::2] == (0,) * len(a)
 
 
 @given(st.lists(st.integers(), max_size=12), st.sampled_from((1, -1)))
@@ -550,8 +550,8 @@ def test_denominator_one_inverse_matches_reference(a0, coeffs):
 
 
 # Single-term operands: Polynomial * takes an inner operand c*t^v in one
-# list, and poly_exact_div a divisor c*t^v as a slice (c = +-1) or one list
-# of divmod.  The oracle is the schoolbook double loop.
+# list, and poly_exact_div a divisor c*t^v as a slice (c = +-1) or by the
+# packed divmod.  The oracle is the schoolbook double loop.
 
 SINGLE_TERM_COEFFS = (1, -1, 2, -2, 3, 2 ** 16, -(2 ** 24))
 
@@ -588,6 +588,22 @@ def test_single_term_product_and_division_match_schoolbook():
 @given(coeff_lists, st.sampled_from(SINGLE_TERM_COEFFS), st.integers(0, 6))
 def test_single_term_paths_hypothesis(coeffs, c, v):
     check_single_term(Polynomial("t", coeffs), c, v)
+
+
+# A divisor c*t^v with c != +-1 takes the packed divmod, under the same
+# digit check and the same refusal as a divisor of two or more terms.
+
+@given(st.lists(st.integers(-99, 99), min_size=1, max_size=9).filter(any),
+       st.sampled_from((2, -2, 3, -5, 6, 7, -12, 100)), st.integers(0, 4), st.data())
+@settings(max_examples=400)
+def test_non_unit_term_division_returns_the_quotient_or_refuses(coeffs, c, v, data):
+    q, m = Polynomial("t", coeffs), Polynomial.monomial("t", v, c)
+    product = list((q * m).coeffs)
+    assert poly_exact_div(Polynomial("t", product), m) == q
+    at = data.draw(st.integers(v, len(product) - 1))
+    product[at] += data.draw(st.sampled_from((1, -1))) * data.draw(st.integers(1, abs(c) - 1))
+    with pytest.raises(NotDivisibleError):
+        poly_exact_div(Polynomial("t", product), m)
 
 
 def test_single_term_division_refuses_what_is_not_a_multiple():
@@ -790,6 +806,23 @@ def jfractions(ring, max_depth=3):
 def test_convergent_evaluation_matches_levelwise(jf, order):
     got = jfraction_to_series(jf, order)
     assert spelled(got.coeffs) == spelled(levelwise_jfraction_to_series(jf, order).coeffs), jf
+
+
+def lifted(jf):
+    """jf with every coefficient a rational function, as extraction returns them."""
+    def lift(c):
+        return c if isinstance(c, RationalFunction) else RationalFunction(c)
+
+    return JFraction(tuple(map(lift, jf.s)), tuple(map(lift, jf.t_coeffs)))
+
+
+@given(st.one_of(jfractions(small_polys), jfractions(small_ratfuns)), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_extraction_inverts_evaluation(jf, extra):
+    # a fraction that does not stop: extraction at its own depth gives it back
+    jf = lifted(jf)
+    order = 2 * jf.depth + 2 + extra
+    assert jfraction_extract(jfraction_to_series(jf, order), jf.depth) == jf
 
 
 @given(jfractions(small_ratfuns, max_depth=2), st.integers(0, 2))
