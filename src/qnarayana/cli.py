@@ -1,9 +1,9 @@
 """Command-line front end: family tables, identity suites, Hankel and
 continued-fraction reports, and the brute-force path oracles.
 
-argparse does all of the parsing: each size option states its range once,
-through one ``type=`` validator, and each verb's parser names the function
-that runs it (``set_defaults(run=...)``).  The check registry
+One table, ``_VERBS``, states each verb's options and runner once.  A
+well-formed argv is read straight off it; argparse is built from it only
+for any other argv (help, usage errors, ``--opt=value``).  The check registry
 (``build_registry``) names every check once and passes it the bounds it
 loops over and reports.  Within one registry run each q-Narayana row is
 built once, each cfrac tag's J-fraction is extracted once, each
@@ -20,10 +20,10 @@ stderr, and identical invocations produce byte-identical output, so
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache, partial
 from itertools import zip_longest
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import dyckoracle, fixtures, gfun, hankel, narayana, qcomb
@@ -381,74 +381,122 @@ def _run_oracle(ns) -> int:
     return _run_checks(tuple(entry for entry in registry if entry[0].startswith("oracle/")), ns.json)
 
 
-def _int_in(low: int, high: int):
-    """An argparse type: an integer in low..high, anything else a usage error naming the option."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be between {low} and {high}")
-        return value
-    return parse
+class _Option(NamedTuple):
+    accepts: tuple | range | None = None  # its choices (read as their type), a size's range, or None for a flag
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    group: str | None = None  # its mutually exclusive group
+    append: bool = False  # collects repeats (--identity)
 
 
-def _add_size(parser, flag: str, low: int, high: int, what: str, **kwargs) -> None:
-    parser.add_argument(flag, type=_int_in(low, high), help=f"{what}, {low}..{high}", **kwargs)
+def _size(low: int, high: int, what: str, **kwargs) -> _Option:
+    return _Option(range(low, high + 1), help=f"{what}, {low}..{high}", **kwargs)
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """Validate argv; the namespace's run(ns) executes it.  argparse exits with code 2 on usage errors."""
-    parser = argparse.ArgumentParser(
-        prog="qnarayana",
-        description="Exact computation and verification of Narayana-type polynomial identities.",
-    )
+# verb -> (the function that runs it, its help, its options by flag in help order)
+_VERBS = {
+    "poly": (_run_poly, "print one member of a polynomial family", {
+        "--family": _Option(tuple(sorted(_POLY_FAMILIES)), required=True,
+                            help="c (signed specialization), C (Narayana), B (type B), catalan"),
+        "--n": _size(0, MAX_POLY_N, "index within the family", required=True),
+        "--json": _Option(default=False),
+    }),
+    "hankel": (_run_hankel, "Hankel determinant table against predictions", {
+        "--family": _Option(tuple(sorted(alias for alias, family in _POLY_FAMILIES.items()
+                                         if family in (f for f, _ in hankel.HANKEL_SIGNS))), required=True),
+        "--shift": _Option(tuple(sorted({shift for _, shift in hankel.HANKEL_SIGNS})), default=0),
+        "--max-n": _size(1, MAX_HANKEL_N, "largest dimension", default=DEFAULT_HANKEL_MAX_N),
+        "--csv": _Option(default=False, group="format"),
+        "--json": _Option(default=False, group="format"),
+    }),
+    "cfrac": (_run_cfrac, "extracted continued-fraction coefficients beside their closed forms", {
+        "--family": _Option(tuple(sorted(_CFRAC_FAMILIES)), required=True),
+        "--depth": _size(0, MAX_CFRAC_DEPTH, "number of subdiagonal levels", default=DEFAULT_CFRAC_DEPTH),
+        "--json": _Option(default=False),
+    }),
+    "verify": (_run_verify, "run identity checks (--all for the full registry)", {
+        "--all": _Option(default=False, help="run every registered check", group="scope"),
+        "--identity": _Option(gfun.ALL_IDENTITIES, help="check one identity (repeatable)", group="scope", append=True),
+        "--order": _size(2, MAX_ORDER, "series order of the identity checks", default=DEFAULT_ORDER),
+        "--json": _Option(default=False),
+    }),
+    "oracle": (_run_oracle, "brute-force path enumerations against the formulas", {
+        "--q-max-n": _size(0, dyckoracle.MAX_QT, "largest semi-length of the enumerated Dyck paths",
+                           default=DEFAULT_QT_MAX_N),
+        "--sym-max-n": _size(0, dyckoracle.MAX_SYMMETRIC, "largest semi-length of the symmetric paths",
+                             default=DEFAULT_SYM_MAX_N),
+        "--json": _Option(default=False),
+    }),
+}
+
+
+def _value(accepts, text: str):  # the member of accepts that text spells (a choice as str() does), or None
+    if isinstance(accepts, range):  # ASCII digits, few enough for int(), which refuses over 4300 of them
+        return int(text) if text.isascii() and text.isdigit() and len(text) < 9 and int(text) in accepts else None
+    return {str(choice): choice for choice in accepts}.get(text)
+
+
+def _match(argv):
+    """argparse's namespace for a well-formed argv, else None: the verb, then each option in full as its own token
+    and its value (see _value) as the next; a store option at most once; required ones given; one per group."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    run, _, options = _VERBS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for flag in tokens:
+        option = options.get(flag)
+        if option is None or (flag in given and not option.append):
+            return None
+        value = True if option.accepts is None else _value(option.accepts, next(tokens, ""))
+        if value is None:
+            return None
+        given[flag] = given.get(flag, []) + [value] if option.append else value
+    groups = [option.group for flag, option in options.items() if option.group and flag in given]
+    if len(set(groups)) < len(groups) or any(o.required and flag not in given for flag, o in options.items()):
+        return None
+    dests = {flag[2:].replace("-", "_"): given.get(flag, option.default) for flag, option in options.items()}
+    return SimpleNamespace(verb=argv[0], **dests, run=run)
+
+
+def _int_in(sizes: range, text: str) -> int:
+    """The argparse type of a size: text as an integer in sizes, anything else a usage error naming the option."""
+    import argparse  # loaded already: only a parser from _parser calls this
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value not in sizes:
+        raise argparse.ArgumentTypeError(f"must be between {sizes[0]} and {sizes[-1]}")
+    return value
+
+
+def _parser():
+    """The argparse parser of _VERBS, the one source of help, usage and error text; built for argv _match refuses."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="qnarayana", description="Exact computation and verification of "
+                                     "Narayana-type polynomial identities.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (run, help_text, options) in _VERBS.items():
+        p_verb = sub.add_parser(verb, help=help_text)
+        p_verb.set_defaults(run=run)
+        groups = {group: p_verb.add_mutually_exclusive_group() for group in dict.fromkeys(
+            option.group for option in options.values() if option.group)}
+        for flag, option in options.items():
+            accepts = option.accepts
+            kind = (dict(action="store_true") if accepts is None
+                    else dict(type=partial(_int_in, accepts)) if isinstance(accepts, range)
+                    else dict(action="append" if option.append else "store", choices=accepts, type=type(accepts[0])))
+            groups.get(option.group, p_verb).add_argument(
+                flag, default=option.default, required=option.required, help=option.help, **kind)
+    return parser
 
-    p_poly = sub.add_parser("poly", help="print one member of a polynomial family")
-    p_poly.set_defaults(run=_run_poly)
-    p_poly.add_argument("--family", required=True, choices=sorted(_POLY_FAMILIES),
-                        help="c (signed specialization), C (Narayana), B (type B), catalan")
-    _add_size(p_poly, "--n", 0, MAX_POLY_N, "index within the family", required=True)
-    p_poly.add_argument("--json", action="store_true")
 
-    p_hankel = sub.add_parser("hankel", help="Hankel determinant table against predictions")
-    p_hankel.set_defaults(run=_run_hankel)
-    families, shifts = zip(*hankel.HANKEL_SIGNS)
-    p_hankel.add_argument("--family", required=True,
-                          choices=sorted(alias for alias, family in _POLY_FAMILIES.items() if family in families))
-    p_hankel.add_argument("--shift", type=int, choices=sorted(set(shifts)), default=0)
-    _add_size(p_hankel, "--max-n", 1, MAX_HANKEL_N, "largest dimension", default=DEFAULT_HANKEL_MAX_N)
-    fmt = p_hankel.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true")
-    fmt.add_argument("--json", action="store_true")
-
-    p_cfrac = sub.add_parser("cfrac", help="extracted continued-fraction coefficients beside their closed forms")
-    p_cfrac.set_defaults(run=_run_cfrac)
-    p_cfrac.add_argument("--family", required=True, choices=sorted(_CFRAC_FAMILIES))
-    _add_size(p_cfrac, "--depth", 0, MAX_CFRAC_DEPTH, "number of subdiagonal levels",
-              default=DEFAULT_CFRAC_DEPTH)
-    p_cfrac.add_argument("--json", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="run identity checks (--all for the full registry)")
-    p_verify.set_defaults(run=_run_verify)
-    scope = p_verify.add_mutually_exclusive_group()
-    scope.add_argument("--all", action="store_true", help="run every registered check")
-    scope.add_argument("--identity", action="append", choices=gfun.ALL_IDENTITIES,
-                       help="check one identity (repeatable)")
-    _add_size(p_verify, "--order", 2, MAX_ORDER, "series order of the identity checks", default=DEFAULT_ORDER)
-    p_verify.add_argument("--json", action="store_true")
-
-    p_oracle = sub.add_parser("oracle", help="brute-force path enumerations against the formulas")
-    p_oracle.set_defaults(run=_run_oracle)
-    _add_size(p_oracle, "--q-max-n", 0, dyckoracle.MAX_QT, "largest semi-length of the enumerated Dyck paths",
-              default=DEFAULT_QT_MAX_N)
-    _add_size(p_oracle, "--sym-max-n", 0, dyckoracle.MAX_SYMMETRIC, "largest semi-length of the symmetric paths",
-              default=DEFAULT_SYM_MAX_N)
-    p_oracle.add_argument("--json", action="store_true")
-
-    return parser.parse_args(argv)
+def parse_args(argv) -> SimpleNamespace:
+    """Validate argv; the namespace's run(ns) executes it.  argparse exits with code 2 on usage errors."""
+    return _match(argv) or SimpleNamespace(**vars(_parser().parse_args(argv)))
 
 
 def main(argv=None) -> int:

@@ -334,6 +334,74 @@ class TestGoldenStdout:
         assert run.stdout == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+class TestStrictReader:
+    """cli._match reads every benchmark and golden argv as argparse reads it, and leaves every refusal to argparse."""
+
+    @pytest.mark.parametrize("workload", ["gate", "cfrac-deep", "ring-deep", "routes-oracle"])
+    def test_benchmark_traffic_is_matched(self, bench, workload):
+        parser = cli._parser()
+        for op in sorted(set(bench["workloads"].generate(workload, 1)[0])):
+            ns = cli._match(list(op))
+            assert ns is not None and vars(ns) == vars(parser.parse_args(op)), op
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_argv_is_matched(self, name):
+        ns = cli._match(GOLDEN[name])
+        assert ns is not None and vars(ns) == vars(cli._parser().parse_args(GOLDEN[name]))
+
+    # the refusals of TestParseArgs, and each size one past its cap
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"], ["poly", "--n", "3"], ["poly", "--family", "c", "--n", "five"],
+        ["poly", "--family", "c", "--n", "-1"], ["verify", "--identity", "eq99"],
+        ["verify", "--all", "--identity", "eq15"], ["oracle", "--q-max-n", str(dyckoracle.MAX_QT + 1)],
+        ["hankel", "--family", "X"], ["hankel", "--family", "B"], ["hankel", "--family", "catalan"],
+        ["hankel", "--family", "c", "--shift", "2"], ["hankel", "--family", "C", "--shift", "-1"], ["hankel", "--help"],
+        ["poly", "--family", "C", "--n", str(cli.MAX_POLY_N + 1)], ["hankel", "--family", "C", "--max-n", "31"],
+        ["hankel", "--family", "C", "--max-n", "2.5"], ["cfrac", "--family", "c", "--depth", "51"],
+        ["cfrac", "--family", "c", "--depth", "1e3"], ["verify", "--order", "161"], ["verify", "--order", "0x1f"],
+        ["verify", "--all", "--order", "161"], ["verify", "--all", "--order", ""], ["oracle", "--q-max-n", "ten"],
+        ["oracle", "--sym-max-n", str(dyckoracle.MAX_SYMMETRIC + 1)], ["oracle", "--sym-max-n", "3 4"],
+    ])
+    def test_refusals_are_not_matched(self, capsys, argv):
+        assert cli._match(argv) is None
+        with pytest.raises(SystemExit):
+            parse_args(argv)
+
+
+HELP = {"help.out": [], "help_poly.out": ["poly"], "help_hankel.out": ["hankel"], "help_cfrac.out": ["cfrac"],
+        "help_verify.out": ["verify"], "help_oracle.out": ["oracle"]}
+
+USAGE_ERRORS = {
+    "usage_unknown_verb.err": ["frobnicate"],
+    "usage_poly_no_family.err": ["poly", "--n", "3"],
+    "usage_poly_n_five.err": ["poly", "--family", "c", "--n", "five"],
+    "usage_hankel_shift2.err": ["hankel", "--family", "c", "--shift", "2"],
+    "usage_cfrac_depth51.err": ["cfrac", "--family", "c", "--depth", "51"],
+    "usage_verify_all_identity.err": ["verify", "--all", "--identity", "eq15"],
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+class TestHelpAndUsageText:
+    """The help (stdout, exit 0) and usage errors (stderr, exit 2) equal the committed `tests/data/` files.
+
+    The files were recorded from the parser as written before the option
+    table, cli._VERBS, existed, at a terminal width of 80 columns.
+    """
+
+    @pytest.mark.parametrize("name", sorted(HELP))
+    def test_help(self, flags, name):
+        run = _python(*flags, "-m", "qnarayana.cli", *HELP[name], "--help", COLUMNS="80")
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == (Path(__file__).parent / "data" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+    def test_usage_error(self, flags, name):
+        run = _python(*flags, "-m", "qnarayana.cli", *USAGE_ERRORS[name], COLUMNS="80")
+        assert (run.returncode, run.stdout) == (2, b"")
+        assert run.stderr == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 class TestFaultInjection:
     def test_mutated_first_terms_fixture_flips_exit_code(self, capsys, monkeypatch):
         broken = list(fixtures.FIRST_TERMS_SMALL_C)
@@ -678,10 +746,10 @@ class TestPublicNames:
         assert set(namespace) - {"__builtins__"} == set(qnarayana.__all__)
 
 
-def _python(*args):
-    """Run the interpreter on args, with the package's source directory on the path."""
+def _python(*args, **env):
+    """Run the interpreter on args, with the package's source directory on the path and env set."""
     src = str(Path(qnarayana.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
 
 
@@ -694,7 +762,22 @@ class TestStartUp:
                         for code in (listing, "import qnarayana.cli; " + listing))
         added = set(loaded) - set(bare)  # a site hook that loads a module loads it in both runs
         assert "qnarayana.cli" in added
-        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"})
+        assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "argparse"})
+
+    @pytest.mark.parametrize("argv, code, loaded", [
+        (["cfrac", "--family", "c", "--depth", "3"], 0, False),
+        (["cfrac", "--help"], 0, True),
+        (["cfrac", "--family", "c", "--depth", "51"], 2, True),
+    ], ids=["well-formed", "help", "usage-error"])
+    def test_argparse_loads_only_for_help_and_usage_errors(self, argv, code, loaded):
+        script = ("import sys\n"
+                  "from qnarayana.cli import main\n"
+                  f"code = main({argv!r})\n"
+                  "sys.stderr.write(repr(('argparse' in sys.modules, 'gettext' in sys.modules)))\n"
+                  "sys.exit(code)\n")
+        run = _python("-c", script)
+        assert run.returncode == code
+        assert run.stderr.decode().endswith(repr((loaded, loaded)))
 
     @pytest.mark.parametrize("golden, json_loaded", [("verify_all_json.out", True),
                                                      ("cfrac_c_depth12.out", False)])
@@ -851,14 +934,28 @@ class TestReadmeCapTable:
         assert {option: int(span.split("..")[1]) for option, span in ranges.items()} == self.CAPS
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The namespace of perfbench/run.py, which imports its siblings as top-level modules."""
+    here = str(ROOT / "perfbench")
+    sys.path.insert(0, here)
+    try:
+        return runpy.run_path(str(ROOT / "perfbench" / "run.py"))
+    finally:
+        sys.path.remove(here)
+        for name in ("workloads", "trace_op"):
+            sys.modules.pop(name, None)
+
+
 class TestBenchmarkTracer:
     """perfbench/trace_op.py can still wrap every layer it times after a change to the package."""
 
-    ROOT = Path(__file__).resolve().parents[1]
-
     def trace(self, *argv):
         """A traced run of argv and its trace, after checking that the run wrote one trace with nothing unbound."""
-        run = _python(str(self.ROOT / "perfbench" / "trace_op.py"), *argv)
+        run = _python(str(ROOT / "perfbench" / "trace_op.py"), *argv)
         mark = "perfbench-trace: "
         lines = [line for line in run.stderr.decode().splitlines() if line.startswith(mark)]
         assert len(lines) == 1, run.stderr.decode()
@@ -871,18 +968,6 @@ class TestBenchmarkTracer:
         run, _ = self.trace(*argv)
         assert run.returncode == 0, run.stderr.decode()
         return run.stdout
-
-    @pytest.fixture(scope="class")
-    def bench(self):
-        """The namespace of perfbench/run.py, which imports its siblings as top-level modules."""
-        here = str(self.ROOT / "perfbench")
-        sys.path.insert(0, here)
-        try:
-            return runpy.run_path(str(self.ROOT / "perfbench" / "run.py"))
-        finally:
-            sys.path.remove(here)
-            for name in ("workloads", "trace_op"):
-                sys.modules.pop(name, None)
 
     @staticmethod
     def block(bench, workload):
@@ -900,7 +985,7 @@ class TestBenchmarkTracer:
     @pytest.mark.parametrize("workload", ["gate", "cfrac-deep", "ring-deep", "routes-oracle"])
     def test_traced_block_passes_the_benchmark_self_checks(self, bench, workload):
         """Each traced op prints its known answer, and the summed layers move or stay zero as run.py requires."""
-        spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
         payloads = []
         for op in self.block(bench, workload):
             run, payload = self.trace(*op)
@@ -917,7 +1002,7 @@ class TestBenchmarkTracer:
                 assert [name for name in matched if bool(metrics[name]) != must_move] == [], pattern
 
     def test_trace_leaves_stdout_alone_and_binds_every_layer(self):
-        assert self.traced("verify", "--all") == (self.ROOT / "tests" / "data" / "verify_all.out").read_bytes()
+        assert self.traced("verify", "--all") == (ROOT / "tests" / "data" / "verify_all.out").read_bytes()
 
     def test_trace_of_hankel_matches_the_plain_run(self):
         argv = ["hankel", "--family", "c", "--shift", "1", "--max-n", "8"]

@@ -1,15 +1,18 @@
 """Randomized algebra-law checks for the exact arithmetic layer."""
 
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnarayana import exactalg
+from qnarayana import cli, exactalg
 from qnarayana.exactalg import (
     NotDivisibleError,
     Polynomial,
@@ -835,3 +838,69 @@ def test_terminated_fraction_reproduces_its_series(jf, extra):
     got = jfraction_extract(series, jf.depth + 1)
     assert got == jf._replace(terminated=True)
     assert jfraction_to_series(got, order) == series
+
+
+# Tokens a command line can hold beside the option table's own: other verbs,
+# help, abbreviations, --opt=value, and integers argparse reads but the table
+# spells otherwise (sign, leading zero, other scripts' digits, spaces,
+# underscores, more digits than int() takes).
+JUNK_VERBS = ["frobnicate", "pol", "-h", ""]
+JUNK_FLAGS = ["-h", "--help", "--dep", "--fam", "--n=3", "--family=c", "--", "-", "--max_n", "-n"]
+JUNK_VALUES = ["01", "\u0663", "+3", " 3", "3_0", "-0", "1e3", "", "x", "--json", "9" * 5000]
+
+
+def cli_values():
+    """verb -> flag -> the values the table spells, with each range's ends and the integers just outside them."""
+    values = {}
+    for verb, (_, _, options) in cli._VERBS.items():
+        for flag, option in options.items():
+            accepts = option.accepts
+            if isinstance(accepts, range):
+                accepts = (accepts[0] - 1, accepts[0], accepts[0] + 1, accepts[-1], accepts[-1] + 1)
+            values.setdefault(verb, {})[flag] = list(map(str, accepts or ()))
+    return values
+
+
+@st.composite
+def cli_argvs(draw):
+    """A verb, some of its options in any order with values from the table, and maybe up to two tokens anywhere."""
+    values = cli_values()
+    verb = draw(st.sampled_from(sorted(values)))
+    argv = [verb]
+    for flag in draw(st.lists(st.sampled_from(sorted(values[verb])), unique=True)):
+        own = values[verb][flag]
+        argv += [flag, draw(st.sampled_from(own))] if own else [flag]
+    if draw(st.booleans()):
+        anywhere = sorted({token for options in values.values() for flag, own in options.items()
+                           for token in [flag, *own]})
+        for token in draw(st.lists(st.sampled_from(anywhere + JUNK_VERBS + JUNK_FLAGS + JUNK_VALUES), max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@cache
+def argparse_parser():
+    return cli._parser()
+
+
+def argparse_reads(argv):
+    """vars of argparse's namespace for argv, or None when it exits (help or a usage error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(argparse_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@given(cli_argvs())
+@settings(max_examples=400, deadline=None)
+@example(["verify", "--identity", "eq15", "--identity", "eq16", "--order", "2"])
+@example(["verify", "--identity", "eq15", "--all"])
+@example(["hankel", "--family", "c", "--csv", "--json"])
+@example(["hankel", "--family", "c", "--shift", "01"])
+@example(["cfrac", "--family", "c", "--depth", "5", "--depth", "6"])
+@example(["poly", "--family", "C", "--n", "9" * 5000])
+def test_strict_reader_agrees_with_argparse(argv):
+    # a matched argv reads as argparse reads it; one argparse refuses is never matched
+    matched = cli._match(argv)
+    assert matched is None or vars(matched) == argparse_reads(argv), argv
