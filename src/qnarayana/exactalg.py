@@ -215,8 +215,6 @@ class Polynomial:
 
     def subs_square(self):
         """Substitute var -> var**2 (spread coefficients to even powers)."""
-        if not self.coeffs:
-            return self
         out = [0] * (2 * len(self.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             out[2 * i] = c
@@ -530,12 +528,6 @@ class RationalFunction:
             return RationalFunction._trusted(self.num - other.num, self.den)
         return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
@@ -712,6 +704,7 @@ def _inverse(a, inv0):
 
 
 def ring_to_json(c):
+    """Wire form of a report side, an ``int`` or a ``Polynomial``; the CLI writes no other type."""
     if isinstance(c, int):
         return str(c)
     return c.to_json()
@@ -788,9 +781,6 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)], self.order)
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -880,7 +870,3 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.coeffs!r}, {self.order!r})"
-
-    def __str__(self):
-        parts = [f"({c})z^{i}" for i, c in enumerate(self.coeffs)]
-        return " + ".join(parts)

@@ -25,7 +25,6 @@ the module so that every reader of them reads the same function.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
 from math import prod
 from typing import NamedTuple
 
@@ -92,21 +91,21 @@ class _Statement:
     """One series statement, evaluated by recursive descent as it is parsed.
 
     Grammar: integers, ``t``, ``z``, ``+``, ``-``, juxtaposition as product,
-    ``^k`` and parentheses; ``1/X``, the series inverse; ``(X)/z``, X taken
-    one order longer so that no power is lost, and refused when X has a
-    nonzero constant term; the generators ``C``, ``G``,
-    ``c``, ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or
-    ``(t^2,z^2)``.  A factor's value is a t-polynomial, a series, or the int 1
-    for z.  A term multiplies its series factors first, then applies its z^k
-    and its t-polynomial as ``shift_up`` and ``scale``.
+    ``^k`` and parentheses; ``1/X``, the series inverse; ``(X)/z``, refused
+    when X has a nonzero constant term; the generators ``C``, ``G``, ``c``,
+    ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or ``(t^2,z^2)``.
+    A parenthesized sum is evaluated one order longer, so that ``(X)/z``
+    loses no power; any other parenthesized series is cut back to the order.
+    A factor's value is a t-polynomial, a series, or the int 1 for z.  A term
+    multiplies its series factors first, then applies its z^k and its
+    t-polynomial as ``shift_up`` and ``scale``.  A malformed statement raises
+    ``ValueError`` naming the identity and the position.
     """
 
     def __init__(self, identity, text):
         self.identity, self.text = identity, text
         self.tokens = [(m.group(), m.start()) for m in re.finditer(_TOKEN, text)] + [(None, len(text))]
         self.at, self.built = 0, {}  # the next token; (tag, order) -> each generator, built once
-        # the nesting depth after each token: a "(" is closed by the first later token below its depth
-        self.depth = list(accumulate((token == "(") - (token == ")") for token, _ in self.tokens))
 
     def fail(self, what, at=None):
         position = self.tokens[self.at if at is None else at][1]
@@ -180,13 +179,10 @@ class _Statement:
             return _ARGUMENTS[argument](self.built[tag, order])
         if token != "(":
             self.fail(f"unexpected {token!r}", start)
-        # (X)/z takes X one order longer, so that no power is lost
-        closing = [i for i in range(start, len(self.tokens)) if self.depth[i] < self.depth[start]]
-        longer = bool(closing) and self.tokens[closing[0] + 1][0] == "/"
-        value = self.sum(order + longer)
+        value = self.sum(order + 1)
         self.take(")")
-        if not longer:
-            return value
+        if not self.peek("/"):
+            return value.truncate(order) if isinstance(value, TruncatedSeries) else value
         self.take("/")
         self.take("z")
         value = self.series(value, start)
@@ -245,7 +241,7 @@ def verify_identity(identity: str, order: int) -> IdentityReport:
     if order < 2:
         raise ValueError("identity checks need order >= 2")
     lhs, rhs = _sides(identity, order)
-    for power, (a, b) in enumerate(zip(lhs, rhs)):
+    for power, (a, b) in enumerate(zip(lhs, rhs, strict=True)):
         if a != b:
             return IdentityReport(identity, order, "fail", power, a, b)
     return IdentityReport(identity, order, "pass")

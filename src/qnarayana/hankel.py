@@ -46,6 +46,7 @@ determine every Hankel determinant through the double product
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .exactalg import (
@@ -58,7 +59,7 @@ from .exactalg import (
     ring_one_like,
 )
 from .gfun import build_series
-from .narayana import TVAR, binomial, poly_sequence
+from .narayana import TVAR, poly_sequence
 
 
 class _PolyMatrixFields(NamedTuple):
@@ -66,7 +67,7 @@ class _PolyMatrixFields(NamedTuple):
 
 
 class PolyMatrix(_PolyMatrixFields):
-    """Square matrix of polynomials sharing one variable."""
+    """Square matrix of polynomials in one variable; TypeError for another entry, ValueError for another shape."""
 
     __slots__ = ()
 
@@ -214,7 +215,7 @@ def expected_hankel(family: str, shift: int, n: int) -> Polynomial:
                          f"(expected one of {tuple(HANKEL_SIGNS)})")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    e = binomial(n, 2)
+    e = math.comb(n, 2)
     return Polynomial.monomial(TVAR, e, HANKEL_SIGNS[family, shift] ** e)
 
 

@@ -23,13 +23,6 @@ _T = Polynomial.gen(TVAR)
 _ONE_PLUS_T = Polynomial(TVAR, (1, 1))
 
 
-def binomial(n: int, k: int) -> int:
-    """binom(n, k), zero outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def catalan_number(n: int) -> int:
     """binom(2n, n) / (n + 1), the division exact."""
     if n < 0:
@@ -50,7 +43,7 @@ def narayana_number(n: int, k: int) -> int:
         raise ValueError("Narayana numbers need n >= 1")
     if k < 0 or k > n - 1:
         return 0
-    q, r = divmod(binomial(n, k) * binomial(n - 1, k), k + 1)
+    q, r = divmod(math.comb(n, k) * math.comb(n - 1, k), k + 1)
     if r:
         raise ArithmeticError(f"binom(n,k) * binom(n-1,k) is not divisible by k + 1 at n={n}, k={k}")
     return q
@@ -82,8 +75,6 @@ def narayana_poly(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n == 0:
-        return _ONE
     return Polynomial(TVAR, _row_by_ratio(n, lambda k: ((n - k) * (n - k - 1), (k + 1) * (k + 2))))
 
 
@@ -103,7 +94,7 @@ def v_coeff(n: int, k: int) -> int:
         raise ValueError("v coefficients need n >= 1")
     if k < 0:
         return 0
-    return binomial((n - 1) // 2, k // 2) * binomial(n // 2, (k + 1) // 2)
+    return math.comb((n - 1) // 2, k // 2) * math.comb(n // 2, (k + 1) // 2)
 
 
 @functools.cache
@@ -118,8 +109,6 @@ def c_poly(n: int) -> Polynomial:
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n == 0:
-        return _ONE
     tops = (n // 2, (n - 1) // 2)
     return Polynomial(TVAR, _row_by_ratio(n, lambda k: (tops[k % 2] - k // 2, k // 2 + 1)))
 
@@ -164,7 +153,7 @@ def special_values(n: int) -> tuple[int, int]:
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    at_one = binomial(n, n // 2)
+    at_one = math.comb(n, n // 2)
     if n == 0:
         at_minus_one = 1
     elif n % 2 == 0:

@@ -6,6 +6,7 @@ per-criterion lines.
 """
 
 import random
+from math import comb as binomial
 
 from qnarayana import cli, fixtures
 from qnarayana.exactalg import Polynomial, RationalFunction
@@ -23,7 +24,6 @@ from qnarayana.hankel import (
 )
 from qnarayana.narayana import (
     TVAR,
-    binomial,
     c_odd_closed,
     c_poly,
     c_poly_recursive,

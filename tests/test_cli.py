@@ -442,6 +442,14 @@ class TestFaultInjection:
         assert main(["verify"]) == 1
         assert "FAIL routes/c_three_ways (error: injected)" in capsys.readouterr().out
 
+    def test_internal_error_exits_one_with_its_message(self, capsys, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(hankel, "hankel_table", boom)
+        assert main(["hankel", "--family", "c"]) == 1
+        assert capsys.readouterr() == ("", "error: boom\n")
+
 
 def _plus_at(at, extra):
     """Perturb a builder: its value at the arguments `at` gets `extra` added."""
@@ -548,6 +556,25 @@ def _series_plus_t(tag, power):
     return perturb
 
 
+def _cut_to_depth(tag, depth):
+    """Perturb hankel.jfraction_extract: the fraction of `tag` is cut to `depth` levels and marked terminated."""
+    def perturb(jfraction_extract):
+        def perturbed(series, levels):
+            jf = jfraction_extract(series, levels)
+            if series != hankel.ratfun_series(tag, series.order):
+                return jf
+            return hankel.JFraction(jf.s[:depth + 1], jf.t_coeffs[:depth], terminated=True)
+        return perturbed
+    return perturb
+
+
+def _empty_class_at(at, k):
+    """Perturb dyckoracle.qt_distribution: at semi-length `at` an empty valley class k is added."""
+    def perturb(qt_distribution):
+        return lambda n: {**qt_distribution(n), k: Polynomial.zero("q")} if n == at else qt_distribution(n)
+    return perturb
+
+
 def _square_without_doubling(convolve):
     """Perturb exactalg._convolve: a square sums each symmetric pair a_i a_(m-i) once instead of twice."""
     def perturbed(a, b):
@@ -624,12 +651,17 @@ class TestCheckReportsItsOwnDiff:
          "FAIL cfrac/smallg/closed_forms (s_9: extracted (-1-t^8-t^9)/(t^8), stored -1-t)"),
         (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17),
          "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
+        (["verify", "--all"], hankel, "jfraction_extract", _cut_to_depth("smallg", 8),
+         "FAIL cfrac/smallg/closed_forms (extraction stopped at depth 8)"),
+        (["oracle"], dyckoracle, "qt_distribution", _empty_class_at(3, 3),
+         "FAIL oracle/valley_major (n=3: 4 valley classes, expected 3)"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
             "q-row-ratio-step", "q-row-ratio-step-oracle", "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity",
             "identity-statement", "hankel", "eval-at-one", "eval-at-minus-one", "q-catalan-sum",
             "hankel-entry-update", "product-formula-smallg", "product-formula-smallc",
-            "roundtrip", "closed-forms-smallg", "closed-forms-smallc"])
+            "roundtrip", "closed-forms-smallg", "closed-forms-smallc", "extraction-stopped",
+            "valley-class-count"])
     def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
         monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
         assert main(argv) == 1
@@ -744,6 +776,52 @@ class TestPublicNames:
         namespace = {}
         exec("from qnarayana import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(qnarayana.__all__)
+
+    # each public refusal of a malformed or out-of-range argument: the call, its exception type and message
+    REFUSALS = {
+        "catalan_number": (lambda: narayana.catalan_number(-1), ValueError, "Catalan numbers need n >= 0"),
+        "narayana_number": (lambda: narayana.narayana_number(0, 0), ValueError, "Narayana numbers need n >= 1"),
+        "v_coeff": (lambda: narayana.v_coeff(0, 0), ValueError, "v coefficients need n >= 1"),
+        "poly_sequence": (lambda: narayana.poly_sequence("small_c", -1), ValueError, "length must be >= 0"),
+        "narayana_poly": (lambda: narayana.narayana_poly(-1), ValueError, "index must be >= 0"),
+        "narayana_b_poly": (lambda: narayana.narayana_b_poly(-1), ValueError, "index must be >= 0"),
+        "c_poly": (lambda: narayana.c_poly(-1), ValueError, "index must be >= 0"),
+        "c_poly_recursive": (lambda: narayana.c_poly_recursive(-1), ValueError, "index must be >= 0"),
+        "c_odd_closed": (lambda: narayana.c_odd_closed(-1), ValueError, "index must be >= 0"),
+        "special_values": (lambda: narayana.special_values(-1), ValueError, "index must be >= 0"),
+        "q_narayana_row": (lambda: qcomb.q_narayana_row(-1), ValueError, "row index must be >= 0"),
+        "q_catalan": (lambda: qcomb.q_catalan(-1), ValueError, "q-Catalan needs n >= 0"),
+        "build_series": (lambda: gfun.build_series("bigC", -1), ValueError, "order must be >= 0"),
+        "hankel_matrix": (lambda: hankel.hankel_matrix(narayana.poly_sequence("small_c", 3), 0, 0),
+                          ValueError, "dimension must be >= 1"),
+        "hankel_table": (lambda: hankel.hankel_table("small_c", 0, 0), ValueError, "max_n must be >= 1"),
+        "jfraction_extract": (lambda: hankel.jfraction_extract(hankel.ratfun_series("smallg", 4), -1),
+                              ValueError, "depth must be >= 0"),
+        "jfraction_to_series": (lambda: hankel.jfraction_to_series(hankel.JFraction((), ()), -1),
+                                ValueError, "order must be >= 0"),
+        "hankel_product_formula": (lambda: hankel.hankel_product_formula((), 0), ValueError, "dimension must be >= 1"),
+        "enumerate_symmetric": (lambda: next(dyckoracle.enumerate_symmetric(-1)),
+                                ValueError, "semi-length must be >= 0"),
+        "Polynomial": (lambda: Polynomial("", ()), TypeError, "variable must be a non-empty string"),
+        "Polynomial.monomial": (lambda: Polynomial.monomial("t", -1), ValueError, "monomial power must be >= 0"),
+        "poly_exact_div": (lambda: exactalg.poly_exact_div(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
+        "poly_gcd": (lambda: exactalg.poly_gcd(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
+        "RationalFunction": (lambda: RationalFunction(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
+        "TruncatedSeries-empty": (lambda: TruncatedSeries(()), ValueError,
+                                  "a series needs at least its constant coefficient"),
+        "TruncatedSeries-short": (lambda: TruncatedSeries((1, 2), 5), ValueError, "expected 6 coefficients, got 2"),
+        "TruncatedSeries.from_coeffs": (lambda: TruncatedSeries.from_coeffs([], 3), ValueError,
+                                        "cannot infer the coefficient ring from an empty list"),
+        "shift_up": (lambda: TruncatedSeries((1, 2), 1).shift_up(-1), ValueError, "shift must be >= 0"),
+        "shift_down": (lambda: TruncatedSeries((1, 2), 1).shift_down(2), ValueError, "shift out of range"),
+        "truncate": (lambda: TruncatedSeries((1, 2), 1).truncate(2), ValueError, "can only truncate to a lower order"),
+    }
+
+    @pytest.mark.parametrize("call, error, message", list(REFUSALS.values()), ids=list(REFUSALS))
+    def test_refusal(self, call, error, message):
+        with pytest.raises(error) as refused:
+            call()
+        assert str(refused.value) == message
 
 
 def _python(*args, **env):

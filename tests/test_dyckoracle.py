@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import product
+from math import comb as binomial
 
 import pytest
 
@@ -17,7 +18,7 @@ from qnarayana.dyckoracle import (
     symmetric_valley_distribution,
 )
 from qnarayana.exactalg import Polynomial
-from qnarayana.narayana import binomial, catalan_number, narayana_number
+from qnarayana.narayana import catalan_number, narayana_number
 from qnarayana.qcomb import QVAR
 
 

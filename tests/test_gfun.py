@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qnarayana import gfun
 from qnarayana.exactalg import Polynomial, TruncatedSeries
 from qnarayana.gfun import (
     ALL_IDENTITIES,
@@ -84,6 +85,19 @@ class TestVerifyIdentity:
         assert blob["status"] == "fail"
         assert blob["power"] == 3
         assert blob["lhs"] == {"var": "t", "coeffs": ["1"]}
+
+    @pytest.mark.parametrize("order", [4, 20])
+    def test_eq18_compares_the_top_coefficient(self, monkeypatch, order):
+        # G's coefficient z^order is compared: (C - 1)/z is taken one order longer, and a short side raises
+        build = gfun.build_series
+
+        def perturbed(tag, n):
+            f = build(tag, n)
+            return TruncatedSeries(f.coeffs[:-1] + (f.coeffs[-1] + P(0, 1),), n) if tag == "bigG" else f
+
+        monkeypatch.setattr(gfun, "build_series", perturbed)
+        report = verify_identity("eq18", order)
+        assert (report.status, report.power) == ("fail", order)
 
     def test_stability_under_truncation(self):
         # the sides at order N are the prefixes of the sides at order N+5, so

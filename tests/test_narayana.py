@@ -1,3 +1,4 @@
+from math import comb as binomial
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +7,6 @@ from qnarayana import narayana
 from qnarayana.exactalg import Polynomial
 from qnarayana.narayana import (
     TVAR,
-    binomial,
     c_odd_closed,
     c_poly,
     c_poly_recursive,
@@ -44,7 +44,7 @@ class TestBasics:
         monkeypatch.setattr(narayana, "math", SimpleNamespace(comb=lambda n, k: 7))
         with pytest.raises(ArithmeticError, match="not divisible"):
             catalan_number(2)
-        monkeypatch.setattr(narayana, "binomial", lambda n, k: 1)
+        monkeypatch.setattr(narayana, "math", SimpleNamespace(comb=lambda n, k: 1))
         with pytest.raises(ArithmeticError, match="not divisible"):
             narayana_number(3, 1)
 
