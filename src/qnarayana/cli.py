@@ -122,12 +122,18 @@ def _check_identity(identity: str, order: int) -> tuple[bool, str]:
     return False, f"power={report.power}: {report.lhs} vs {report.rhs}"
 
 
+def _hankel_rows(dets, family: str, shift: int):
+    """Each leading Hankel determinant of (family, shift) beside its prediction: (n, det, expected)."""
+    for n, det in enumerate(dets, 1):
+        yield n, det, hankel.expected_hankel(family, shift, n)
+
+
 def _check_hankel(table, family: str, shift: int) -> tuple[bool, str]:
-    rows = table(family, shift)
-    for row in rows:
-        if not row.match:
-            return False, f"n={row.n}: det {row.determinant}, expected {row.expected}"
-    return True, f"n<={len(rows)}"
+    dets = table(family, shift)
+    for n, det, want in _hankel_rows(dets, family, shift):
+        if det != want:
+            return False, f"n={n}: det {det}, expected {want}"
+    return True, f"n<={len(dets)}"
 
 
 def _extract(tag: str, depth: int):
@@ -161,10 +167,10 @@ def _check_cfrac_closed(extract, tag: str, depth: int) -> tuple[bool, str]:
 
 def _check_cfrac_product(extract, table, tag: str, max_n: int) -> tuple[bool, str]:
     _, jf = extract(tag)
-    for row in table(*gfun.TAG_FAMILIES[tag])[:max_n]:
-        product = hankel.hankel_product_formula(jf.t_coeffs, row.n)
-        if product != row.determinant:
-            return False, f"n={row.n}: product {product}, determinant {row.determinant}"
+    for n, det in enumerate(table(*gfun.TAG_FAMILIES[tag])[:max_n], 1):
+        product = hankel.hankel_product_formula(jf.t_coeffs, n)
+        if product != det:
+            return False, f"n={n}: product {product}, determinant {det}"
     return True, f"n<={max_n}"
 
 
@@ -237,7 +243,7 @@ def build_registry(order: int = DEFAULT_ORDER, q_max_n: int = DEFAULT_QT_MAX_N,
     for identity in gfun.ALL_IDENTITIES:
         checks.append((f"identity/{identity}", partial(_check_identity, identity, order)))
     # One table per (family, shift) serves the hankel checks and, through its
-    # first rows, the product-formula checks; the determinants stay Bareiss's.
+    # first determinants, the product-formula checks; they stay Bareiss's.
     table = cache(partial(hankel.hankel_table, max_n=DEFAULT_HANKEL_MAX_N))
     for family, shift in hankel.HANKEL_SIGNS:
         checks.append((f"hankel/{family}/shift{shift}", partial(_check_hankel, table, family, shift)))
@@ -310,26 +316,26 @@ def _run_poly(ns) -> int:
 
 def _run_hankel(ns) -> int:
     family, shift = _POLY_FAMILIES[ns.family], ns.shift
-    rows = hankel.hankel_table(family, shift, ns.max_n)
+    rows = [(n, det, want, det == want)
+            for n, det, want in _hankel_rows(hankel.hankel_table(family, shift, ns.max_n), family, shift)]
     if ns.json:
         payload = {
             "family": family,
             "shift": shift,
             "rows": [
-                {"n": r.n, "determinant": str(r.determinant), "expected": str(r.expected), "match": r.match}
-                for r in rows
+                {"n": n, "determinant": str(det), "expected": str(want), "match": match}
+                for n, det, want, match in rows
             ],
         }
         print(_dumps(payload))
     elif ns.csv:
         print("n,shift,family,determinant,expected,match")
-        for r in rows:
-            print(f"{r.n},{shift},{family},{r.determinant},{r.expected},{str(r.match).lower()}")
+        for n, det, want, match in rows:
+            print(f"{n},{shift},{family},{det},{want},{str(match).lower()}")
     else:
-        for r in rows:
-            flag = "match" if r.match else "MISMATCH"
-            print(f"n={r.n} det={r.determinant} expected={r.expected} {flag}")
-    return 0 if all(r.match for r in rows) else 1
+        for n, det, want, match in rows:
+            print(f"n={n} det={det} expected={want} {'match' if match else 'MISMATCH'}")
+    return 0 if all(match for *_, match in rows) else 1
 
 
 def _run_cfrac(ns) -> int:

@@ -96,6 +96,8 @@ class _Statement:
     ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or ``(t^2,z^2)``.
     A parenthesized sum is evaluated one order longer, so that ``(X)/z``
     loses no power; any other parenthesized series is cut back to the order.
+    So no factor is longer than the order plus the number of ``(``, and each
+    generator is built once, at that order, and cut back to each factor's.
     A factor's value is a t-polynomial, a series, or the int 1 for z.  A term
     multiplies its series factors first, then applies its z^k and its
     t-polynomial as ``shift_up`` and ``scale``.  A malformed statement raises
@@ -105,7 +107,7 @@ class _Statement:
     def __init__(self, identity, text):
         self.identity, self.text = identity, text
         self.tokens = [(m.group(), m.start()) for m in re.finditer(_TOKEN, text)] + [(None, len(text))]
-        self.at, self.built = 0, {}  # the next token; (tag, order) -> each generator, built once
+        self.at, self.built = 0, {}  # the next token; tag -> its generator, built once
 
     def fail(self, what, at=None):
         position = self.tokens[self.at if at is None else at][1]
@@ -127,6 +129,7 @@ class _Statement:
         return int(self.take()[1:]) if token and token[0] == "^" and token[1:] else 1
 
     def sides(self, order):
+        self.top = order + sum(token == "(" for token, _ in self.tokens)  # the longest a factor can be
         lhs = _lift(self.sum(order), order)
         self.take("=")
         rhs = _lift(self.sum(order), order)
@@ -174,9 +177,9 @@ class _Statement:
             tag, argument = _GENERATORS[token[0]], token[1:] or "(t,z)"
             if argument not in _ARGUMENTS:
                 self.fail(f"unknown argument {argument}", start)
-            if (tag, order) not in self.built:
-                self.built[tag, order] = build_series(tag, order)
-            return _ARGUMENTS[argument](self.built[tag, order])
+            if tag not in self.built:
+                self.built[tag] = build_series(tag, self.top)
+            return _ARGUMENTS[argument](self.built[tag].truncate(order))
         if token != "(":
             self.fail(f"unexpected {token!r}", start)
         value = self.sum(order + 1)
@@ -212,22 +215,21 @@ def _sides(identity, order):
 
 
 class IdentityReport(NamedTuple):
-    """Outcome of one identity check: pass, or the first failing power."""
+    """Outcome of one identity check: a pass has no power, a failure its first failing power and both sides there."""
 
     identity: str
     order: int
-    status: str
     power: int | None = None
     lhs: object = None
     rhs: object = None
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.power is None
 
     def to_json(self) -> dict:
-        out = {"identity": self.identity, "order": self.order, "status": self.status}
-        if self.status == "fail":
+        out = {"identity": self.identity, "order": self.order, "status": "pass" if self.passed else "fail"}
+        if not self.passed:
             out["power"] = self.power
             out["lhs"] = ring_to_json(self.lhs)
             out["rhs"] = ring_to_json(self.rhs)
@@ -243,5 +245,5 @@ def verify_identity(identity: str, order: int) -> IdentityReport:
     lhs, rhs = _sides(identity, order)
     for power, (a, b) in enumerate(zip(lhs, rhs, strict=True)):
         if a != b:
-            return IdentityReport(identity, order, "fail", power, a, b)
-    return IdentityReport(identity, order, "pass")
+            return IdentityReport(identity, order, power, a, b)
+    return IdentityReport(identity, order)

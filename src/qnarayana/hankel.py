@@ -16,13 +16,15 @@ update, so until a zero pivot forces a row swap only the upper triangle is
 computed and mirrored; a swap breaks the symmetry and the rest of the
 elimination computes every entry.  A cofactor-expansion determinant is kept
 alongside as an independent oracle for small dimensions, and the two are
-never merged.  ``HANKEL_SIGNS`` is the one table of predictions: for each
-(family, shift) it predicts, det H_n = (s*t)^binom(n,2) with its sign s.
-``hankel_table`` is the one loop of ``det_bareiss`` over dimensions
-n = 1..max_n, for a key of that table.  The CLI writes its rows out and
-takes its ``--family`` and ``--shift`` choices from the keys, and its check
-registry computes the table of each key once per run: the Hankel checks
-read every row and the product-formula checks the first six.
+never merged.  ``hankel_table`` is the one loop of ``det_bareiss`` over
+dimensions n = 1..max_n: it returns the leading Hankel determinants of any
+family and shift, and reads no prediction.  ``HANKEL_SIGNS`` is the one
+table of predictions: for each (family, shift) it predicts,
+det H_n = (s*t)^binom(n,2) with its sign s, given by ``expected_hankel``.
+The CLI compares the two, takes its ``--family`` and ``--shift`` choices
+from the keys, and computes the table of each key once per registry run:
+the Hankel checks read every determinant and the product-formula checks
+the first six.
 
 J-fraction side: a series f with constant term 1 is peeled level by level
 via f = 1/(1 - s*z - t*z^2*f'), each level read off one series inverse:
@@ -191,13 +193,6 @@ def _det_cofactor(rows):
     return total
 
 
-class HankelRow(NamedTuple):
-    n: int
-    determinant: Polynomial
-    expected: Polynomial
-    match: bool
-
-
 # (family, shift) -> s, in report order: det H_n = (s*t)^binom(n,2) for the
 # Hankel matrix H_n = (a_{i+j+shift}) of the family (Cigler-Krattenthaler 2011)
 HANKEL_SIGNS = {
@@ -219,21 +214,12 @@ def expected_hankel(family: str, shift: int, n: int) -> Polynomial:
     return Polynomial.monomial(TVAR, e, HANKEL_SIGNS[family, shift] ** e)
 
 
-def hankel_table(family: str, shift: int, max_n: int) -> list[HankelRow]:
-    """Determinants against predictions for n = 1..max_n.
-
-    The predictions come first: ``expected_hankel`` refuses a pair with
-    none before any determinant is computed.
-    """
+def hankel_table(family: str, shift: int, max_n: int) -> list[Polynomial]:
+    """The leading Hankel determinants [det H_1, ..., det H_max_n] of the family at the shift."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    expected = [expected_hankel(family, shift, n) for n in range(1, max_n + 1)]
     seq = poly_sequence(family, 2 * max_n - 1 + shift)
-    rows = []
-    for n, want in enumerate(expected, 1):
-        det = det_bareiss(hankel_matrix(seq, n, shift))
-        rows.append(HankelRow(n, det, want, det == want))
-    return rows
+    return [det_bareiss(hankel_matrix(seq, n, shift)) for n in range(1, max_n + 1)]
 
 
 def ratfun_series(tag: str, order: int) -> TruncatedSeries:
@@ -244,27 +230,25 @@ def ratfun_series(tag: str, order: int) -> TruncatedSeries:
 class _JFractionFields(NamedTuple):
     s: tuple[RationalFunction, ...]
     t_coeffs: tuple[RationalFunction, ...]
-    terminated: bool = False
 
 
 class JFraction(_JFractionFields):
     """Diagonal coefficients s and subdiagonal coefficients t_coeffs.
 
     Always one more s than t (the innermost level has no subdiagonal term);
-    depth counts the subdiagonal coefficients.  ``terminated`` marks an
-    extraction that hit a zero subdiagonal coefficient and stopped early:
-    in that case the fraction is finite and reproduces its series exactly.
+    depth counts the subdiagonal coefficients.  An extraction that hits a
+    zero subdiagonal coefficient stops early, below the depth asked for: the
+    fraction is then finite and reproduces its series exactly.
     """
 
     __slots__ = ()
 
-    def __new__(cls, s: tuple[RationalFunction, ...], t_coeffs: tuple[RationalFunction, ...],
-                terminated: bool = False):
+    def __new__(cls, s: tuple[RationalFunction, ...], t_coeffs: tuple[RationalFunction, ...]):
         if len(s) != len(t_coeffs) + 1 and (s or t_coeffs):
             raise ValueError("need exactly one more diagonal than subdiagonal coefficient")
         if not all(t_coeffs):
             raise ValueError("subdiagonal coefficients must be nonzero")
-        return super().__new__(cls, s, t_coeffs, terminated)
+        return super().__new__(cls, s, t_coeffs)
 
     @classmethod
     def _make(cls, iterable):
@@ -281,8 +265,8 @@ def jfraction_extract(series: TruncatedSeries, depth: int) -> JFraction:
 
     Level k reads the inverse g = 1/f = 1 - s_k z - t_k z^2 f': s_k = -g_1,
     t_k = -g_2, and the next level is f' = (g_2, g_3, ...) / g_2.
-    Returns s_0..s_depth and t_0..t_{depth-1}; a zero t_k stops early with
-    the truncated depth and ``terminated`` set.
+    Returns s_0..s_depth and t_0..t_{depth-1}; a zero t_k stops early, at
+    depth k.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -296,11 +280,9 @@ def jfraction_extract(series: TruncatedSeries, depth: int) -> JFraction:
     for k in range(depth + 1):
         g = f.invert()
         diag.append(-g.coeffs[1])
-        if k == depth:
+        if k == depth or not g.coeffs[2]:
             break
         g_2 = g.coeffs[2]
-        if not g_2:
-            return JFraction(tuple(diag), tuple(sub), terminated=True)
         sub.append(-g_2)
         f = TruncatedSeries(g.coeffs[2:], f.order - 2).scale(g_2.reciprocal())
     return JFraction(tuple(diag), tuple(sub))

@@ -1,7 +1,9 @@
 import ast
 import fnmatch
+import importlib
 import json
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -523,6 +525,18 @@ def _det_plus_t_at_dim_4(det_bareiss):
     return lambda m: det_bareiss(m) + T if m.dim == 4 else det_bareiss(m)
 
 
+def _table_row_plus_t(family, shift, n):
+    """Perturb hankel.hankel_table: det H_n of the (family, shift) table gets t added."""
+    def perturb(hankel_table):
+        def perturbed(fam, sh, max_n):
+            dets = hankel_table(fam, sh, max_n)
+            if (fam, sh) == (family, shift):
+                dets[n - 1] += T
+            return dets
+        return perturbed
+    return perturb
+
+
 def _yz_added_beside_negative_pivots(cross):
     """Perturb the Bareiss entry update (x*p - y*z)/prev: beside a pivot p = -t^v, the pair (v, (-1,)), y*z is added.
 
@@ -557,13 +571,13 @@ def _series_plus_t(tag, power):
 
 
 def _cut_to_depth(tag, depth):
-    """Perturb hankel.jfraction_extract: the fraction of `tag` is cut to `depth` levels and marked terminated."""
+    """Perturb hankel.jfraction_extract: the fraction of `tag` is cut to `depth` levels."""
     def perturb(jfraction_extract):
         def perturbed(series, levels):
             jf = jfraction_extract(series, levels)
             if series != hankel.ratfun_series(tag, series.order):
                 return jf
-            return hankel.JFraction(jf.s[:depth + 1], jf.t_coeffs[:depth], terminated=True)
+            return hankel.JFraction(jf.s[:depth + 1], jf.t_coeffs[:depth])
         return perturbed
     return perturb
 
@@ -598,111 +612,173 @@ Q = Polynomial.gen("q")
 
 
 class TestCheckReportsItsOwnDiff:
-    """Each property the library once asserted is caught by its named check, with the check's diff."""
+    """Each property the library once asserted is caught by its named check, with the check's diff.
 
-    @pytest.mark.parametrize("argv, module, attr, perturb, line", [
-        (["verify"], narayana, "narayana_poly", _plus_at((2,), T),
-         "FAIL routes/c_three_ways (n=5: recursion gives 1+2t+4t^2+t^3+t^4, closed form 1+2t+4t^2+2t^3+t^4)"),
-        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(2, 0, Q),
-         "FAIL eval/q_catalan_sum (n=2: q-row starts with 1+q, expected 1)"),
-        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(3, 1, Polynomial.monomial("q", 5, -1)),
-         "FAIL eval/q_catalan_sum (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)"),
-        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(4, 1, Polynomial.one("q")),
-         "FAIL eval/q_catalan_sum (n=4: q-row sums to "),
-        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(15, 3, Q),
-         "FAIL eval/q_catalan_sum (n=15: q-row sums to "),
+    A case is (argv, module, attr, perturb, failed, summary): module.attr is
+    replaced by perturb(module.attr), and the run must print exactly the
+    FAIL lines that start with the entries of failed, in order, and end with
+    summary.  A check that reads what another check reads fails beside it.
+    """
+
+    def fails_exactly(self, capsys, monkeypatch, argv, module, attr, perturb, failed, summary):
+        monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        reported = [line for line in lines if line.startswith("FAIL")]
+        assert len(reported) == len(failed), reported
+        assert all(map(str.startswith, reported, failed)), reported
+        assert lines[-1] == summary
+
+    @pytest.mark.parametrize("argv, module, attr, perturb, failed, summary", [
+        (["verify"], narayana, "narayana_poly", _plus_at((2,), T), [
+            "FAIL routes/c_three_ways (n=5: recursion gives 1+2t+4t^2+t^3+t^4, closed form 1+2t+4t^2+2t^3+t^4)",
+            "FAIL routes/odd_closed_form (n=5: odd closed form gives 1+2t+4t^2+4t^3+t^4, "
+            "closed form 1+2t+4t^2+2t^3+t^4)",
+        ], "17/19 checks passed"),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(2, 0, Q), [
+            "FAIL routes/c_three_ways (n=2: q-specialization gives (0, 1))",
+            "FAIL eval/q_catalan_sum (n=2: q-row starts with 1+q, expected 1)",
+        ], "17/19 checks passed"),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(3, 1, Polynomial.monomial("q", 5, -1)), [
+            "FAIL routes/c_three_ways (n=3: q-specialization gives (1, 2, 1))",
+            "FAIL eval/q_catalan_sum (n=3, k=1: negative coefficient in q-row entry q^2+q^3+q^4-q^5)",
+        ], "17/19 checks passed"),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(4, 1, Polynomial.one("q")), [
+            "FAIL routes/c_three_ways (n=4: q-specialization gives (1, 3, 2, 1))",
+            "FAIL eval/q_catalan_sum (n=4: q-row sums to 2+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12, "
+            "q-Catalan quotient 1+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12)",
+        ], "17/19 checks passed"),
+        (["verify"], qcomb, "q_narayana_row", _row_entry_plus_at(15, 3, Q), [
+            "FAIL routes/c_three_ways (n=15: q-specialization gives "
+            "(1, 7, 49, 146, 441, 735, 1225, 1225, 1225, 735, 441, 147, 49, 7, 1))",
+            "FAIL eval/q_catalan_sum (n=15: q-row sums to 1+q+q^2+q^3+2q^4+",  # degree 210: only its start
+        ], "17/19 checks passed"),
         # row 2 takes no ratio step (its entry 1 is the mirror of entry 0), so the first failing row is 3
-        (["verify"], qcomb, "_ratio_step", _first_step_shifted_one_less,
-         "FAIL eval/q_catalan_sum (n=3: q-row sums to 1+q+q^2+q^3+q^6, q-Catalan quotient 1+q^2+q^3+q^4+q^6)"),
-        (["oracle"], qcomb, "_ratio_step", _first_step_shifted_one_less,
-         "FAIL oracle/valley_major (n=3, k=1: enumerated q^2+q^3+q^4, algebraic q+q^2+q^3)"),
-        (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T),
-         "FAIL routes/odd_closed_form (n=7: odd closed form gives "),
-        (["oracle"], dyckoracle, "_valley_major_walk", _maj_plus_one_on_udud,
-         "FAIL oracle/valley_major (n=2, k=1: enumerated q^3, algebraic q^2)"),
-        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(4),
-         "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)"),
-        (["oracle"], dyckoracle, "_valley_major_walk", _first_path_twice_at(3),
-         "FAIL oracle/counts (n=3: 6 paths, expected Catalan)"),
-        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(5),
-         "FAIL oracle/counts (n=5: 11 symmetric paths, expected central binomial)"),
-        (["verify"], gfun, "IDENTITY_DESCRIPTIONS", _rhs_plus_t("eq25", 3),
-         "FAIL identity/eq25 (power=3: 0 vs t)"),
-        (["verify"], gfun, "IDENTITY_DESCRIPTIONS", _statement_edit("eq25", "c(-t,-z)", "c(t,-z)"),
-         "FAIL identity/eq25 (power=2: 1+2t vs 1)"),
-        (["verify", "--all"], hankel, "expected_hankel", _plus_at(("small_c", 1, 3), T),
-         "FAIL hankel/small_c/shift1 (n=3: det -t^3, expected t-t^3)"),
-        (["verify"], narayana, "special_values", _special_value_plus_one(5, 0),
-         "FAIL eval/at_one (n=5: value 10, expected 11)"),
-        (["verify"], narayana, "special_values", _special_value_plus_one(5, 1),
-         "FAIL eval/at_minus_one (n=5: value 2, expected 3)"),
-        (["verify"], qcomb, "q_catalan", _plus_at((4,), Q),
-         "FAIL eval/q_catalan_sum (n=4: q-row sums to 1+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12, "
-         "q-Catalan quotient 1+q+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12)"),
-        (["verify", "--all"], hankel, "_cross", _yz_added_beside_negative_pivots,
-         "FAIL hankel/small_c/shift1 (n=4: det 2t^4-2t^5+t^6-2t^7+2t^8, expected t^6)"),
-        (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
-         "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant t+t^6)"),
-        (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4,
-         "FAIL cfrac/smallc/product_formula (n=4: product t^6, determinant t+t^6)"),
-        (["verify", "--all"], hankel, "jfraction_to_series", _top_coefficient_plus_one,
-         "FAIL cfrac/roundtrip (smallg does not round-trip at depth 8)"),
-        (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallg", 19),
-         "FAIL cfrac/smallg/closed_forms (s_9: extracted (-1-t^8-t^9)/(t^8), stored -1-t)"),
-        (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17),
-         "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)"),
-        (["verify", "--all"], hankel, "jfraction_extract", _cut_to_depth("smallg", 8),
-         "FAIL cfrac/smallg/closed_forms (extraction stopped at depth 8)"),
-        (["oracle"], dyckoracle, "qt_distribution", _empty_class_at(3, 3),
-         "FAIL oracle/valley_major (n=3: 4 valley classes, expected 3)"),
+        (["verify"], qcomb, "_ratio_step", _first_step_shifted_one_less, [
+            "FAIL routes/c_three_ways (n=3: q-specialization gives (1, -1, 1))",
+            "FAIL eval/q_catalan_sum (n=3: q-row sums to 1+q+q^2+q^3+q^6, q-Catalan quotient 1+q^2+q^3+q^4+q^6)",
+        ], "17/19 checks passed"),
+        (["oracle"], qcomb, "_ratio_step", _first_step_shifted_one_less, [
+            "FAIL oracle/valley_major (n=3, k=1: enumerated q^2+q^3+q^4, algebraic q+q^2+q^3)",
+        ], "2/3 checks passed"),
+        (["verify"], narayana, "narayana_b_poly", _plus_at((3,), T), [
+            "FAIL routes/odd_closed_form (n=7: odd closed form gives 1+3t+10t^2+9t^3+9t^4+3t^5+t^6, "
+            "closed form 1+3t+9t^2+9t^3+9t^4+3t^5+t^6)",
+        ], "18/19 checks passed"),
+        (["oracle"], dyckoracle, "_valley_major_walk", _maj_plus_one_on_udud, [
+            "FAIL oracle/valley_major (n=2, k=1: enumerated q^3, algebraic q^2)",
+        ], "2/3 checks passed"),
+        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(4), [
+            "FAIL oracle/symmetric_valleys (n=4, k=3: enumerated 2, closed form 1)",
+            "FAIL oracle/counts (n=4: 7 symmetric paths, expected central binomial)",
+        ], "1/3 checks passed"),
+        (["oracle"], dyckoracle, "_valley_major_walk", _first_path_twice_at(3), [
+            "FAIL oracle/valley_major (n=3, k=2: enumerated 2q^6, algebraic q^6)",
+            "FAIL oracle/counts (n=3: 6 paths, expected Catalan)",
+        ], "1/3 checks passed"),
+        (["oracle"], dyckoracle, "enumerate_symmetric", _first_path_twice_at(5), [
+            "FAIL oracle/symmetric_valleys (n=5, k=4: enumerated 2, closed form 1)",
+            "FAIL oracle/counts (n=5: 11 symmetric paths, expected central binomial)",
+        ], "1/3 checks passed"),
+        (["verify"], gfun, "IDENTITY_DESCRIPTIONS", _rhs_plus_t("eq25", 3), [
+            "FAIL identity/eq25 (power=3: 0 vs t)",
+        ], "18/19 checks passed"),
+        (["verify"], gfun, "IDENTITY_DESCRIPTIONS", _statement_edit("eq25", "c(-t,-z)", "c(t,-z)"), [
+            "FAIL identity/eq25 (power=2: 1+2t vs 1)",
+        ], "18/19 checks passed"),
+        (["verify", "--all"], hankel, "expected_hankel", _plus_at(("small_c", 1, 3), T), [
+            "FAIL hankel/small_c/shift1 (n=3: det -t^3, expected t-t^3)",
+        ], "30/31 checks passed"),
+        (["verify"], narayana, "special_values", _special_value_plus_one(5, 0), [
+            "FAIL eval/at_one (n=5: value 10, expected 11)",
+            "FAIL identity/g_at_1 (power=4: 10 vs 11)",
+        ], "17/19 checks passed"),
+        (["verify"], narayana, "special_values", _special_value_plus_one(5, 1), [
+            "FAIL eval/at_minus_one (n=5: value 2, expected 3)",
+            "FAIL identity/g_at_m1 (power=4: 2 vs 3)",
+        ], "17/19 checks passed"),
+        (["verify"], qcomb, "q_catalan", _plus_at((4,), Q), [
+            "FAIL eval/q_catalan_sum (n=4: q-row sums to 1+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12, "
+            "q-Catalan quotient 1+q+q^2+q^3+2q^4+q^5+2q^6+q^7+2q^8+q^9+q^10+q^12)",
+        ], "18/19 checks passed"),
+        (["verify", "--all"], hankel, "_cross", _yz_added_beside_negative_pivots, [
+            "FAIL hankel/small_c/shift1 (n=4: det 2t^4-2t^5+t^6-2t^7+2t^8, expected t^6)",
+            "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant 2t^4-2t^5+t^6-2t^7+2t^8)",
+        ], "29/31 checks passed"),
+        # the registry computes each Hankel table once, and the product formulas read two of them
+        (["verify", "--all"], hankel, "det_bareiss", _det_plus_t_at_dim_4, [
+            "FAIL hankel/narayana_poly/shift0 (n=4: det t+t^6, expected t^6)",
+            "FAIL hankel/narayana_poly/shift1 (n=4: det t+t^6, expected t^6)",
+            "FAIL hankel/small_c/shift0 (n=4: det t+t^6, expected t^6)",
+            "FAIL hankel/small_c/shift1 (n=4: det t+t^6, expected t^6)",
+            "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant t+t^6)",
+            "FAIL cfrac/smallc/product_formula (n=4: product t^6, determinant t+t^6)",
+        ], "25/31 checks passed"),
+        # each product formula reads the table of its own tag and no other
+        (["verify", "--all"], hankel, "hankel_table", _table_row_plus_t("small_c", 1, 4), [
+            "FAIL hankel/small_c/shift1 (n=4: det t+t^6, expected t^6)",
+            "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant t+t^6)",
+        ], "29/31 checks passed"),
+        (["verify", "--all"], hankel, "hankel_table", _table_row_plus_t("small_c", 0, 4), [
+            "FAIL hankel/small_c/shift0 (n=4: det t+t^6, expected t^6)",
+            "FAIL cfrac/smallc/product_formula (n=4: product t^6, determinant t+t^6)",
+        ], "29/31 checks passed"),
+        (["verify", "--all"], hankel, "jfraction_to_series", _top_coefficient_plus_one, [
+            "FAIL cfrac/roundtrip (smallg does not round-trip at depth 8)",
+        ], "30/31 checks passed"),
+        (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallg", 19), [
+            "FAIL cfrac/smallg/closed_forms (s_9: extracted (-1-t^8-t^9)/(t^8), stored -1-t)",
+        ], "30/31 checks passed"),
+        (["verify", "--all"], hankel, "ratfun_series", _series_plus_t("smallc", 17), [
+            "FAIL cfrac/smallc/closed_forms (s_8: extracted (1+t^7-t^8)/(t^7), stored 1-t)",
+        ], "30/31 checks passed"),
+        (["verify", "--all"], hankel, "jfraction_extract", _cut_to_depth("smallg", 8), [
+            "FAIL cfrac/smallg/closed_forms (extraction stopped at depth 8)",
+        ], "30/31 checks passed"),
+        (["oracle"], dyckoracle, "qt_distribution", _empty_class_at(3, 3), [
+            "FAIL oracle/valley_major (n=3: 4 valley classes, expected 3)",
+        ], "2/3 checks passed"),
     ], ids=["route", "q-row-constant-term", "q-row-negative", "q-row-sum", "q-row-sum-past-n-10",
             "q-row-ratio-step", "q-row-ratio-step-oracle", "odd-closed-form",
             "valley-major", "symmetric-valleys", "oracle-counts", "oracle-counts-symmetric", "identity",
             "identity-statement", "hankel", "eval-at-one", "eval-at-minus-one", "q-catalan-sum",
-            "hankel-entry-update", "product-formula-smallg", "product-formula-smallc",
-            "roundtrip", "closed-forms-smallg", "closed-forms-smallc", "extraction-stopped",
-            "valley-class-count"])
-    def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, line):
-        monkeypatch.setattr(module, attr, perturb(getattr(module, attr)))
-        assert main(argv) == 1
-        name = line.split(" (")[0]
-        reported = [out for out in capsys.readouterr().out.splitlines() if out.startswith(name + " (")]
-        assert len(reported) == 1
-        assert reported[0].startswith(line)
-        assert "error:" not in reported[0]
+            "hankel-entry-update", "product-formula-all-tables", "product-formula-smallg",
+            "product-formula-smallc", "roundtrip", "closed-forms-smallg", "closed-forms-smallc",
+            "extraction-stopped", "valley-class-count"])
+    def test_injected_fault(self, capsys, monkeypatch, argv, module, attr, perturb, failed, summary):
+        self.fails_exactly(capsys, monkeypatch, argv, module, attr, perturb, failed, summary)
 
-    @pytest.mark.parametrize("modules, attr, perturb, failed", [
-        ((exactalg,), "_convolve", _square_without_doubling,
-         ["FAIL identity/eq15", "FAIL identity/eq20"]),
+    @pytest.mark.parametrize("argv, module, attr, perturb, failed, summary", [
+        (["verify", "--all"], exactalg, "_convolve", _square_without_doubling, [
+            "FAIL identity/eq15 (power=2: 1+t vs 1)",
+            "FAIL identity/eq20 (power=3: 1+6t+6t^2+t^3 vs 1+5t+5t^2+t^3)",
+        ], "29/31 checks passed"),
         # the Bareiss kernel divides by every previous pivot tail other than 1, and only the
         # small_c shift-1 table has pivots -t^v
-        ((exactalg,), "poly_exact_div", _minus_one_divisor_not_negated,
-         ["FAIL hankel/small_c/shift1", "FAIL cfrac/smallg/product_formula"]),
+        (["verify", "--all"], exactalg, "poly_exact_div", _minus_one_divisor_not_negated, [
+            "FAIL hankel/small_c/shift1 (n=4: det -t^6, expected t^6)",
+            "FAIL cfrac/smallg/product_formula (n=4: product t^6, determinant -t^6)",
+        ], "29/31 checks passed"),
     ], ids=["square-doubling", "minus-one-divisor"])
-    def test_injected_kernel_fault(self, capsys, monkeypatch, modules, attr, perturb, failed):
+    def test_injected_kernel_fault(self, capsys, monkeypatch, argv, module, attr, perturb, failed, summary):
         """A fault in a single-term or square path of the Z[t] kernel fails exactly the checks that reach it."""
-        perturbed = perturb(getattr(exactalg, attr))
-        for module in modules:
-            monkeypatch.setattr(module, attr, perturbed)
-        assert main(["verify", "--all"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split(" (")[0] for line in lines if line.startswith("FAIL")] == failed
-        assert lines[-1] == f"{REGISTRY_SIZE - len(failed)}/{REGISTRY_SIZE} checks passed"
+        self.fails_exactly(capsys, monkeypatch, argv, module, attr, perturb, failed, summary)
 
-    @pytest.mark.parametrize("which, failed", [
-        (0, ["FAIL eval/at_one (n=5: value 10, expected 11)",
-             "FAIL identity/g_at_1 (power=4: 10 vs 11)",
-             "FAIL oracle/counts (n=5: 10 symmetric paths, expected central binomial)"]),
-        (1, ["FAIL eval/at_minus_one (n=5: value 2, expected 3)",
-             "FAIL identity/g_at_m1 (power=4: 2 vs 3)"]),
+    @pytest.mark.parametrize("argv, module, attr, perturb, failed, summary", [
+        (["verify", "--all"], narayana, "special_values", _special_value_plus_one(5, 0), [
+            "FAIL eval/at_one (n=5: value 10, expected 11)",
+            "FAIL identity/g_at_1 (power=4: 10 vs 11)",
+            "FAIL oracle/counts (n=5: 10 symmetric paths, expected central binomial)",
+        ], "28/31 checks passed"),
+        (["verify", "--all"], narayana, "special_values", _special_value_plus_one(5, 1), [
+            "FAIL eval/at_minus_one (n=5: value 2, expected 3)",
+            "FAIL identity/g_at_m1 (power=4: 2 vs 3)",
+        ], "29/31 checks passed"),
     ], ids=["at-one", "at-minus-one"])
-    def test_special_values_reach_every_reader(self, capsys, monkeypatch, which, failed):
+    def test_special_values_reach_every_reader(self, capsys, monkeypatch, argv, module, attr, perturb, failed,
+                                               summary):
         """c_n(1) and c_n(-1) have one closed form, so perturbing it fails every check that reads it."""
-        monkeypatch.setattr(narayana, "special_values", _special_value_plus_one(5, which)(narayana.special_values))
-        assert main(["verify", "--all"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.startswith("FAIL")] == failed
-        assert lines[-1] == f"{REGISTRY_SIZE - len(failed)}/{REGISTRY_SIZE} checks passed"
+        self.fails_exactly(capsys, monkeypatch, argv, module, attr, perturb, failed, summary)
 
     # each key of hankel.HANKEL_SIGNS, and the FAIL line of its check once its sign is flipped
     SIGN_FLIPS = {
@@ -717,11 +793,9 @@ class TestCheckReportsItsOwnDiff:
 
     @pytest.mark.parametrize("key", list(SIGN_FLIPS), ids="{0[0]}-shift{0[1]}".format)
     def test_flipped_hankel_sign_fails_exactly_its_check(self, capsys, monkeypatch, key):
-        monkeypatch.setitem(hankel.HANKEL_SIGNS, key, -hankel.HANKEL_SIGNS[key])
-        assert main(["verify", "--all"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert [line for line in lines if line.startswith("FAIL")] == [self.SIGN_FLIPS[key]]
-        assert lines[-1] == f"{REGISTRY_SIZE - 1}/{REGISTRY_SIZE} checks passed"
+        flip = lambda signs: {**signs, key: -signs[key]}
+        self.fails_exactly(capsys, monkeypatch, ["verify", "--all"], hankel, "HANKEL_SIGNS", flip,
+                           [self.SIGN_FLIPS[key]], f"{REGISTRY_SIZE - 1}/{REGISTRY_SIZE} checks passed")
 
     def test_each_run_extracts_afresh(self, capsys, monkeypatch):
         assert main(["verify", "--all"]) == 0
@@ -730,7 +804,7 @@ class TestCheckReportsItsOwnDiff:
 
         def doubled_t0(series, depth):
             jf = extract(series, depth)
-            return hankel.JFraction(jf.s, (jf.t_coeffs[0] * 2,) + jf.t_coeffs[1:], jf.terminated)
+            return hankel.JFraction(jf.s, (jf.t_coeffs[0] * 2,) + jf.t_coeffs[1:])
 
         monkeypatch.setattr(hankel, "jfraction_extract", doubled_t0)
         assert main(["verify", "--all"]) == 1
@@ -795,6 +869,9 @@ class TestPublicNames:
         "hankel_matrix": (lambda: hankel.hankel_matrix(narayana.poly_sequence("small_c", 3), 0, 0),
                           ValueError, "dimension must be >= 1"),
         "hankel_table": (lambda: hankel.hankel_table("small_c", 0, 0), ValueError, "max_n must be >= 1"),
+        "hankel_table-family": (lambda: hankel.hankel_table("X", 0, 2), ValueError,
+                                f"unknown family 'X' (expected one of {tuple(narayana.FAMILIES)})"),
+        "hankel_table-shift": (lambda: hankel.hankel_table("small_c", -1, 2), ValueError, "shift must be >= 0"),
         "jfraction_extract": (lambda: hankel.jfraction_extract(hankel.ratfun_series("smallg", 4), -1),
                               ValueError, "depth must be >= 0"),
         "jfraction_to_series": (lambda: hankel.jfraction_to_series(hankel.JFraction((), ()), -1),
@@ -897,8 +974,9 @@ class TestSharedExtraction:
         one = RationalFunction.one("t")
         finite = hankel.JFraction((one, one + one), (one,))
         monkeypatch.setattr(hankel, "ratfun_series", lambda tag, order: hankel.jfraction_to_series(finite, order))
-        assert cli._extract("finite", 4)[1] == hankel.JFraction(finite.s, finite.t_coeffs, terminated=True)
-        assert not cli._extract("finite", 1)[1].terminated
+        assert finite.depth == 1
+        assert cli._extract("finite", 4)[1] == finite
+        assert cli._extract("finite", 1)[1] == finite
 
 
 class TestSharedHankelTables:
@@ -1094,11 +1172,9 @@ def _record_fields():
     one = RationalFunction.one("t")
     return [
         (cli.CheckResult, {"name": "eval/at_one", "passed": True, "detail": "n<=20"}),
-        (gfun.IdentityReport, {"identity": "eq15", "order": 4, "status": "fail", "power": 2,
-                               "lhs": T, "rhs": T + Polynomial.one("t")}),
+        (gfun.IdentityReport, {"identity": "eq15", "order": 4, "power": 2, "lhs": T, "rhs": T + Polynomial.one("t")}),
         (hankel.PolyMatrix, {"entries": ((Polynomial.one("t"), T), (T, T * T))}),
-        (hankel.HankelRow, {"n": 2, "determinant": T, "expected": T, "match": True}),
-        (hankel.JFraction, {"s": (one, one + one), "t_coeffs": (one,), "terminated": True}),
+        (hankel.JFraction, {"s": (one, one + one), "t_coeffs": (one,)}),
         (dyckoracle.PathStats, {"valleys": 1, "maj": 2}),
     ]
 
@@ -1133,13 +1209,22 @@ class TestRecords:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_the_records_are_every_public_named_tuple(self):
+        # adding or deleting a record moves this class's list and README's records sentence with it
+        modules = [importlib.import_module(f"qnarayana.{info.name}")
+                   for info in pkgutil.iter_modules(qnarayana.__path__)]
+        defined = {value for module in modules for value in vars(module).values()
+                   if isinstance(value, type) and value.__module__ == module.__name__ and issubclass(value, tuple)
+                   and hasattr(value, "_fields") and not value.__name__.startswith("_")}
+        assert defined == {cls for cls, _ in _record_fields()}
+        sentence = (ROOT / "README.md").read_text().split("The small records (", 1)[1].split(")", 1)[0]
+        assert set(sentence.split("`")[1::2]) == {cls.__name__ for cls in defined}
+
     def test_defaults(self):
-        one = RationalFunction.one("t")
         assert cli.CheckResult("eval/at_one", True).detail == ""
-        report = gfun.IdentityReport("eq15", 4, "pass")
+        report = gfun.IdentityReport("eq15", 4)
         assert (report.power, report.lhs, report.rhs) == (None, None, None)
-        assert hankel.JFraction((one, one), (one,)).terminated is False
-        assert hankel.JFraction((one, one), (one,), terminated=True).terminated is True
+        assert report.passed
 
     def test_poly_matrix_refuses_malformed_entries(self):
         with pytest.raises(ValueError, match="^empty matrix$"):
@@ -1169,5 +1254,5 @@ class TestRecords:
             hankel.JFraction._make([(one,), (one,)])
         with pytest.raises(ValueError, match="nonzero"):
             hankel.JFraction((one, one), (one,))._replace(t_coeffs=(one - one,))
-        assert hankel.JFraction((one, one), (one,))._replace(terminated=True) == hankel.JFraction(
-            (one, one), (one,), terminated=True)
+        assert hankel.JFraction((one, one), (one,))._replace(s=(one, one + one)) == hankel.JFraction(
+            (one, one + one), (one,))

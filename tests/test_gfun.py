@@ -44,7 +44,7 @@ class TestVerifyIdentity:
     def test_all_pass_at_order_8(self, identity):
         report = verify_identity(identity, 8)
         assert report.passed
-        assert report.status == "pass"
+        assert report == IdentityReport(identity, 8)
         assert report.to_json() == {"identity": identity, "order": 8, "status": "pass"}
 
     def test_registry_is_complete(self):
@@ -93,11 +93,24 @@ class TestVerifyIdentity:
 
         def perturbed(tag, n):
             f = build(tag, n)
-            return TruncatedSeries(f.coeffs[:-1] + (f.coeffs[-1] + P(0, 1),), n) if tag == "bigG" else f
+            if tag != "bigG":
+                return f
+            return TruncatedSeries(f.coeffs[:order] + (f.coeffs[order] + P(0, 1),) + f.coeffs[order + 1:], n)
 
         monkeypatch.setattr(gfun, "build_series", perturbed)
         report = verify_identity("eq18", order)
-        assert (report.status, report.power) == ("fail", order)
+        assert (report.passed, report.power) == (False, order)
+
+    def test_each_generator_is_built_once(self, monkeypatch):
+        # eq19 reads G on both sides, at two orders: one build, at the order plus its number of "("
+        built, build = [], gfun.build_series
+        monkeypatch.setattr(gfun, "build_series", lambda tag, n: built.append((tag, n)) or build(tag, n))
+        assert verify_identity("eq19", 12).passed
+        assert built == [("bigG", 14)]
+        for identity in ALL_IDENTITIES:
+            built.clear()
+            assert verify_identity(identity, 6).passed
+            assert len({tag for tag, _ in built}) == len(built), identity
 
     def test_stability_under_truncation(self):
         # the sides at order N are the prefixes of the sides at order N+5, so
@@ -117,9 +130,9 @@ class TestVerifyIdentity:
         assert values == [1, 0, 1, 0, 2, 0, 5]
 
     def test_report_is_frozen_dataclass(self):
-        report = IdentityReport("eq15", 4, "pass")
+        report = IdentityReport("eq15", 4)
         with pytest.raises(AttributeError):
-            report.status = "fail"
+            report.power = 2
 
 
 # one textual mutation per series statement: (identity, text replaced, replacement)

@@ -280,31 +280,27 @@ class TestDeterminants:
 
 class TestHankelTable:
     def test_small_c_unshifted(self):
-        rows = hankel_table("small_c", 0, 2)
-        assert rows[1].n == 2
-        assert rows[1].determinant == P(0, 1)
-        assert rows[1].expected == P(0, 1)
-        assert rows[1].match
+        dets = hankel_table("small_c", 0, 2)
+        assert len(dets) == 2
+        assert dets[1] == P(0, 1) == expected_hankel("small_c", 0, 2)
 
     def test_small_c_shifted(self):
-        rows = hankel_table("small_c", 1, 2)
-        assert rows[1].determinant == P(0, -1)
-        assert rows[1].expected == P(0, -1)
-        assert rows[1].match
+        dets = hankel_table("small_c", 1, 2)
+        assert dets[1] == P(0, -1) == expected_hankel("small_c", 1, 2)
 
     def test_first_row_trivial(self):
         for family, shift in HANKEL_SIGNS:
-            assert hankel_table(family, shift, 1)[0].determinant == P(1)
+            assert hankel_table(family, shift, 1) == [P(1)] == [expected_hankel(family, shift, 1)]
 
     def test_all_match_to_seven(self):
         for family, shift in HANKEL_SIGNS:
-            assert all(row.match for row in hankel_table(family, shift, 7))
+            assert hankel_table(family, shift, 7) == [expected_hankel(family, shift, n) for n in range(1, 8)]
 
     @pytest.mark.parametrize("family", ["narayana_poly", "small_c"])
     @pytest.mark.parametrize("shift", [0, 1])
     def test_all_match_to_twenty(self, family, shift):
-        rows = hankel_table(family, shift, 20)
-        assert [row.determinant for row in rows] == [expected_hankel(family, shift, n) for n in range(1, 21)]
+        dets = hankel_table(family, shift, 20)
+        assert dets == [expected_hankel(family, shift, n) for n in range(1, 21)]
 
     def test_expected_values(self):
         assert expected_hankel("small_c", 1, 3) == P(0, 0, 0, -1)
@@ -352,7 +348,8 @@ class TestHankelTable:
                      for n in range(1, max_n + 1) for k in range(n - 1)]
             updates.clear()
             divisions.clear()
-            assert all(row.match for row in hankel_table(family, shift, max_n))
+            assert hankel_table(family, shift, max_n) == [expected_hankel(family, shift, n)
+                                                          for n in range(1, max_n + 1)]
             assert len(updates) == sum(m * (m + 1) // 2 for m, _ in steps), (family, shift)
             negative = sum(m * (m + 1) // 2 for m, prev in steps if prev.coeffs[-1] == -1)
             assert sum(prev[1] == (-1,) for prev, _ in updates) == negative, (family, shift)
@@ -360,18 +357,14 @@ class TestHankelTable:
             assert divisions == [P(-1)] * nonzero, (family, shift)
             assert bool(nonzero) == (family == "small_c" and shift == 1)
 
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="no Hankel prediction for family 'narayana_B' at shift 0"):
-            hankel_table("narayana_B", 0, 3)
-
     @pytest.mark.parametrize("family", ["narayana_poly", "small_c", "narayana_B", "catalan_C", "X"])
     @pytest.mark.parametrize("shift", [-1, 0, 1, 2, 3])
     def test_accepts_exactly_the_keys(self, family, shift):
         if (family, shift) in HANKEL_SIGNS:
-            assert len(hankel_table(family, shift, 2)) == 2
+            assert expected_hankel(family, shift, 2) == Polynomial.monomial(TVAR, 1, HANKEL_SIGNS[family, shift])
         else:
             with pytest.raises(ValueError, match=f"no Hankel prediction for family '{family}' at shift {shift} "):
-                hankel_table(family, shift, 2)
+                expected_hankel(family, shift, 2)
 
 
 class TestJFraction:
@@ -382,7 +375,6 @@ class TestJFraction:
         assert jf.t_coeffs[0] == RF(0, -1)
         assert jf.t_coeffs[1] == RF(0, -1)
         assert jf.depth == 3
-        assert not jf.terminated
 
     def test_extract_smallc(self):
         jf = jfraction_extract(ratfun_series("smallc", 8), 3)
@@ -398,8 +390,7 @@ class TestJFraction:
         assert jf.s == (RF(1),)
         assert jf.t_coeffs == ()
         assert jf.depth == 0
-        assert jf.terminated
-        # a terminated fraction is finite, so it reproduces its series exactly
+        # a fraction that stopped early is finite, so it reproduces its series exactly
         assert jfraction_to_series(jf, 6) == geometric
 
     def test_preconditions(self):
@@ -500,8 +491,7 @@ class TestTypeBHankel:
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_closed_form_to_twelve(self, shift):
-        for n in range(1, 13):
-            assert det_bareiss(hankel_matrix(self.SEQ, n, shift)) == type_b_closed_form(shift, n), (shift, n)
+        assert hankel_table("narayana_B", shift, 12) == [type_b_closed_form(shift, n) for n in range(1, 13)]
 
     @pytest.mark.parametrize("shift", [0, 1])
     def test_divisors_are_the_leading_minors(self, monkeypatch, shift):
