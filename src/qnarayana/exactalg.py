@@ -812,14 +812,6 @@ class TruncatedSeries:
         coeffs = (zero,) * k + self.coeffs[: self.order + 1 - k]
         return TruncatedSeries(coeffs, self.order)
 
-    def shift_down(self, k):
-        """Exact division by z**k; the dropped low coefficients must be zero."""
-        if not 0 <= k <= self.order:
-            raise ValueError("shift out of range")
-        if any(bool(c) for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by z^{k}")
-        return TruncatedSeries(self.coeffs[k:], self.order - k)
-
     def truncate(self, order):
         """Prefix of the series at a lower (or equal) order."""
         if not 0 <= order <= self.order:

@@ -16,10 +16,11 @@ quadratic functional equations they solve (identifiers eq15 and eq20).
 
 Identity identifiers are stable registry keys (eq15, eq16, ... g_at_m1).
 ``IDENTITY_DESCRIPTIONS`` states each identity once: ``verify_identity``
-parses and evaluates a series statement's own text (grammar at
-``_Statement``), and compares the two integer checks, g_at_1 and g_at_m1,
-against the closed forms of ``narayana.special_values``, looked up through
-the module so that every reader of them reads the same function.
+parses and evaluates a series statement's own text (grammar, and the one
+order its values are built at, at ``_Statement``), and compares the two
+integer checks, g_at_1 and g_at_m1, against the closed forms of
+``narayana.special_values``, looked up through the module so that every
+reader of them reads the same function.
 """
 
 from __future__ import annotations
@@ -94,10 +95,14 @@ class _Statement:
     ``^k`` and parentheses; ``1/X``, the series inverse; ``(X)/z``, refused
     when X has a nonzero constant term; the generators ``C``, ``G``, ``c``,
     ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or ``(t^2,z^2)``.
-    A parenthesized sum is evaluated one order longer, so that ``(X)/z``
-    loses no power; any other parenthesized series is cut back to the order.
-    So no factor is longer than the order plus the number of ``(``, and each
-    generator is built once, at that order, and cut back to each factor's.
+    Every value is a series at one order N, the order compared plus the
+    number of ``(X)/z``, and each generator is built once, at N.  ``(X)/z``
+    drops X's zero constant term and pads the top with 0, so its top
+    coefficient is wrong; every other operation (``+``, ``-``, products,
+    ``1/X``, t-scaling, ``z^k`` and the four arguments) writes coefficient m
+    from coefficients <= m, so a wrong coefficient only spoils those above
+    it, and each ``(X)/z`` spoils one more at the top.  Both sides are
+    compared through the order, below every spoiled one.
     A factor's value is a t-polynomial, a series, or the int 1 for z.  A term
     multiplies its series factors first, then applies its z^k and its
     t-polynomial as ``shift_up`` and ``scale``.  A malformed statement raises
@@ -129,40 +134,41 @@ class _Statement:
         return int(self.take()[1:]) if token and token[0] == "^" and token[1:] else 1
 
     def sides(self, order):
-        self.top = order + sum(token == "(" for token, _ in self.tokens)  # the longest a factor can be
-        lhs = _lift(self.sum(order), order)
+        # N, the order of every value: one more per (X)/z
+        self.order = order + sum(a == "/" and b == "z" for (a, _), (b, _) in zip(self.tokens, self.tokens[1:]))
+        lhs = _lift(self.sum(), self.order)
         self.take("=")
-        rhs = _lift(self.sum(order), order)
+        rhs = _lift(self.sum(), self.order)
         if not self.peek(None):
             self.fail("trailing tokens")
-        return lhs, rhs
+        return lhs.truncate(order), rhs.truncate(order)
 
-    def sum(self, order):
+    def sum(self):
         """A t-polynomial if every term is one, else a series."""
-        total = self.term(order)
+        total = self.term()
         while self.peek("+", "-"):
-            sign, term = self.take(), self.term(order)
+            sign, term = self.take(), self.term()
             if isinstance(total, TruncatedSeries) or isinstance(term, TruncatedSeries):
-                total, term = _lift(total, order), _lift(term, order)
+                total, term = _lift(total, self.order), _lift(term, self.order)
             total = total + term if sign == "+" else total - term
         return total
 
-    def term(self, order):
+    def term(self):
         values = []
         while not values or not self.peek(None, "+", "-", "=", ")"):
-            value = self.factor(order)
+            value = self.factor()
             values += [value] * self.power()  # C^2 is one object twice, so its product is a square
         series = [value for value in values if isinstance(value, TruncatedSeries)]
         polys = [value for value in values if isinstance(value, Polynomial)]
         poly = prod(polys[1:], start=polys[0]) if polys else Polynomial.one(TVAR)
         shift = sum(value for value in values if isinstance(value, int))
         if not series:
-            return TruncatedSeries.from_coeffs([Polynomial.zero(TVAR)] * shift + [poly], order) if shift else poly
+            return TruncatedSeries.from_coeffs([Polynomial.zero(TVAR)] * shift + [poly], self.order) if shift else poly
         product = prod(series[1:], start=series[0])
         product = product.shift_up(shift) if shift else product
         return product.scale(poly) if polys else product
 
-    def factor(self, order):
+    def factor(self):
         start, token = self.at, self.take()
         if token == "t":
             return Polynomial.gen(TVAR)
@@ -170,7 +176,7 @@ class _Statement:
             return 1
         if token == "1" and self.peek("/"):
             self.take()
-            return self.series(self.factor(order), start).invert()
+            return self.series(self.factor(), start).invert()
         if token.isdigit():
             return Polynomial.constant(TVAR, int(token))
         if token[0] in _GENERATORS:
@@ -178,20 +184,20 @@ class _Statement:
             if argument not in _ARGUMENTS:
                 self.fail(f"unknown argument {argument}", start)
             if tag not in self.built:
-                self.built[tag] = build_series(tag, self.top)
-            return _ARGUMENTS[argument](self.built[tag].truncate(order))
+                self.built[tag] = build_series(tag, self.order)
+            return _ARGUMENTS[argument](self.built[tag])
         if token != "(":
             self.fail(f"unexpected {token!r}", start)
-        value = self.sum(order + 1)
+        value = self.sum()
         self.take(")")
         if not self.peek("/"):
-            return value.truncate(order) if isinstance(value, TruncatedSeries) else value
+            return value
         self.take("/")
         self.take("z")
         value = self.series(value, start)
         if value.coeffs[0]:
             self.fail("(X)/z of an X with a nonzero constant term", start)
-        return value.shift_down(1)
+        return TruncatedSeries.from_coeffs(value.coeffs[1:], value.order)
 
     def series(self, value, at):
         if not isinstance(value, TruncatedSeries):

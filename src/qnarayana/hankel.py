@@ -235,16 +235,17 @@ class _JFractionFields(NamedTuple):
 class JFraction(_JFractionFields):
     """Diagonal coefficients s and subdiagonal coefficients t_coeffs.
 
-    Always one more s than t (the innermost level has no subdiagonal term);
-    depth counts the subdiagonal coefficients.  An extraction that hits a
-    zero subdiagonal coefficient stops early, below the depth asked for: the
-    fraction is then finite and reproduces its series exactly.
+    Always one more s than t, so a fraction has at least one level (the
+    innermost level has no subdiagonal term); depth counts the subdiagonal
+    coefficients.  An extraction that hits a zero subdiagonal coefficient
+    stops early, below the depth asked for: the fraction is then finite and
+    reproduces its series exactly.
     """
 
     __slots__ = ()
 
     def __new__(cls, s: tuple[RationalFunction, ...], t_coeffs: tuple[RationalFunction, ...]):
-        if len(s) != len(t_coeffs) + 1 and (s or t_coeffs):
+        if len(s) != len(t_coeffs) + 1:
             raise ValueError("need exactly one more diagonal than subdiagonal coefficient")
         if not all(t_coeffs):
             raise ValueError("subdiagonal coefficients must be nonzero")
@@ -298,13 +299,10 @@ def jfraction_to_series(jf: JFraction, order: int) -> TruncatedSeries:
     +, - and *, so it is exact over any coefficient ring; the one series
     inverse, of D_0 (constant term 1), and the one product with N_0 take the
     packed Z[t] kernel when every coefficient lies in Z[t].  The result
-    agrees with the source series through z^(2d+1); an empty fraction is the
-    constant series 1.
+    agrees with the source series through z^(2d+1).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if not jf.s:
-        return TruncatedSeries.constant(RationalFunction.one(TVAR), order)
     one = ring_one_like(jf.s[0])
     zero = one - one
     num, den = [one], [one, -jf.s[-1]]

@@ -874,9 +874,11 @@ class TestPublicNames:
         "hankel_table-shift": (lambda: hankel.hankel_table("small_c", -1, 2), ValueError, "shift must be >= 0"),
         "jfraction_extract": (lambda: hankel.jfraction_extract(hankel.ratfun_series("smallg", 4), -1),
                               ValueError, "depth must be >= 0"),
-        "jfraction_to_series": (lambda: hankel.jfraction_to_series(hankel.JFraction((), ()), -1),
+        "jfraction_to_series": (lambda: hankel.jfraction_to_series(hankel.JFraction((T,), ()), -1),
                                 ValueError, "order must be >= 0"),
         "hankel_product_formula": (lambda: hankel.hankel_product_formula((), 0), ValueError, "dimension must be >= 1"),
+        "hankel_product_formula-type": (lambda: hankel.hankel_product_formula(["x"], 1), TypeError,
+                                        "unsupported coefficient type str"),
         "enumerate_symmetric": (lambda: next(dyckoracle.enumerate_symmetric(-1)),
                                 ValueError, "semi-length must be >= 0"),
         "Polynomial": (lambda: Polynomial("", ()), TypeError, "variable must be a non-empty string"),
@@ -884,14 +886,22 @@ class TestPublicNames:
         "poly_exact_div": (lambda: exactalg.poly_exact_div(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
         "poly_gcd": (lambda: exactalg.poly_gcd(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
         "RationalFunction": (lambda: RationalFunction(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
+        "RationalFunction.__add__": (lambda: RationalFunction(T) + RationalFunction(Q), ValueError, "variable mismatch"),
+        "RationalFunction.__add__-Polynomial": (lambda: RationalFunction(T) + Q, ValueError, "variable mismatch"),
+        "RationalFunction.__mul__": (lambda: RationalFunction(T) * RationalFunction(Q), ValueError, "variable mismatch"),
+        "RationalFunction.__mul__-Polynomial": (lambda: RationalFunction(T) * Q, ValueError, "variable mismatch"),
         "TruncatedSeries-empty": (lambda: TruncatedSeries(()), ValueError,
                                   "a series needs at least its constant coefficient"),
         "TruncatedSeries-short": (lambda: TruncatedSeries((1, 2), 5), ValueError, "expected 6 coefficients, got 2"),
         "TruncatedSeries.from_coeffs": (lambda: TruncatedSeries.from_coeffs([], 3), ValueError,
                                         "cannot infer the coefficient ring from an empty list"),
+        "TruncatedSeries.from_coeffs-type": (lambda: TruncatedSeries.from_coeffs(["a"], 2), TypeError,
+                                             "unsupported coefficient type str"),
         "shift_up": (lambda: TruncatedSeries((1, 2), 1).shift_up(-1), ValueError, "shift must be >= 0"),
-        "shift_down": (lambda: TruncatedSeries((1, 2), 1).shift_down(2), ValueError, "shift out of range"),
         "truncate": (lambda: TruncatedSeries((1, 2), 1).truncate(2), ValueError, "can only truncate to a lower order"),
+        "invert": (lambda: TruncatedSeries((RationalFunction.zero("t"), RationalFunction.one("t"))).invert(),
+                   exactalg.NotInvertibleError, "constant term is zero"),
+        "invert-type": (lambda: TruncatedSeries(("a",)).invert(), TypeError, "unsupported coefficient type str"),
     }
 
     @pytest.mark.parametrize("call, error, message", list(REFUSALS.values()), ids=list(REFUSALS))

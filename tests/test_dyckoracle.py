@@ -43,6 +43,10 @@ class TestEnumeration:
             assert len(set(paths)) == len(paths)
             assert paths == sorted(paths)
 
+    def test_only_up_and_down_steps(self):
+        assert is_dyck_path("UD")
+        assert not is_dyck_path("UXD")
+
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
             next(enumerate_dyck(MAX_QT + 1))

@@ -102,15 +102,46 @@ class TestVerifyIdentity:
         assert (report.passed, report.power) == (False, order)
 
     def test_each_generator_is_built_once(self, monkeypatch):
-        # eq19 reads G on both sides, at two orders: one build, at the order plus its number of "("
+        # every value of a statement has one order, the order compared plus its number of (X)/z:
+        # each generator is built once, in reading order, at the order, and eq18's at the order + 1
+        reads = {"eq15": ["bigC"], "eq16": ["bigC"], "eq18": ["bigG", "bigC"], "eq19": ["bigG"], "eq20": ["bigG"],
+                 "eq23": ["smallc", "bigC"], "eq24": ["smallc"], "eq25": ["smallc", "bigC"],
+                 "eq27": ["smallg", "bigG"], "eq28": ["smallg", "bigG"]}
+        assert list(reads) == [key for key in ALL_IDENTITIES if key not in _INTEGER_CHECKS]
         built, build = [], gfun.build_series
         monkeypatch.setattr(gfun, "build_series", lambda tag, n: built.append((tag, n)) or build(tag, n))
-        assert verify_identity("eq19", 12).passed
-        assert built == [("bigG", 14)]
-        for identity in ALL_IDENTITIES:
+        for order in (2, 6, 12):
+            for identity, tags in reads.items():
+                built.clear()
+                assert verify_identity(identity, order).passed
+                assert built == [(tag, order + (identity == "eq18")) for tag in tags], (identity, order)
+
+    def test_nested_division_by_z_spoils_one_coefficient_each(self, monkeypatch):
+        # ((C - 1)/z - 1)/z = (G - 1)/z, which eq20 writes as (1+t)G + tzG^2: two nested (X)/z, so every
+        # value is built two orders longer, and the left side's coefficient z^order is C's z^(order+2)
+        statement = "(((C - 1)/z) - 1)/z = (1+t)G + tzG^2"
+        built, build, perturb = [], gfun.build_series, []
+
+        def recording(tag, n):
+            built.append((tag, n))
+            f = build(tag, n)
+            if tag != "bigC" or not perturb:
+                return f
+            at = perturb[0]
+            return TruncatedSeries(f.coeffs[:at] + (f.coeffs[at] + P(0, 1),) + f.coeffs[at + 1:], n)
+
+        monkeypatch.setattr(gfun, "build_series", recording)
+        for order in range(2, 21):
             built.clear()
-            assert verify_identity(identity, 6).passed
-            assert len({tag for tag, _ in built}) == len(built), identity
+            lhs, rhs = gfun._Statement("nested", statement).sides(order)
+            assert (lhs.order, rhs.order) == (order, order)
+            assert lhs == rhs, order
+            assert built == [("bigC", order + 2), ("bigG", order + 2)], order
+            perturb[:] = [order + 2]
+            lhs, rhs = gfun._Statement("nested", statement).sides(order)
+            perturb.clear()
+            assert lhs.coeffs[:order] == rhs.coeffs[:order], order
+            assert lhs.coeffs[order] == rhs.coeffs[order] + P(0, 1), order
 
     def test_stability_under_truncation(self):
         # the sides at order N are the prefixes of the sides at order N+5, so

@@ -425,10 +425,10 @@ class TestJFraction:
         expected = TruncatedSeries([RationalFunction(c_poly(n)) for n in range(5)], 4)
         assert series == expected
 
-    def test_empty_fraction_is_one(self):
-        series = jfraction_to_series(JFraction((), ()), 5)
-        assert series.coeffs[0] == RationalFunction.one(TVAR)
-        assert not any(series.coeffs[1:])
+    def test_empty_fraction_is_refused(self):
+        # a fraction has at least one level, so there is no empty one to evaluate
+        with pytest.raises(ValueError, match="^need exactly one more diagonal than subdiagonal coefficient$"):
+            JFraction((), ())
 
     @pytest.mark.parametrize("tag", ["smallc", "smallg"])
     def test_order_zero_is_the_constant_one(self, tag):
