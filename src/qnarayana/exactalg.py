@@ -18,8 +18,14 @@ Packed integers (Kronecker substitution) carry the big Z[t] work: a
 polynomial is replaced by its value at t = 2**w and read back once as its
 balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism, so
 every packed value is exact; the digits are the coefficients as long as each
-is below 2**(w-1) in absolute value, and w is a whole number of bytes taken
-from a bound on every coefficient.  The codec has two kinds of user.  The
+is below 2**(w-1) in absolute value.  ``_slot_bytes`` takes w from a bound on
+every coefficient plus a sign bit, on a ladder: a machine word of 8, 16, 32
+or 64 bits when one holds it, else whole bytes.  A word-wide slot moves in C
+through ``array``: a coefficient's two's-complement word XOR 2**(w-1) is the
+coefficient plus 2**(w-1), so ``_pack`` reads the words as one integer, XORs
+a bias of 2**(w-1) per slot into it and subtracts the bias, and ``_unpack``
+adds the bias and XORs it back off; a wider slot goes coefficient by
+coefficient.  The codec has two kinds of user.  The
 series product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the
 only series loops, on the packed coefficients instead of the polynomials
 (see ``TruncatedSeries`` for the bound); a series of rational functions
@@ -58,7 +64,9 @@ which only strips trailing zeros.
 from __future__ import annotations
 
 import math
-from functools import reduce
+import sys
+from array import array
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from operator import add, mul
 
@@ -277,9 +285,10 @@ def poly_exact_div(a, b):
     its balanced digits q are the quotient once |q|_inf * |b'|_1 and
     |a'|_inf are both below 2**(w-1): then every coefficient of q*b' is
     below 2**(w-1) as well, q*b' and a' have the same value at 2**w, and
-    balanced digits are unique, so q*b' = a'.  The first slot holds
-    |a'|_inf * |b'|_1 plus a sign bit, enough when |q|_inf <= |a'|_inf.
-    Otherwise the slot doubles.  Any true quotient has |q|_inf <=
+    balanced digits are unique, so q*b' = a'.  The first slot holds at least
+    |a'|_inf * |b'|_1 plus a sign bit (``_slot_bytes``), enough when
+    |q|_inf <= |a'|_inf.  Otherwise the slot doubles, which keeps a word-wide
+    slot on the ladder of word widths.  Any true quotient has |q|_inf <=
     2^deg(a') * ||a'||_2 (Landau-Mignotte; Mignotte 1974), and at a slot
     past that bound times |b'|_1 it would be the digits found; so a digit
     check that still fails there means no quotient exists, and it raises.
@@ -640,31 +649,67 @@ def _lift(polys, kind, var):
 
 
 def _slot_bytes(bound):
-    """Bytes per Kronecker slot for coefficients of absolute value at most bound: its bits plus a sign bit."""
-    return bound.bit_length() // 8 + 1
+    """Bytes per Kronecker slot for coefficients of absolute value at most bound.
+
+    A slot holds the bound's bits plus a sign bit, in the narrowest machine
+    word of 1, 2, 4 or 8 bytes that does (bounds through 2**63 - 1), else in
+    exactly as many whole bytes as that takes.  A word-wide slot packs in C
+    (see ``_pack``); rounding a wider slot up would only lengthen every
+    packed product.
+    """
+    nbytes = bound.bit_length() // 8 + 1
+    return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 
 
+@lru_cache(maxsize=256)  # the kernels ask for few (width, slots) pairs, each many times
 def _slot_bias(nbytes, slots):
     # 2**(8*nbytes - 1) in each of `slots` slots: shifts balanced digits to non-negative ones
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
 
 
+# array typecode of each word width.  An array holds its items in the host's
+# byte order, which is the little-endian digit order only on a little-endian
+# host; elsewhere every slot takes the per-coefficient byte path.
+_WORD_CODES = {array(code).itemsize: code for code in "bhilq"} if sys.byteorder == "little" else {}
+
+
 def _pack(coeffs, nbytes):
-    """Value at t = 2**(8*nbytes) of the polynomial with these coefficients; every |coefficient| < 2**(8*nbytes - 1)."""
+    """Value at t = 2**(8*nbytes) of the polynomial with these coefficients.
+
+    Every coefficient must lie in [-2**(8*nbytes - 1), 2**(8*nbytes - 1));
+    one outside raises OverflowError, it never wraps.  A word-wide slot is
+    the coefficient's two's-complement word c mod 2**(8*nbytes), written by
+    ``array``: XOR with the bias 2**(8*nbytes - 1) in every slot turns each
+    word into c + 2**(8*nbytes - 1), and subtracting the bias leaves the
+    value.  A wider slot writes c + 2**(8*nbytes - 1) byte by byte.
+    """
+    bias = _slot_bias(nbytes, len(coeffs))
+    code = _WORD_CODES.get(nbytes)
+    if code:
+        return (int.from_bytes(array(code, coeffs).tobytes(), "little") ^ bias) - bias
     half = 1 << (8 * nbytes - 1)
     biased = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
-    return int.from_bytes(biased, "little") - _slot_bias(nbytes, len(coeffs))
+    return int.from_bytes(biased, "little") - bias
 
 
 def _unpack(value, nbytes, var):
     """The polynomial with balanced base-2**(8*nbytes) digits whose value there is `value`.
 
     The digits are the coefficients whenever each is below 2**(8*nbytes - 1)
-    in absolute value.  The spare top slot keeps the biased value of any
-    integer inside the buffer, so the function never raises.
+    in absolute value.  Adding the bias in every slot makes each digit
+    d + 2**(8*nbytes - 1), with no borrow between slots; a word-wide slot
+    XORs the bias back off, which leaves d as a two's-complement word for
+    ``array`` to read, and a wider slot subtracts it byte by byte.  The
+    slots cover the bits of |value| and a sign bit, so |value| is below the
+    bias and the biased value fits in the buffer: the function never raises.
     """
-    slots = value.bit_length() // (8 * nbytes) + 2
-    biased = (value + _slot_bias(nbytes, slots)).to_bytes(slots * nbytes, "little")
+    slots = value.bit_length() // (8 * nbytes) + 1
+    bias = _slot_bias(nbytes, slots)
+    code = _WORD_CODES.get(nbytes)
+    if code:
+        words = ((value + bias) ^ bias).to_bytes(slots * nbytes, "little")
+        return Polynomial._trusted(var, array(code, words).tolist())
+    biased = (value + bias).to_bytes(slots * nbytes, "little")
     half = 1 << (8 * nbytes - 1)
     return Polynomial._trusted(var, [int.from_bytes(biased[k:k + nbytes], "little") - half
                                      for k in range(0, len(biased), nbytes)])
@@ -725,7 +770,8 @@ class TruncatedSeries:
     inverse leaves Z[var].  Over ints, mixed types, or rational functions
     with any other denominator they run on the coefficients.  The packed
     loops use slots that hold a bound B
-    plus a sign bit, rounded up to whole bytes.  B is the larger of the
+    plus a sign bit, rounded up to the next width on ``_slot_bytes``'s
+    ladder: 1, 2, 4 or 8 bytes, then whole bytes.  B is the larger of the
     largest input coefficient and the largest value of the same loop run on
     the ints |p|_1, the sums of absolute coefficients: for a product,
     _convolve of the norms, whose entry m bounds every coefficient of output

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+from array import array
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from unittest import mock
@@ -333,13 +334,19 @@ def P(*coeffs):
     return Polynomial("t", coeffs)
 
 
-# The first three products and the first inverse leave no spare byte: a slot
-# one byte narrower still holds every input but not the largest output
-# coefficient (255 * 257 = 2**16 - 1; the inverse of 1 - 255z has 255**m).
+# Slot widths climb a ladder (``exactalg._slot_bytes``): 1, 2, 4 and 8 bytes,
+# then every whole byte.  The first four products and the first two inverses
+# sit at the top of their rung: one rung narrower (8 -> 4 -> 2 bytes,
+# n -> n - 1 above 8) still holds every input but not the largest output
+# coefficient.  The products pack at 4, 8, 8 and 9 bytes (largest outputs
+# 2**16 - 1, 2**32 - 2**16, about 2**48 and 2**64 - 1), the inverses of
+# 1 - 255z and 1 - (2**32 - 1)z at 4 and 9 bytes (their z**2 coefficient is
+# the square of the z coefficient).
 KERNEL_EDGE_PRODUCTS = [
     (TruncatedSeries([P(255)]), TruncatedSeries([P(257)])),
     (TruncatedSeries([P(-(2 ** 16 - 1))]), TruncatedSeries([P(2 ** 16)])),
     (TruncatedSeries([P(2 ** 24, -1), P(1, 1)]), TruncatedSeries([P(-(2 ** 24)), P(0, 0, 2 ** 8 - 1)])),
+    (TruncatedSeries([P(-(2 ** 32 - 1))]), TruncatedSeries([P(2 ** 32 + 1)])),
     # coefficient 1 cancels to the zero polynomial: p*(-p) + p*p
     (TruncatedSeries([P(3, -1, 2), P(3, -1, 2)]), TruncatedSeries([P(3, -1, 2), P(-3, 1, -2)])),
     # an all-zero operand
@@ -348,6 +355,7 @@ KERNEL_EDGE_PRODUCTS = [
 ]
 KERNEL_EDGE_INVERSES = [
     TruncatedSeries([P(1), P(-255), P()]),
+    TruncatedSeries([P(1), P(-(2 ** 32 - 1)), P()]),
     TruncatedSeries([P(-1)]),
     TruncatedSeries([P(-1), P(255, -256), P(2 ** 16 - 1)]),
     TruncatedSeries([P(1), P(), P(0, 2 ** 8)]),
@@ -358,7 +366,7 @@ def test_packed_kernel_edge_cases():
     for f, g in KERNEL_EDGE_PRODUCTS:
         assert spelled((f * g).coeffs) == spelled(reference_product(f, g)), (f, g)
         assert spelled((g * f).coeffs) == spelled(reference_product(g, f)), (g, f)
-    assert (KERNEL_EDGE_PRODUCTS[3][0] * KERNEL_EDGE_PRODUCTS[3][1]).coeffs[1] == P()
+    assert (KERNEL_EDGE_PRODUCTS[4][0] * KERNEL_EDGE_PRODUCTS[4][1]).coeffs[1] == P()
     for f in KERNEL_EDGE_INVERSES:
         assert spelled(f.invert().coeffs) == spelled(reference_inverse(f)), f
         assert f * f.invert() == TruncatedSeries.constant(P(1), f.order)
@@ -422,15 +430,98 @@ def test_slot_bounds_are_pinned(monkeypatch):
         assert seen == [pinned_series_bound(case)], case
 
 
-def test_slot_one_byte_narrower_is_caught(monkeypatch):
-    from qnarayana import exactalg
+def test_order_80_series_pack_at_their_exact_width(monkeypatch):
+    """bigC^-1 and bigG^2 at order 80, the size of the deep identity checks, pack past a word
+    in exactly the bytes their bound and a sign bit take, not rounded up to a larger slot."""
+    from qnarayana.gfun import build_series
 
-    width = exactalg._slot_bytes
-    monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: width(bound) - 1)
-    for f, g in KERNEL_EDGE_PRODUCTS[:3]:
+    C, G = build_series("bigC", 80), build_series("bigG", 80)
+    width, seen = exactalg._slot_bytes, []
+    monkeypatch.setattr(exactalg, "_slot_bytes", lambda bound: seen.append(bound) or width(bound))
+    assert spelled(C.invert().coeffs) == spelled(reference_inverse(C))
+    assert spelled((G * G).coeffs) == spelled(reference_product(G, G))
+    assert seen == [pinned_series_bound((C,)), pinned_series_bound((G, G))]
+    for bound in seen:
+        assert width(bound) == bound.bit_length() // 8 + 1 >= 9, bound
+
+
+def test_slot_widths_climb_the_word_ladder():
+    """1, 2, 4 or 8 bytes for bounds through 2**63 - 1, then the bound's bits plus a sign bit in whole bytes."""
+    words = {0: 1, 127: 1, 128: 2, 2 ** 15 - 1: 2, 2 ** 15: 4, 2 ** 31 - 1: 4, 2 ** 31: 8, 2 ** 63 - 1: 8}
+    for bound, nbytes in words.items():
+        assert exactalg._slot_bytes(bound) == nbytes, bound
+    for bits in range(64, 200):
+        for bound in (1 << (bits - 1), (1 << bits) - 1):
+            assert exactalg._slot_bytes(bound) == bits // 8 + 1, bound
+    if sys.byteorder == "little":
+        assert sorted(exactalg._WORD_CODES) == [1, 2, 4, 8]
+    for nbytes, code in exactalg._WORD_CODES.items():
+        assert array(code).itemsize == nbytes
+
+
+# The codec's contract at every word width and at the byte path past it.
+SLOT_WIDTHS = range(1, 18)
+
+
+def in_slot(nbytes):
+    half = 1 << (8 * nbytes - 1)
+    return st.one_of(st.sampled_from((-half, half - 1, 0, -1)), st.integers(-half, half - 1))
+
+
+def packed_value(coeffs, nbytes):
+    return sum(c << (8 * nbytes * i) for i, c in enumerate(coeffs))
+
+
+@given(st.sampled_from(SLOT_WIDTHS).flatmap(lambda n: st.tuples(st.just(n), st.lists(in_slot(n), max_size=10))))
+def test_codec_round_trips_every_coefficient_in_the_slot(case):
+    nbytes, coeffs = case
+    value = exactalg._pack(coeffs, nbytes)
+    assert value == packed_value(coeffs, nbytes)
+    assert exactalg._unpack(value, nbytes, "t") == Polynomial("t", coeffs)
+
+
+@pytest.mark.parametrize("nbytes", SLOT_WIDTHS)
+def test_codec_holds_both_extremes_of_the_slot(nbytes):
+    half = 1 << (8 * nbytes - 1)
+    for coeffs in ([-half], [half - 1], [-half, half - 1, 0, -half, half - 1], [half - 1] * 5):
+        assert exactalg._unpack(exactalg._pack(coeffs, nbytes), nbytes, "t") == Polynomial("t", coeffs)
+
+
+@given(st.sampled_from(SLOT_WIDTHS), st.data())
+def test_pack_refuses_a_coefficient_outside_the_slot(nbytes, data):
+    half = 1 << (8 * nbytes - 1)
+    outside = data.draw(st.one_of(st.sampled_from((half, -half - 1)), st.integers(min_value=half),
+                                  st.integers(max_value=-half - 1)))
+    coeffs = data.draw(st.lists(in_slot(nbytes), max_size=4))
+    coeffs.insert(data.draw(st.integers(0, len(coeffs))), outside)
+    with pytest.raises(OverflowError):
+        exactalg._pack(coeffs, nbytes)
+
+
+@given(st.sampled_from(SLOT_WIDTHS), st.one_of(st.integers(), st.integers(-(1 << 400), 1 << 400)))
+def test_unpack_reads_any_integer_as_balanced_digits(nbytes, value):
+    half = 1 << (8 * nbytes - 1)
+    p = exactalg._unpack(value, nbytes, "t")
+    assert all(-half <= c < half for c in p.coeffs)
+    assert packed_value(p.coeffs, nbytes) == value
+
+
+def test_slot_one_byte_narrower_is_caught(monkeypatch):
+    """Each edge case at the top of its rung, word-wide or wider, goes wrong in a slot one rung
+    narrower: one byte narrower above 8 bytes, half as wide at a word."""
+    width, widths = exactalg._slot_bytes, []
+
+    def narrower(bound):
+        nbytes = width(bound)
+        widths.append(nbytes)
+        return nbytes - 1 if nbytes > 8 else nbytes // 2
+
+    monkeypatch.setattr(exactalg, "_slot_bytes", narrower)
+    for f, g in KERNEL_EDGE_PRODUCTS[:4]:
         assert (f * g).coeffs != tuple(reference_product(f, g)), (f, g)
-    f = KERNEL_EDGE_INVERSES[0]
-    assert f.invert().coeffs != tuple(reference_inverse(f))
+    for f in KERNEL_EDGE_INVERSES[:2]:
+        assert f.invert().coeffs != tuple(reference_inverse(f)), f
+    assert widths == [4, 8, 8, 9, 4, 9]
 
 
 def test_generic_rings_keep_the_coefficient_loop(monkeypatch):
