@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import zip_longest
 from operator import add, mul
 
@@ -661,7 +661,6 @@ def _slot_bytes(bound):
     return nbytes if nbytes > 8 else 1 << (nbytes - 1).bit_length()
 
 
-@lru_cache(maxsize=256)  # the kernels ask for few (width, slots) pairs, each many times
 def _slot_bias(nbytes, slots):
     # 2**(8*nbytes - 1) in each of `slots` slots: shifts balanced digits to non-negative ones
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * slots, "little")
@@ -700,10 +699,10 @@ def _unpack(value, nbytes, var):
     d + 2**(8*nbytes - 1), with no borrow between slots; a word-wide slot
     XORs the bias back off, which leaves d as a two's-complement word for
     ``array`` to read, and a wider slot subtracts it byte by byte.  The
-    slots cover the bits of |value| and a sign bit, so |value| is below the
-    bias and the biased value fits in the buffer: the function never raises.
+    spare top slot keeps the biased value of any integer inside the buffer,
+    so the function never raises.
     """
-    slots = value.bit_length() // (8 * nbytes) + 1
+    slots = value.bit_length() // (8 * nbytes) + 2
     bias = _slot_bias(nbytes, slots)
     code = _WORD_CODES.get(nbytes)
     if code:
