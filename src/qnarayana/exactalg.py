@@ -14,42 +14,16 @@ Three immutable value types built on Python's arbitrary-precision integers:
   coefficients in any of the rings above (or plain ints).  Every operation
   truncates eagerly; two series are only comparable at equal order.
 
-Packed integers (Kronecker substitution) carry the big Z[t] work: a
-polynomial is replaced by its value at t = 2**w and read back once as its
-balanced base-2**w digits.  Evaluation at 2**w is a ring homomorphism, so
-every packed value is exact; the digits are the coefficients as long as each
-is below 2**(w-1) in absolute value.  ``_slot_bytes`` takes w from a bound on
-every coefficient plus a sign bit, on a ladder: a machine word of 8, 16, 32
-or 64 bits when one holds it, else whole bytes.  A word-wide slot moves in C
-through ``array``: a coefficient's two's-complement word XOR 2**(w-1) is the
-coefficient plus 2**(w-1), so ``_pack`` reads the words as one integer, XORs
-a bias of 2**(w-1) per slot into it and subtracts the bias, and ``_unpack``
-adds the bias and XORs it back off; a wider slot goes coefficient by
-coefficient.  The codec has two kinds of user.  The
-series product and inverse over Z[t] run ``_convolve`` and ``_inverse``, the
-only series loops, on the packed coefficients instead of the polynomials
-(see ``TruncatedSeries`` for the bound); a series of rational functions
-whose denominators are all 1 lies in Z[t] too and packs its numerators.
-Exact division by any divisor other than +-var^v is one ``divmod`` of the
-packed dividend by the packed divisor, whose digits are checked against a
-bound afterwards and the slot widened when they miss it (see
-``poly_exact_div``).
+Big Z[t] work runs on packed integers through one Kronecker-substitution
+codec, ``_pack`` and ``_unpack`` in slots of ``_slot_bytes``.  Its users
+are the series product and inverse over Z[t], whose slot bounds
+``TruncatedSeries`` states, and exact division, whose first slot and
+widening ``poly_exact_div`` states.
 
-Polynomial product and exact division skip zero low blocks: the product's
-inner loop starts at the inner operand's lowest nonzero coefficient, and an
-inner operand with one term there scales the outer one in a single list;
-exact division splits var^v off the divisor first, and a divisor left as
-+-1 is a slice of the dividend.
-Fraction-free elimination produces that structure in bulk (entries t^v times
-a short polynomial, pivots c*t^v), so its entry update works on (valuation,
-tail) pairs (v, T) for t^v * T with T(0) != 0 and never builds a zero low
-block: ``_cross`` adds x*p - y*z into one list from the tails at their
-offsets, reads the valuation off it, and divides by the previous pivot
-t^f * D as t^(m-f) * (W / D), exact iff f <= m and D divides W, with
-``poly_exact_div`` unless D is 1.  It shares the one product loop,
-``_add_products``, with ``Polynomial.__mul__``.  A series
-squared (``f * f``, the same object) packs once and computes each symmetric
-pair of its convolution once (see ``_convolve``).
+Polynomial product and exact division skip zero low blocks (see
+``Polynomial.__mul__`` and ``poly_exact_div``), and so does the
+fraction-free entry update ``_cross`` on its (valuation, tail) pairs.
+Every polynomial product runs one loop, ``_add_products``.
 
 There is no floating point anywhere and no tolerance anywhere: all
 arithmetic is exact, all equality is structural.
@@ -267,7 +241,13 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["var"], (int(c) for c in obj["coeffs"]))
+        """Read back what ``to_json`` writes and nothing else: each coefficient a ``str`` equal to ``str(int(c))``."""
+        for c in obj["coeffs"]:
+            if type(c) is not str:
+                raise TypeError(f"coefficient must be a decimal string, got {type(c).__name__}")
+            if str(int(c)) != c:
+                raise ValueError(f"coefficient {c!r} is not a canonical decimal string")
+        return cls(obj["var"], map(int, obj["coeffs"]))
 
 
 def poly_exact_div(a, b):
@@ -276,22 +256,20 @@ def poly_exact_div(a, b):
     A divisor var^v * b' with b'(0) != 0 needs the dividend's v lowest
     coefficients to be zero; the rest a' of the dividend is then divided by
     b' alone.  For b' = +-1 the quotient is a' (negated for -1); any other
-    b', a single term c included, takes the packed division below.
-
-    Such a b' is divided in one ``divmod`` of the packed
-    integers a'(2**w) and b'(2**w), on the series kernel's codec.  Evaluation
-    at 2**w is a ring homomorphism, so a' = q*b' forces a zero remainder: a
-    nonzero one raises.  A zero remainder gives the integer quotient Q, and
-    its balanced digits q are the quotient once |q|_inf * |b'|_1 and
+    b', a single term c included, takes one ``divmod`` of a'(2**w) and
+    b'(2**w), packed in slots of w bits (``_pack``).  Packing is a ring
+    homomorphism, so a' = q*b' forces a zero remainder: a nonzero one
+    raises.  A zero remainder gives the integer quotient Q, and its balanced
+    digits q (``_unpack``) are the quotient once |q|_inf * |b'|_1 and
     |a'|_inf are both below 2**(w-1): then every coefficient of q*b' is
     below 2**(w-1) as well, q*b' and a' have the same value at 2**w, and
-    balanced digits are unique, so q*b' = a'.  The first slot holds at least
-    |a'|_inf * |b'|_1 plus a sign bit (``_slot_bytes``), enough when
-    |q|_inf <= |a'|_inf.  Otherwise the slot doubles, which keeps a word-wide
-    slot on the ladder of word widths.  Any true quotient has |q|_inf <=
-    2^deg(a') * ||a'||_2 (Landau-Mignotte; Mignotte 1974), and at a slot
-    past that bound times |b'|_1 it would be the digits found; so a digit
-    check that still fails there means no quotient exists, and it raises.
+    balanced digits are unique, so q*b' = a'.  The first slot is
+    ``_slot_bytes(|a'|_inf * |b'|_1)``, enough when |q|_inf <= |a'|_inf.
+    Otherwise the slot doubles, which keeps a word-wide slot on the ladder.
+    Any true quotient has |q|_inf <= 2^deg(a') * ||a'||_2 (Landau-Mignotte;
+    Mignotte 1974), and at a slot past that bound times |b'|_1 it would be
+    the digits found; so a digit check that still fails there means no
+    quotient exists, and it raises.
     """
     if a.var != b.var:
         raise ValueError(f"variable mismatch: {a.var!r} vs {b.var!r}")
@@ -338,6 +316,11 @@ def _pseudo_rem(a, b):
 
 def _cross(x, p, y, z, prev, var):
     """(x*p - y*z) / prev on (valuation, tail) pairs: the fraction-free entry update.
+
+    In fraction-free (Bareiss) elimination x is the entry, p the pivot, y
+    and z the entries in the pivot's column and row, and prev the previous
+    pivot; by Sylvester's identity the quotient is a minor of the input, so
+    the division is exact in Z[var].
 
     Each operand is a pair (v, T) for var^v * T, where T is a tuple of
     coefficients with T[0] != 0, or the pair (0, ()) for zero (see
@@ -653,8 +636,8 @@ def _slot_bytes(bound):
 
     A slot holds the bound's bits plus a sign bit, in the narrowest machine
     word of 1, 2, 4 or 8 bytes that does (bounds through 2**63 - 1), else in
-    exactly as many whole bytes as that takes.  A word-wide slot packs in C
-    (see ``_pack``); rounding a wider slot up would only lengthen every
+    exactly as many whole bytes as that takes.  A word-wide slot converts in
+    C (see ``_pack``); rounding a wider slot up would only lengthen every
     packed product.
     """
     nbytes = bound.bit_length() // 8 + 1
@@ -668,27 +651,28 @@ def _slot_bias(nbytes, slots):
 
 # array typecode of each word width.  An array holds its items in the host's
 # byte order, which is the little-endian digit order only on a little-endian
-# host; elsewhere every slot takes the per-coefficient byte path.
+# host; elsewhere every slot converts through int.to_bytes and int.from_bytes.
 _WORD_CODES = {array(code).itemsize: code for code in "bhilq"} if sys.byteorder == "little" else {}
 
 
 def _pack(coeffs, nbytes):
-    """Value at t = 2**(8*nbytes) of the polynomial with these coefficients.
+    """Value at t = 2**(8*nbytes) of the polynomial with these coefficients (Kronecker substitution).
 
-    Every coefficient must lie in [-2**(8*nbytes - 1), 2**(8*nbytes - 1));
-    one outside raises OverflowError, it never wraps.  A word-wide slot is
-    the coefficient's two's-complement word c mod 2**(8*nbytes), written by
-    ``array``: XOR with the bias 2**(8*nbytes - 1) in every slot turns each
-    word into c + 2**(8*nbytes - 1), and subtracting the bias leaves the
-    value.  A wider slot writes c + 2**(8*nbytes - 1) byte by byte.
+    Evaluation there is a ring homomorphism, so sums and products of packed
+    values are the packed values of the polynomial sums and products, read
+    back by ``_unpack`` while every coefficient fits its slot.  Every
+    coefficient must lie in [-2**(8*nbytes - 1), 2**(8*nbytes - 1)); one
+    outside raises OverflowError, it never wraps.  Each slot holds the
+    coefficient's two's-complement word c mod 2**(8*nbytes), written by
+    ``array`` at a word width and by ``int.to_bytes`` past it.  XOR with
+    the bias 2**(8*nbytes - 1) in every slot turns each word into
+    c + 2**(8*nbytes - 1), and subtracting the bias leaves the value.
     """
-    bias = _slot_bias(nbytes, len(coeffs))
     code = _WORD_CODES.get(nbytes)
-    if code:
-        return (int.from_bytes(array(code, coeffs).tobytes(), "little") ^ bias) - bias
-    half = 1 << (8 * nbytes - 1)
-    biased = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
-    return int.from_bytes(biased, "little") - bias
+    words = (array(code, coeffs).tobytes() if code
+             else b"".join(c.to_bytes(nbytes, "little", signed=True) for c in coeffs))
+    bias = _slot_bias(nbytes, len(coeffs))
+    return (int.from_bytes(words, "little") ^ bias) - bias
 
 
 def _unpack(value, nbytes, var):
@@ -696,22 +680,18 @@ def _unpack(value, nbytes, var):
 
     The digits are the coefficients whenever each is below 2**(8*nbytes - 1)
     in absolute value.  Adding the bias in every slot makes each digit
-    d + 2**(8*nbytes - 1), with no borrow between slots; a word-wide slot
-    XORs the bias back off, which leaves d as a two's-complement word for
-    ``array`` to read, and a wider slot subtracts it byte by byte.  The
-    spare top slot keeps the biased value of any integer inside the buffer,
-    so the function never raises.
+    d + 2**(8*nbytes - 1), with no borrow between slots, and XOR with the
+    bias leaves d as a two's-complement word, read by ``array`` or by
+    ``int.from_bytes``.  The spare top slot keeps the biased value of any
+    integer inside the buffer, so the function never raises.
     """
     slots = value.bit_length() // (8 * nbytes) + 2
     bias = _slot_bias(nbytes, slots)
+    words = ((value + bias) ^ bias).to_bytes(slots * nbytes, "little")
     code = _WORD_CODES.get(nbytes)
-    if code:
-        words = ((value + bias) ^ bias).to_bytes(slots * nbytes, "little")
-        return Polynomial._trusted(var, array(code, words).tolist())
-    biased = (value + bias).to_bytes(slots * nbytes, "little")
-    half = 1 << (8 * nbytes - 1)
-    return Polynomial._trusted(var, [int.from_bytes(biased[k:k + nbytes], "little") - half
-                                     for k in range(0, len(biased), nbytes)])
+    coeffs = (array(code, words).tolist() if code
+              else [int.from_bytes(words[k:k + nbytes], "little", signed=True) for k in range(0, len(words), nbytes)])
+    return Polynomial._trusted(var, coeffs)
 
 
 def _max_coeff(polys):
@@ -764,20 +744,21 @@ class TruncatedSeries:
     ``*`` and ``invert`` are ``_convolve`` and ``_inverse``.  When every
     coefficient lies in one Z[var], as a ``Polynomial`` throughout or as a
     ``RationalFunction`` with denominator 1 throughout, they run on the
-    packed polynomials (module docstring) and give each result back in that
-    type; ``invert`` also needs the constant term +-1, since any other
-    inverse leaves Z[var].  Over ints, mixed types, or rational functions
-    with any other denominator they run on the coefficients.  The packed
-    loops use slots that hold a bound B
-    plus a sign bit, rounded up to the next width on ``_slot_bytes``'s
-    ladder: 1, 2, 4 or 8 bytes, then whole bytes.  B is the larger of the
-    largest input coefficient and the largest value of the same loop run on
-    the ints |p|_1, the sums of absolute coefficients: for a product,
+    packed polynomials (``_pack``) and give each result back in that type;
+    ``invert`` also needs the constant term +-1, since any other inverse
+    leaves Z[var].  Over ints, mixed types, or rational functions with any
+    other denominator they run on the coefficients.  The packed loops take
+    their slot from ``_slot_bytes`` of a bound B read off the same loop run
+    on the ints |p|_1, the sums of absolute coefficients.  For a product, B
+    is the larger of the largest input coefficient and the largest entry of
     _convolve of the norms, whose entry m bounds every coefficient of output
-    m; for the inverse of a (constant term +-1), beta = _inverse of
-    [1, -|a_1|_1, -|a_2|_1, ...] with inverse constant 1, so that
-    beta_m = sum_(i>=1) |a_i|_1 beta_(m-i) bounds |out_m|_1 by induction on
-    out_m = -inv0 * sum_(i>=1) a_i out_(m-i).  A square ``f * f`` (one
+    m; a zero constant term can leave an input coefficient above every
+    entry.  For the inverse of a (constant term +-1), B is the largest entry
+    of beta = _inverse of [1, -|a_1|_1, -|a_2|_1, ...] with inverse
+    constant 1, so that beta_m = sum_(i>=1) |a_i|_1 beta_(m-i) bounds
+    |out_m|_1 by induction on out_m = -inv0 * sum_(i>=1) a_i out_(m-i); it
+    bounds every input too, since beta_0 = 1 = |a_0| and
+    beta_m >= |a_m|_1 beta_0 >= |a_m|_inf.  A square ``f * f`` (one
     object on both sides) packs once and runs the square path of
     ``_convolve``, on the norms too; doubling a pair is exact, so its bound
     and slot are those of two equal operands.
@@ -876,7 +857,7 @@ class TruncatedSeries:
             return TruncatedSeries(_inverse(self.coeffs, inv0), self.order)
         var, kind, (a,) = ring
         beta = _inverse([1] + [-n for n in _norms(a[1:])], 1)
-        nbytes = _slot_bytes(max(_max_coeff(a), *beta))
+        nbytes = _slot_bytes(max(beta))
         packed = _inverse([_pack(p.coeffs, nbytes) for p in a], a[0].coeffs[0])
         return TruncatedSeries(_lift([_unpack(v, nbytes, var) for v in packed], kind, var), self.order)
 

@@ -1,49 +1,20 @@
-"""Hankel matrices, fraction-free determinants, and J-fraction machinery.
+"""Hankel matrices, their determinants, and J-fractions.
 
-The determinant engine is the classical fraction-free elimination over an
-integral domain: cross-multiply, then divide by the previous pivot, every
-division provably exact in Z[t].  A step-k entry is a (k+1)-minor divisible
-by a high power of t, so during the elimination each entry is held as a
-pair (v, T) for t^v * T, with T(0) != 0, and the update
-(x*pivot - y*z) / prev is ``exactalg._cross`` on those pairs: the cross is
-built from the tails at their offsets, and the division by prev = t^f * D
-is exact iff f is at most the cross's valuation and D divides its tail, the
-tail division going through ``poly_exact_div`` unless D is 1 (every pivot of
-the Narayana and c tables is +-t^C(k,2), so only the shifted c table's
-pivots -t^v divide at all).  No zero low block is built, copied or scanned.
-A symmetric matrix, which every Hankel matrix is, stays symmetric under that
-update, so until a zero pivot forces a row swap only the upper triangle is
-computed and mirrored; a swap breaks the symmetry and the rest of the
-elimination computes every entry.  A cofactor-expansion determinant is kept
-alongside as an independent oracle for small dimensions, and the two are
-never merged.  ``hankel_table`` is the one loop of ``det_bareiss`` over
-dimensions n = 1..max_n: it returns the leading Hankel determinants of any
-family and shift, and reads no prediction.  ``HANKEL_SIGNS`` is the one
-table of predictions: for each (family, shift) it predicts,
-det H_n = (s*t)^binom(n,2) with its sign s, given by ``expected_hankel``.
-The CLI compares the two, takes its ``--family`` and ``--shift`` choices
-from the keys, and computes the table of each key once per registry run:
-the Hankel checks read every determinant and the product-formula checks
-the first six.
+Determinants: ``hankel_matrix`` builds H_n = (a_{i+j+shift}) from a
+sequence, ``det_bareiss`` is the fraction-free determinant, and
+``det_cofactor`` is an independent cofactor-expansion oracle for small
+dimensions; the two are never merged.  ``hankel_table`` runs
+``det_bareiss`` over n = 1..max_n and returns the leading determinants of
+any family and shift; it reads no prediction.
 
-J-fraction side: a series f with constant term 1 is peeled level by level
-via f = 1/(1 - s*z - t*z^2*f'), each level read off one series inverse:
-g = 1/f gives s = -g_1, t = -g_2 and the next level f' = (g_2, g_3, ...)/g_2.
-The work is over the rational-function field because that division by g_2
-may leave Z[t].  For smallc and smallg, the two families the CLI extracts,
-it does not: every t_k is +-t, so every level's series has denominator 1
-throughout, and each level's inverse runs on the packed Z[t] kernel of
-``TruncatedSeries``; only the division by g_2 goes through the field's gcd.
-A level whose series leaves Z[t] falls back to the coefficient loop over the
-field, with the same result.  A
-``JFraction`` holding diagonal coefficients s_0..s_d and subdiagonal
-coefficients t_0..t_{d-1} reconstructs the series exactly through order
-2d+1: ``jfraction_to_series`` builds the convergent N_0/D_0 bottom-up by
-the fundamental recurrence of its numerators and denominators, polynomials
-in z of degree at most d+1, and then takes one series inverse and one
-product for the whole fraction.  The subdiagonal coefficients alone
-determine every Hankel determinant through the double product
-``hankel_product_formula``.
+Predictions: ``HANKEL_SIGNS`` is the one table of them, read by
+``expected_hankel``.  The CLI compares the two and takes its ``--family``
+and ``--shift`` choices from the table's keys.
+
+J-fractions: ``jfraction_extract`` peels a series with constant term 1 into
+a ``JFraction`` over the rational-function field, ``jfraction_to_series``
+rebuilds the series from it, and ``hankel_product_formula`` gives every
+Hankel determinant from its subdiagonal coefficients alone.
 """
 
 from __future__ import annotations
@@ -113,7 +84,7 @@ def hankel_matrix(seq: tuple[Polynomial, ...], n: int, shift: int) -> PolyMatrix
 
 
 def det_bareiss(m: PolyMatrix) -> Polynomial:
-    """Exact determinant by fraction-free elimination.
+    """Exact determinant by fraction-free elimination, every entry update one ``_cross``.
 
     A zero pivot triggers a row-swap search down the column with sign
     tracking; if the whole column below is zero the determinant is zero.
@@ -125,20 +96,13 @@ def det_bareiss(m: PolyMatrix) -> Polynomial:
     symmetry of the remaining block, so from the first swap on every entry
     is computed, exactly as for a non-symmetric input.
 
-    Each entry is held as a pair (v, T) for var^v * T with T(0) != 0 (zero
-    is (0, ())), split once from the input and joined back for the result.
-    The update of entry (i, j) at step k is one call
-    ``_cross(row_i[j], pivot, row_i[k], row_k[j], prev, var)``: the cross
-    row_i[j]*pivot - row_i[k]*row_k[j] is var^m * W, built from the tails
-    at their offsets with W(0) != 0, and the previous pivot is var^f * D
-    with D(0) != 0.  Since var divides neither D nor W, var^f * D divides
-    var^m * W iff f <= m and D divides W, which is ``poly_exact_div(W, D)``,
-    skipped only when D is 1; the quotient is var^(m-f) * (W / D).  A
-    division that is not exact raises NotDivisibleError.  Every pivot is a
-    leading principal minor, for the Narayana and c families +-t^C(k,2), so
-    their tables divide only beside the pivots -t^v of the shifted c table,
-    and no step builds a ``Polynomial`` product, difference or zero low
-    block.
+    Entries carry high powers of var, so each is held as ``_cross``'s pair
+    (v, T) for var^v * T, split once from the input and joined back for the
+    result; the update of entry (i, j) at step k is
+    ``_cross(row_i[j], pivot, row_i[k], row_k[j], prev, var)``.  Every pivot
+    is a leading principal minor, for the Narayana and c families
+    +-t^C(k,2), so their tables call ``poly_exact_div`` only beside the
+    pivots -t^v of the shifted c table.
     """
     n = m.dim
     var = m.entries[0][0].var
@@ -267,7 +231,13 @@ def jfraction_extract(series: TruncatedSeries, depth: int) -> JFraction:
     Level k reads the inverse g = 1/f = 1 - s_k z - t_k z^2 f': s_k = -g_1,
     t_k = -g_2, and the next level is f' = (g_2, g_3, ...) / g_2.
     Returns s_0..s_depth and t_0..t_{depth-1}; a zero t_k stops early, at
-    depth k.
+    depth k.  The work is over the rational-function field because the
+    division by g_2 may leave Z[t].  For smallc and smallg, the two
+    families the CLI extracts, it does not: every t_k is +-t, so every
+    level's series has denominator 1 throughout and its inverse runs on the
+    packed Z[t] kernel of ``TruncatedSeries``; only the division by g_2
+    goes through the field's gcd.  A level whose series leaves Z[t] takes
+    the coefficient loop over the field, with the same result.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

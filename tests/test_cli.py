@@ -10,6 +10,7 @@ import sys
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -328,6 +329,12 @@ class TestGoldenStdout:
         assert main(GOLDEN[name]) == 0
         expected = (Path(__file__).parent / "data" / name).read_bytes()
         assert capsys.readouterr().out.encode() == expected
+
+    def test_verify_all_unchanged_without_word_codes(self, capsys):
+        """On a big-endian host every Kronecker slot, word-wide ones included, converts through int.to_bytes."""
+        with mock.patch.dict(exactalg._WORD_CODES, clear=True):
+            assert main(GOLDEN["verify_all.out"]) == 0
+        assert capsys.readouterr().out.encode() == (Path(__file__).parent / "data" / "verify_all.out").read_bytes()
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_stdout_unchanged_under_optimize(self, name):
@@ -883,6 +890,21 @@ class TestPublicNames:
                                 ValueError, "semi-length must be >= 0"),
         "Polynomial": (lambda: Polynomial("", ()), TypeError, "variable must be a non-empty string"),
         "Polynomial.monomial": (lambda: Polynomial.monomial("t", -1), ValueError, "monomial power must be >= 0"),
+        # from_json reads only what to_json writes: no float, bool or int entry, no string int() would also read
+        "Polynomial.from_json-float": (lambda: Polynomial.from_json({"var": "t", "coeffs": [1.9]}), TypeError,
+                                       "coefficient must be a decimal string, got float"),
+        "Polynomial.from_json-bool": (lambda: Polynomial.from_json({"var": "t", "coeffs": [True]}), TypeError,
+                                      "coefficient must be a decimal string, got bool"),
+        "Polynomial.from_json-int": (lambda: Polynomial.from_json({"var": "t", "coeffs": ["1", 5]}), TypeError,
+                                     "coefficient must be a decimal string, got int"),
+        "Polynomial.from_json-underscore": (lambda: Polynomial.from_json({"var": "t", "coeffs": ["1_0"]}), ValueError,
+                                            "coefficient '1_0' is not a canonical decimal string"),
+        "Polynomial.from_json-space": (lambda: Polynomial.from_json({"var": "t", "coeffs": [" 7"]}), ValueError,
+                                       "coefficient ' 7' is not a canonical decimal string"),
+        "Polynomial.from_json-plus": (lambda: Polynomial.from_json({"var": "t", "coeffs": ["+5"]}), ValueError,
+                                      "coefficient '+5' is not a canonical decimal string"),
+        "Polynomial.from_json-digit": (lambda: Polynomial.from_json({"var": "t", "coeffs": ["\u0663"]}), ValueError,
+                                       "coefficient '\u0663' is not a canonical decimal string"),
         "poly_exact_div": (lambda: exactalg.poly_exact_div(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
         "poly_gcd": (lambda: exactalg.poly_gcd(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),
         "RationalFunction": (lambda: RationalFunction(T, Q), ValueError, "variable mismatch: 't' vs 'q'"),

@@ -510,6 +510,16 @@ def test_unpack_reads_any_integer_as_balanced_digits(nbytes, value):
     assert packed_value(p.coeffs, nbytes) == value
 
 
+@pytest.mark.parametrize("contract", [test_codec_round_trips_every_coefficient_in_the_slot,
+                                      test_pack_refuses_a_coefficient_outside_the_slot,
+                                      test_unpack_reads_any_integer_as_balanced_digits],
+                         ids=lambda contract: contract.__name__.removeprefix("test_"))
+def test_codec_contract_without_word_codes(contract):
+    """A big-endian host has no word codes, so every width, 1 to 8 bytes included, converts through int.to_bytes."""
+    with mock.patch.dict(exactalg._WORD_CODES, clear=True):
+        contract()
+
+
 def test_slot_one_byte_narrower_is_caught(monkeypatch):
     """Each edge case at the top of its rung, word-wide or wider, goes wrong in a slot one rung
     narrower: one byte narrower above 8 bytes, half as wide at a word."""
