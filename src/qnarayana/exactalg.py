@@ -727,13 +727,6 @@ def _inverse(a, inv0):
     return out
 
 
-def ring_to_json(c):
-    """Wire form of a report side, an ``int`` or a ``Polynomial``; the CLI writes no other type."""
-    if isinstance(c, int):
-        return str(c)
-    return c.to_json()
-
-
 class TruncatedSeries:
     """Power series in z truncated at a fixed order.
 

@@ -12,15 +12,11 @@ arithmetic and compared coefficient by coefficient: there is no tolerance,
 a check passes only on structural equality at every power up to the order.
 The closed forms that involve square roots are never evaluated (exact
 arithmetic has no radicals); they are certified indirectly, through the
-quadratic functional equations they solve (identifiers eq15 and eq20).
+quadratic functional equations they solve (eq15, eq20 and g_at_1).
 
-Identity identifiers are stable registry keys (eq15, eq16, ... g_at_m1).
-``IDENTITY_DESCRIPTIONS`` states each identity once: ``verify_identity``
-parses and evaluates a series statement's own text (grammar, and the one
-order its values are built at, at ``_Statement``), and compares the two
-integer checks, g_at_1 and g_at_m1, against the closed forms of
-``narayana.special_values``, looked up through the module so that every
-reader of them reads the same function.
+``IDENTITY_DESCRIPTIONS`` states each identity once, under its stable
+registry key, as the text ``verify_identity`` parses and evaluates
+(grammar, and the one order its values are built at, at ``_Statement``).
 """
 
 from __future__ import annotations
@@ -29,8 +25,7 @@ import re
 from math import prod
 from typing import NamedTuple
 
-from . import narayana
-from .exactalg import Polynomial, TruncatedSeries, ring_to_json
+from .exactalg import Polynomial, TruncatedSeries
 from .narayana import FAMILIES, TVAR
 
 # series tag -> (family in narayana.FAMILIES, shift): coefficient n is member n + shift
@@ -53,7 +48,7 @@ def build_series(tag: str, order: int) -> TruncatedSeries:
     return TruncatedSeries([build(n + shift) for n in range(order + 1)], order)
 
 
-# identity key -> its statement, in report order; each series statement is the text verify_identity evaluates
+# identity key -> its statement, in report order; each statement is the text verify_identity evaluates
 IDENTITY_DESCRIPTIONS = {
     "eq15": "C = 1 - z(t-1)C + tzC^2",
     "eq16": "1/C = 1 + (t-1)z - tzC",
@@ -65,7 +60,7 @@ IDENTITY_DESCRIPTIONS = {
     "eq25": "c(t,z)c(-t,-z) = C(t^2,z^2)",
     "eq27": "g = 1 + (1+t)zg - tz^2 G(t^2,z^2)",
     "eq28": "g(t,z)g(t,-z) = G(t^2,z^2)",
-    "g_at_1": "g(1,z) has central-binomial coefficients",
+    "g_at_1": "g(1,z) = 1 + 2z + 4z^2 g(1,z) + z^2 g(1,z)^2 (2z - 1)",
     "g_at_m1": "g(-1,z) = C(1,z^2)",
 }
 ALL_IDENTITIES = tuple(IDENTITY_DESCRIPTIONS)
@@ -74,12 +69,22 @@ ALL_IDENTITIES = tuple(IDENTITY_DESCRIPTIONS)
 # on first use (re caches it), so an import that evaluates no statement skips it
 _TOKEN = r"\^[1-9]\d*|[CGcg](?:\([^()]*\))?|\d+|\S"
 _GENERATORS = {"C": "bigC", "G": "bigG", "c": "smallc", "g": "smallg"}
+
+
+def _at(t):
+    """The map from a generator at (t,z) to its value at t = +-1, every coefficient a constant."""
+    return lambda f: f.map_coeffs(lambda p: Polynomial.constant(TVAR, p(t)))
+
+
 # generator argument -> the map from the generator at (t,z) to its value there
 _ARGUMENTS = {
     "(t,z)": lambda f: f,
     "(-t,-z)": lambda f: f.map_coeffs(Polynomial.subs_neg).subs_neg_z(),
     "(t,-z)": TruncatedSeries.subs_neg_z,
     "(t^2,z^2)": lambda f: f.map_coeffs(Polynomial.subs_square).subs_z_squared(),
+    "(1,z)": _at(1),
+    "(-1,z)": _at(-1),
+    "(1,z^2)": lambda f: _at(1)(f).subs_z_squared(),
 }
 
 
@@ -94,12 +99,12 @@ class _Statement:
     Grammar: integers, ``t``, ``z``, ``+``, ``-``, juxtaposition as product,
     ``^k`` and parentheses; ``1/X``, the series inverse; ``(X)/z``, refused
     when X has a nonzero constant term; the generators ``C``, ``G``, ``c``,
-    ``g``, optionally at ``(t,z)``, ``(-t,-z)``, ``(t,-z)`` or ``(t^2,z^2)``.
+    ``g``, optionally at an argument of ``_ARGUMENTS``.
     Every value is a series at one order N, the order compared plus the
     number of ``(X)/z``, and each generator is built once, at N.  ``(X)/z``
     drops X's zero constant term and pads the top with 0, so its top
     coefficient is wrong; every other operation (``+``, ``-``, products,
-    ``1/X``, t-scaling, ``z^k`` and the four arguments) writes coefficient m
+    ``1/X``, t-scaling, ``z^k`` and the arguments) writes coefficient m
     from coefficients <= m, so a wrong coefficient only spoils those above
     it, and each ``(X)/z`` spoils one more at the top.  Both sides are
     compared through the order, below every spoiled one.
@@ -205,29 +210,14 @@ class _Statement:
         return value
 
 
-# the integer checks: identity key -> the t at which coefficient n of g(t,z),
-# c_{n+1}(t), is compared with narayana.special_values(n + 1)
-_INTEGER_CHECKS = {"g_at_1": 1, "g_at_m1": -1}
-
-
-def _sides(identity, order):
-    """The coefficients of both sides of a registered identity at the order."""
-    if identity in _INTEGER_CHECKS:
-        at = _INTEGER_CHECKS[identity]
-        closed = [narayana.special_values(n + 1)[0 if at == 1 else 1] for n in range(order + 1)]
-        return [p(at) for p in build_series("smallg", order).coeffs], closed
-    lhs, rhs = _Statement(identity, IDENTITY_DESCRIPTIONS[identity]).sides(order)
-    return lhs.coeffs, rhs.coeffs
-
-
 class IdentityReport(NamedTuple):
     """Outcome of one identity check: a pass has no power, a failure its first failing power and both sides there."""
 
     identity: str
     order: int
     power: int | None = None
-    lhs: object = None
-    rhs: object = None
+    lhs: Polynomial | None = None
+    rhs: Polynomial | None = None
 
     @property
     def passed(self) -> bool:
@@ -237,8 +227,8 @@ class IdentityReport(NamedTuple):
         out = {"identity": self.identity, "order": self.order, "status": "pass" if self.passed else "fail"}
         if not self.passed:
             out["power"] = self.power
-            out["lhs"] = ring_to_json(self.lhs)
-            out["rhs"] = ring_to_json(self.rhs)
+            out["lhs"] = self.lhs.to_json()
+            out["rhs"] = self.rhs.to_json()
         return out
 
 
@@ -248,8 +238,8 @@ def verify_identity(identity: str, order: int) -> IdentityReport:
         raise ValueError(f"unknown identity {identity!r} (expected one of {ALL_IDENTITIES})")
     if order < 2:
         raise ValueError("identity checks need order >= 2")
-    lhs, rhs = _sides(identity, order)
-    for power, (a, b) in enumerate(zip(lhs, rhs, strict=True)):
+    lhs, rhs = _Statement(identity, IDENTITY_DESCRIPTIONS[identity]).sides(order)
+    for power, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs, strict=True)):
         if a != b:
             return IdentityReport(identity, order, power, a, b)
     return IdentityReport(identity, order)

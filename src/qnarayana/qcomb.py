@@ -52,6 +52,10 @@ def q_int(n: int) -> Polynomial:
     return Polynomial(QVAR, (1,) * n)
 
 
+# a miss this far above 2k first builds the entry this far down its column, so no call recurses n deep
+_STEP = 64
+
+
 @functools.cache
 def q_binomial(n: int, k: int) -> Polynomial:
     """Gaussian binomial coefficient via the q-Pascal recurrence.
@@ -69,6 +73,8 @@ def q_binomial(n: int, k: int) -> Polynomial:
         return _ONE
     if 2 * k > n:
         return q_binomial(n, n - k)
+    if 2 * k <= n - _STEP:
+        q_binomial(n - _STEP, k)
     low, high = q_binomial(n - 1, k - 1).coeffs, q_binomial(n - 1, k).coeffs
     return Polynomial._trusted(QVAR, [*low[:k], *map(add, low[k:], high), *high[len(low) - k:]])
 

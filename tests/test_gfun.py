@@ -9,8 +9,6 @@ from qnarayana.gfun import (
     ALL_IDENTITIES,
     IDENTITY_DESCRIPTIONS,
     IdentityReport,
-    _INTEGER_CHECKS,
-    _sides,
     build_series,
     verify_identity,
 )
@@ -57,6 +55,12 @@ class TestVerifyIdentity:
         rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
         table = {key.strip(): statement.strip().replace("`", "") for key, statement in rows[1:]}
         assert table == IDENTITY_DESCRIPTIONS
+
+    def test_readme_grammar_lists_the_arguments(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Identity registry", 1)[1].split("\n## ", 1)[0]
+        sentence = re.search(r"optionally at (.*?)\. ", section, re.DOTALL).group(1)
+        assert tuple(re.findall(r"`([^`]*)`", sentence)) == tuple(gfun._ARGUMENTS)
 
     def test_unknown_identifier(self):
         with pytest.raises(ValueError, match="unknown identity"):
@@ -106,8 +110,9 @@ class TestVerifyIdentity:
         # each generator is built once, in reading order, at the order, and eq18's at the order + 1
         reads = {"eq15": ["bigC"], "eq16": ["bigC"], "eq18": ["bigG", "bigC"], "eq19": ["bigG"], "eq20": ["bigG"],
                  "eq23": ["smallc", "bigC"], "eq24": ["smallc"], "eq25": ["smallc", "bigC"],
-                 "eq27": ["smallg", "bigG"], "eq28": ["smallg", "bigG"]}
-        assert list(reads) == [key for key in ALL_IDENTITIES if key not in _INTEGER_CHECKS]
+                 "eq27": ["smallg", "bigG"], "eq28": ["smallg", "bigG"], "g_at_1": ["smallg"],
+                 "g_at_m1": ["smallg", "bigC"]}
+        assert list(reads) == list(ALL_IDENTITIES)
         built, build = [], gfun.build_series
         monkeypatch.setattr(gfun, "build_series", lambda tag, n: built.append((tag, n)) or build(tag, n))
         for order in (2, 6, 12):
@@ -149,11 +154,11 @@ class TestVerifyIdentity:
         # numerator, taken one order longer, still gives every power 0..N
         for identity in ALL_IDENTITIES:
             for order in (2, 5, 11):
-                lhs, rhs = _sides(identity, order)
-                longer_lhs, longer_rhs = _sides(identity, order + 5)
-                assert len(lhs) == len(rhs) == order + 1, identity
-                assert tuple(lhs) == tuple(longer_lhs[:order + 1]), identity
-                assert tuple(rhs) == tuple(longer_rhs[:order + 1]), identity
+                lhs, rhs = gfun._Statement(identity, IDENTITY_DESCRIPTIONS[identity]).sides(order)
+                longer_lhs, longer_rhs = gfun._Statement(identity, IDENTITY_DESCRIPTIONS[identity]).sides(order + 5)
+                assert len(lhs.coeffs) == len(rhs.coeffs) == order + 1, identity
+                assert lhs.coeffs == longer_lhs.coeffs[:order + 1], identity
+                assert rhs.coeffs == longer_rhs.coeffs[:order + 1], identity
                 assert verify_identity(identity, order).passed
 
     def test_g_at_minus_one_interleaves_catalans(self):
@@ -178,6 +183,8 @@ STATEMENT_MUTATIONS = [
     ("eq25", "c(-t,-z)", "c(t,-z)"),
     ("eq27", " - tz^2 G(t^2,z^2)", ""),
     ("eq28", "g(t,-z)", "g(t,z)"),
+    ("g_at_1", "(2z - 1)", "(2z + 1)"),
+    ("g_at_m1", "C(1,z^2)", "C(1,z)"),
 ]
 
 
@@ -185,8 +192,7 @@ class TestStatements:
     """verify_identity evaluates the registered statement text itself."""
 
     def test_every_series_statement_has_a_mutation(self):
-        series = [key for key in ALL_IDENTITIES if key not in _INTEGER_CHECKS]
-        assert [identity for identity, _, _ in STATEMENT_MUTATIONS] == series
+        assert [identity for identity, _, _ in STATEMENT_MUTATIONS] == list(ALL_IDENTITIES)
 
     @pytest.mark.parametrize("identity, old, new", STATEMENT_MUTATIONS, ids=[m[0] for m in STATEMENT_MUTATIONS])
     def test_a_mutated_statement_fails_its_identity_and_no_other(self, monkeypatch, identity, old, new):
@@ -226,4 +232,4 @@ class TestStatements:
             verify_identity(identity, 8)
             assert all(a_terms > 1 and b_terms > 1 for _, a_terms, b_terms in products), identity
             squares[identity] = sum(square for square, _, _ in products)
-        assert squares == {key: 1 if key in ("eq15", "eq20") else 0 for key in ALL_IDENTITIES}
+        assert squares == {key: 1 if key in ("eq15", "eq20", "g_at_1") else 0 for key in ALL_IDENTITIES}

@@ -79,6 +79,12 @@ class TestQBinomial:
         assert q_binomial(5, 7) == Polynomial.zero(QVAR)
         assert q_binomial(3, -1) == Polynomial.zero(QVAR)
 
+    def test_long_columns_do_not_recurse_n_deep(self):
+        # the q-Pascal recurrence reaches n rows down; the memo fills bottom-up, so n far above
+        # the recursion limit returns
+        assert q_binomial(2000, 1) == q_int(2000)
+        assert q_binomial(1000, 2) == poly_exact_div(q_int(1000) * q_int(999), q_int(2))
+
     def test_product_formula_oracle(self):
         # [4][3]/([2][1]) checked through exact division
         numerator = q_int(4) * q_int(3)
